@@ -7,7 +7,6 @@ series (`series`), combinatorial counters with a brute-force oracle
 `glaisher` CLI.
 """
 
-from ._backend import backend_name
 from .ring import (
     CycInt,
     CycPoly,

@@ -15,6 +15,7 @@ import sys
 
 import click
 
+from . import __version__
 from .genfun import (
     EPSILON_ROUTES,
     epsilon,
@@ -32,8 +33,24 @@ FORMATS = ("json", "csv", "text")
 SERIES_CHOICES = ("A", "B", "Bj-lhs", "C", "D", "epsilon", "P")
 
 
+class ConfigError(click.ClickException):
+    """A bad environment setting: a usage error (exit 2), reported in one
+    line with no usage text."""
+
+    exit_code = 2
+
+
 def _ceiling() -> int:
-    return int(os.environ.get("GLAISHER_CEILING", "5000"))
+    raw = os.environ.get("GLAISHER_CEILING", "5000")
+    try:
+        value = int(raw)
+        if value < 0:
+            raise ValueError(raw)
+    except ValueError:
+        raise ConfigError(
+            f"GLAISHER_CEILING must be a non-negative integer, got {raw!r}"
+        ) from None
+    return value
 
 
 def _check_bound(value: int, name: str):
@@ -75,7 +92,7 @@ def _ratio_decimal(num: int, den: int, places: int = 6) -> str:
 
 
 @click.group()
-@click.version_option(package_name="glaisher")
+@click.version_option(version=__version__)
 def main():
     """Exact partition counting and q-series identity verification.
 

@@ -20,7 +20,7 @@ share no intermediate algebra, only the kernel primitives.
 
 from __future__ import annotations
 
-from ._backend import kernels
+from . import kernels
 from .ring import chi, cyc_root_power
 from .series import CyclotomicRing, Series, Z, map_ring, qbinomial_poly
 
@@ -188,11 +188,14 @@ def _epsilon_definition(m: int, precision: int) -> Series:
 
 def _epsilon_triangular(m: int, precision: int) -> Series:
     """Triangular route: sum over k >= 0 of
-    (-1)^k chi_m(k) q^(T_k) (q^(k+1); q)_(m-1)."""
+    (-1)^k chi_m(k) q^(T_k) (q^(k+1); q)_(m-1).
+
+    Each term is a polynomial of degree (m-1)(k+1) + T_(m-2), so it is
+    expanded only to that degree (or to the precision, if lower)."""
     acc = [0] * (precision + 1)
     k = 0
     while _tri(k) <= precision:
-        width = precision - _tri(k)
+        width = min(precision - _tri(k), (m - 1) * (k + 1) + _tri(m - 2))
         poly = [1] + [0] * width
         for i in range(m - 1):
             kernels.mul_one_minus_uqk(poly, 1, k + 1 + i)

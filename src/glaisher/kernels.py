@@ -1,26 +1,26 @@
-# cython: language_level=3, boundscheck=False, wraparound=False
-"""Compiled series kernels.
+"""Series kernels: the four loops over coefficient lists.
 
-Object-mode loops: coefficients stay arbitrary Python ring elements (bignum
-int or CycInt), so results are bit-identical to `_kernels_py`; the win is
-stripping interpreter dispatch from the inner loops.
+These loops are the hot spots of every truncated-series computation in the
+package.  `series`, `genfun` and `verify` call them as `kernels.<name>`,
+never imported by name, so wrapping the module attribute (as the
+benchmark's spans do) sees every call.
+
+Coefficients are opaque ring elements (int or CycInt): only `+`, `-`, `*`,
+`bool` and `== 1` are used, so both coefficient rings go through the same
+code paths.
 """
 
 
-def conv_truncated(list a, list b, Py_ssize_t nmax, zero):
+def conv_truncated(a, b, nmax, zero):
     """Truncated product: out[n] = sum_{i+j=n} a[i]*b[j] for n <= nmax."""
-    cdef Py_ssize_t la = len(a), lb = len(b)
-    cdef Py_ssize_t i, j, hi
-    cdef list out = [zero] * (nmax + 1)
-    for i in range(la):
+    out = [zero] * (nmax + 1)
+    lb = len(b)
+    for i, ai in enumerate(a):
         if i > nmax:
             break
-        ai = a[i]
         if not ai:
             continue
-        hi = nmax - i
-        if hi > lb - 1:
-            hi = lb - 1
+        hi = min(nmax - i, lb - 1)
         for j in range(hi + 1):
             bj = b[j]
             if bj:
@@ -28,9 +28,9 @@ def conv_truncated(list a, list b, Py_ssize_t nmax, zero):
     return out
 
 
-def mul_one_minus_uqk(list c, u, Py_ssize_t k):
+def mul_one_minus_uqk(c, u, k):
     """In place, multiply the coefficient list by (1 - u*q^k)."""
-    cdef Py_ssize_t n = len(c) - 1, t
+    n = len(c) - 1
     if k < 1:
         raise ValueError("factor exponent must be >= 1")
     if k > n:
@@ -47,9 +47,14 @@ def mul_one_minus_uqk(list c, u, Py_ssize_t k):
                 c[t] = c[t] - u * s
 
 
-def div_one_minus_uqk(list c, u, Py_ssize_t k):
-    """In place, divide the coefficient list by (1 - u*q^k)."""
-    cdef Py_ssize_t n = len(c) - 1, t
+def div_one_minus_uqk(c, u, k):
+    """In place, divide the coefficient list by (1 - u*q^k).
+
+    Exact in the truncated-series ring because the factor has unit constant
+    term; the ascending recurrence g[t] = f[t] + u*g[t-k] uses already
+    updated entries on purpose.
+    """
+    n = len(c) - 1
     if k < 1:
         raise ValueError("factor exponent must be >= 1")
     if k > n:
@@ -66,12 +71,10 @@ def div_one_minus_uqk(list c, u, Py_ssize_t k):
                 c[t] = c[t] + u * s
 
 
-def add_scaled_shifted(list acc, list src, Py_ssize_t shift, scale):
+def add_scaled_shifted(acc, src, shift, scale):
     """In place: acc[shift+i] += scale * src[i], truncating past len(acc)."""
-    cdef Py_ssize_t n = len(acc) - 1, ls = len(src)
-    cdef Py_ssize_t hi = n - shift, i
-    if hi > ls - 1:
-        hi = ls - 1
+    n = len(acc) - 1
+    hi = min(n - shift, len(src) - 1)
     if scale == 1:
         for i in range(hi + 1):
             s = src[i]

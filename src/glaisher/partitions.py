@@ -62,18 +62,17 @@ class CountTable:
 
 
 def _mult_choice_update(dp: list[int], k: int, m: int) -> list[int]:
-    """One DP step: allow part k with multiplicity choice 0..m-1."""
+    """One DP step: allow part k with multiplicity choice 0..m-1.
+
+    ndp[t] = dp[t] + dp[t-k] + ... + dp[t-(m-1)k] is kept as a sliding
+    window, ndp[t] = dp[t] + ndp[t-k] - dp[t-mk], so each step is O(n)."""
     n_max = len(dp) - 1
-    ndp = [0] * (n_max + 1)
-    for t in range(n_max + 1):
-        acc = 0
-        c = 0
-        ck = 0
-        while c < m and ck <= t:
-            acc += dp[t - ck]
-            c += 1
-            ck += k
-        ndp[t] = acc
+    mk = m * k
+    ndp = list(dp)
+    for t in range(k, min(mk, n_max + 1)):
+        ndp[t] += ndp[t - k]
+    for t in range(mk, n_max + 1):
+        ndp[t] += ndp[t - k] - dp[t - mk]
     return ndp
 
 
@@ -249,6 +248,7 @@ def count_table(spec: FamilySpec, n_max: int) -> CountTable:
         "D": lambda n: count_D(spec.m, n),
     }
     fn = fns[spec.family]
+    fn(n_max)  # build the table once at full size; the walk only reads it
     return CountTable(spec, tuple(fn(n) for n in range(n_max + 1)))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, neg, sub
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,14 @@ class CycInt:
         raise AttributeError("CycInt is immutable")
 
     @classmethod
+    def _wrap(cls, m: int, coords: tuple) -> "CycInt":
+        """Internal: adopt a coordinate tuple already known to be valid."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "coords", coords)
+        return self
+
+    @classmethod
     def from_int(cls, m: int, c: int) -> "CycInt":
         phi = _reduction_rows(m)[0]
         return cls(m, (c,) + (0,) * (phi - 1))
@@ -155,7 +164,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.m, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return CycInt._wrap(self.m, tuple(map(add, self.coords, o.coords)))
 
     __radd__ = __add__
 
@@ -163,7 +172,7 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycInt(self.m, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return CycInt._wrap(self.m, tuple(map(sub, self.coords, o.coords)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -172,7 +181,7 @@ class CycInt:
         return o - self
 
     def __neg__(self):
-        return CycInt(self.m, tuple(-a for a in self.coords))
+        return CycInt._wrap(self.m, tuple(map(neg, self.coords)))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -192,7 +201,7 @@ class CycInt:
                 row = rows[t - phi]
                 for i in range(phi):
                     prod[i] += c * row[i]
-        return CycInt(self.m, tuple(prod[:phi]))
+        return CycInt._wrap(self.m, tuple(prod[:phi]))
 
     __rmul__ = __mul__
 

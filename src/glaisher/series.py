@@ -7,15 +7,14 @@ discarded, never wrapped.  Coefficients live in Z (plain int) or in Z[zeta_m]
 accident.
 
 Products are naive O(N^2) convolutions on purpose: coefficients are bignums
-and exactness is the point.  The inner loops live in the kernel backend
-(compiled when available).
+and exactness is the point.  The inner loops live in `glaisher.kernels`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._backend import kernels
+from . import kernels
 from .ring import CycInt, cyc_as_integer
 
 

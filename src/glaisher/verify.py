@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
+from . import kernels
 from .genfun import epsilon, gf_Bj_lhs, gf_C, gf_D, gf_regular, p_polynomial
 from .partitions import count_A, count_B, count_Bj, count_C, count_D
 from .series import PochSpec, Series, Z, pochhammer
-from ._backend import kernels
 
 THEOREMS = ("T1.2", "E1.4", "T1.3", "T1.4", "T1.5", "T1.6", "T1.8", "T1.9", "C1.10")
 

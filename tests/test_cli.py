@@ -208,3 +208,21 @@ def test_negative_range_rejected(runner):
     result = runner.invoke(main, ["count", "--family", "A", "--m", "2",
                                   "--n-max", "-3"])
     assert result.exit_code == 2
+
+
+def test_version_needs_no_installed_metadata(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert "version 0.1.0" in result.output
+
+
+@pytest.mark.parametrize("ceiling", ["abc", "-1", "2.5"])
+def test_bad_ceiling_is_a_one_line_usage_error(ceiling):
+    runner = CliRunner(env={"GLAISHER_CEILING": ceiling})
+    result = runner.invoke(main, ["count", "--family", "A", "--m", "3",
+                                  "--n-max", "5"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"Error: GLAISHER_CEILING must be a non-negative integer, got '{ceiling}'"
+    ]

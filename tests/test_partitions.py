@@ -106,6 +106,22 @@ def test_count_table():
     assert table.counts == (0, 0, 1, 1, 2, 3)
 
 
+def test_count_table_builds_its_table_once(monkeypatch):
+    from glaisher import partitions
+
+    real, sizes = partitions._build_C, []
+
+    def build(m, n_max):
+        sizes.append(n_max)
+        return real(m, n_max)
+
+    monkeypatch.setattr(partitions, "_cache", {})
+    monkeypatch.setattr(partitions, "_build_C", build)
+    table = count_table(FamilySpec("C", 2), 300)
+    assert sizes == [300]
+    assert table.counts == tuple(real(2, 300))
+
+
 def test_brute_force_examples():
     assert brute_force_count(FamilySpec("A", 3), 4) == 4
     assert brute_force_count(FamilySpec("C", 3), 6) == 3

@@ -6,7 +6,16 @@ import random
 
 import pytest
 
-from glaisher.ring import CycInt, chi, cyc_root_power
+from glaisher import kernels
+from glaisher.genfun import _epsilon_triangular, _tri
+from glaisher.partitions import _mult_choice_update
+from glaisher.ring import (
+    CycInt,
+    chi,
+    cyc_root_power,
+    cyclotomic_polynomial,
+    euler_phi,
+)
 from glaisher.series import (
     CoefficientRangeError,
     CyclotomicRing,
@@ -218,3 +227,145 @@ def test_series_is_immutable_and_hashable():
 def test_scalar_multiplication():
     assert (3 * S(1, -2)).coeffs == (3, -6)
     assert (-S(1, -2)).coeffs == (-1, 2)
+
+
+# -- kernels ------------------------------------------------------------------
+
+
+def test_factor_kernels_reject_exponent_below_one():
+    for kern in (kernels.mul_one_minus_uqk, kernels.div_one_minus_uqk):
+        with pytest.raises(ValueError):
+            kern([1, 0], 1, 0)
+
+
+def test_add_scaled_shifted_truncates():
+    acc = [0, 0, 0]
+    kernels.add_scaled_shifted(acc, [5, 5, 5], 2, 1)
+    assert acc == [0, 0, 5]
+
+
+def test_factor_kernels_mul_then_div_restores_int():
+    rng = random.Random(12)
+    for u in (1, -1, 3):
+        for k in (1, 2, 7, 60):
+            base = [rng.randint(-50, 50) for _ in range(50)]
+            c = list(base)
+            kernels.mul_one_minus_uqk(c, u, k)
+            if k < len(base):
+                assert c != base
+            kernels.div_one_minus_uqk(c, u, k)
+            assert c == base
+
+
+def test_factor_kernels_mul_then_div_restores_cyclotomic():
+    rng = random.Random(13)
+    for m in (3, 4, 5):
+        phi = euler_phi(m)
+        base = [CycInt(m, [rng.randint(-5, 5) for _ in range(phi)])
+                for _ in range(30)]
+        for u in (1, cyc_root_power(m, 1), cyc_root_power(m, m - 1)):
+            for k in (1, 2, 7):
+                c = list(base)
+                kernels.mul_one_minus_uqk(c, u, k)
+                assert c != base
+                kernels.div_one_minus_uqk(c, u, k)
+                assert c == base
+
+
+# -- reference loops for the fast paths -----------------------------------------
+
+
+def _epsilon_triangular_dense(m, precision):
+    """The triangular route with every term expanded to the full precision."""
+    acc = [0] * (precision + 1)
+    k = 0
+    while _tri(k) <= precision:
+        poly = [1] + [0] * (precision - _tri(k))
+        for i in range(m - 1):
+            kernels.mul_one_minus_uqk(poly, 1, k + 1 + i)
+        kernels.add_scaled_shifted(acc, poly, _tri(k),
+                                   (-1 if k & 1 else 1) * chi(m, k))
+        k += 1
+    return acc
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_triangular_degree_capped_terms_match_dense(m):
+    for precision in (0, 1, 2, 3, 5, 17, 100, 3000):
+        assert list(_epsilon_triangular(m, precision).coeffs) == \
+            _epsilon_triangular_dense(m, precision), precision
+
+
+def _mult_choice_update_direct(dp, k, m):
+    """ndp[t] = sum of dp[t - c*k] over c = 0..m-1, summed term by term."""
+    ndp = [0] * len(dp)
+    for t in range(len(dp)):
+        acc = 0
+        c = 0
+        ck = 0
+        while c < m and ck <= t:
+            acc += dp[t - ck]
+            c += 1
+            ck += k
+        ndp[t] = acc
+    return ndp
+
+
+def test_sliding_window_update_matches_direct_sum():
+    rng = random.Random(21)
+    for _ in range(400):
+        m = rng.randint(2, 7)
+        n = rng.randint(0, 80)
+        k = rng.randint(1, 90)
+        dp = [rng.randint(-10 ** 20, 10 ** 20) for _ in range(n + 1)]
+        before = list(dp)
+        assert _mult_choice_update(dp, k, m) == \
+            _mult_choice_update_direct(dp, k, m), (m, n, k)
+        assert dp == before
+
+
+def _cyc_mul_reference(a, b):
+    """Schoolbook product, then the remainder modulo Phi_m by long division."""
+    m = a.m
+    phi_coeffs = cyclotomic_polynomial(m).coefficients
+    phi = len(phi_coeffs) - 1
+    prod = [0] * (2 * phi - 1)
+    for i, ai in enumerate(a.coords):
+        for j, bj in enumerate(b.coords):
+            prod[i + j] += ai * bj
+    for t in range(len(prod) - 1, phi - 1, -1):
+        c = prod[t]
+        for d, pd in enumerate(phi_coeffs):
+            prod[t - phi + d] -= c * pd
+    return CycInt(m, prod[:phi])
+
+
+def _assert_valid_cycint(x, m):
+    assert type(x) is CycInt and x.m == m
+    assert type(x.coords) is tuple and len(x.coords) == euler_phi(m)
+    assert all(type(c) is int for c in x.coords)
+    assert x == CycInt(m, x.coords) and hash(x) == hash(CycInt(m, x.coords))
+
+
+def test_cycint_arithmetic_matches_validating_constructor():
+    rng = random.Random(31)
+    for m in (2, 3, 4, 5, 6, 7, 9, 12):
+        phi = euler_phi(m)
+        for _ in range(40):
+            a = CycInt(m, [rng.randint(-10 ** 12, 10 ** 12) for _ in range(phi)])
+            b = CycInt(m, [rng.randint(-10 ** 12, 10 ** 12) for _ in range(phi)])
+            c = rng.randint(-99, 99)
+            cases = [
+                (a + b, CycInt(m, [x + y for x, y in zip(a.coords, b.coords)])),
+                (a - b, CycInt(m, [x - y for x, y in zip(a.coords, b.coords)])),
+                (-a, CycInt(m, [-x for x in a.coords])),
+                (a * b, _cyc_mul_reference(a, b)),
+                (a + c, CycInt(m, [a.coords[0] + c, *a.coords[1:]])),
+                (c - a, CycInt(m, [c - a.coords[0], *(-x for x in a.coords[1:])])),
+                (c * a, CycInt(m, [c * x for x in a.coords])),
+            ]
+            for got, want in cases:
+                _assert_valid_cycint(got, m)
+                assert got == want
+    with pytest.raises(AttributeError):
+        (a + b).coords = ()
