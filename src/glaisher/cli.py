@@ -1,8 +1,10 @@
 """Command-line front end: counting, series expansion, identity verification,
 and density scans, with json / csv / text output.
 
-Exit codes: 0 all checks pass, 1 a mathematical mismatch was found,
-2 usage or configuration error.
+Exit codes: 0 all checks pass, 1 a mathematical mismatch was found (a
+failed identity, or a density census above its window bound), 2 usage or
+configuration error, 3 internal error (any other exception, reported in
+one line on stderr).
 """
 
 from __future__ import annotations
@@ -38,6 +40,32 @@ class ConfigError(click.ClickException):
     line with no usage text."""
 
     exit_code = 2
+
+
+class InternalError(click.ClickException):
+    """An unexpected exception inside a command: exit 3, one line on
+    stderr, so that exit 1 keeps meaning a mathematical mismatch."""
+
+    exit_code = 3
+
+
+class _Group(click.Group):
+    """Maps any exception that click does not handle itself to
+    InternalError.  Exit and Abort subclass RuntimeError, so they are let
+    through by name along with ClickException; SystemExit is not an
+    Exception and passes on its own."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            detail = " ".join(str(exc).split())
+            raise InternalError(
+                f"internal error: {type(exc).__name__}"
+                + (f": {detail}" if detail else "")
+            ) from exc
 
 
 def _ceiling() -> int:
@@ -91,7 +119,7 @@ def _ratio_decimal(num: int, den: int, places: int = 6) -> str:
     return f"{whole}.{frac:0{places}d}"
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(version=__version__)
 def main():
     """Exact partition counting and q-series identity verification.
@@ -233,7 +261,8 @@ def _report_payload(report) -> dict:
 def verify_cmd(theorem, m, n_max, precision, n_sum, fmt, out):
     """Check one identity and report the first mismatch, if any.
 
-    Exits 0 on pass, 1 on a mathematical mismatch, 2 on usage errors.
+    Exits 0 on pass, 1 on a mathematical mismatch, 2 on usage errors,
+    3 on an internal error.
     """
     if n_max is None and precision is None:
         n_max = precision = DEFAULT_RANGE
@@ -282,7 +311,10 @@ def verify_cmd(theorem, m, n_max, precision, n_sum, fmt, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def density(m, x, fmt, out):
     """Count vanishing correction coefficients below x and check the
-    window sparsity bound."""
+    window sparsity bound.
+
+    Exits 0 when the census is within the bound, 1 when it breaks it.
+    """
     _check_bound(x, "--x")
     try:
         stats = density_report(m, x)
@@ -319,6 +351,8 @@ def density(m, x, fmt, out):
             f"window bound: {stats.window_bound} "
             f"(satisfied: {stats.bound_satisfied})",
         ]), out)
+    if not stats.bound_satisfied:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -104,22 +104,30 @@ def gf_Bj_lhs(m: int, n_sum: int | None, precision: int) -> Series:
     (q^r; q^m)_n for r <= m-j and (q^r; q^m)_(n-1) for r > m-j.
 
     n_sum bounds the outer sum; None means sum until the leading exponent
-    m n - j clears the precision."""
+    m n - j clears the precision.
+
+    Each block lands its working series at a higher shift than the one
+    before, so the series is kept only to the coefficients the next block
+    can still land: exact, since dividing by (1 - q^k) never moves a
+    coefficient down."""
     _check_m(m)
     if n_sum is not None and n_sum < 0:
         raise ValueError("n_sum must be non-negative or None")
     acc = [0] * (precision + 1)
     acc[0] = 1
     for j in range(1, m):
-        v = [1] + [0] * precision
+        shift = m - j
+        v = [1] + [0] * (precision - shift)
         for r in range(1, m - j + 1):
             kernels.div_one_minus_uqk(v, 1, r)
         n = 1
-        while (n_sum is None or n <= n_sum) and m * n - j <= precision:
-            kernels.add_scaled_shifted(acc, v, m * n - j, 1)
+        while (n_sum is None or n <= n_sum) and shift <= precision:
+            kernels.add_scaled_shifted(acc, v, shift, 1)
             n += 1
-            if (n_sum is not None and n > n_sum) or m * n - j > precision:
+            shift += m
+            if (n_sum is not None and n > n_sum) or shift > precision:
                 break
+            del v[precision - shift + 1:]
             for r in range(1, m - j + 1):
                 kernels.div_one_minus_uqk(v, 1, r + m * (n - 1))
             for r in range(m - j + 1, m):

@@ -1,7 +1,9 @@
 """CLI surface: subcommand grammar, the three output formats, the exit-code
-contract (0 pass / 1 mismatch / 2 usage), and JSON round-tripping."""
+contract (0 pass / 1 mismatch / 2 usage / 3 internal error), and JSON
+round-tripping."""
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -225,4 +227,33 @@ def test_bad_ceiling_is_a_one_line_usage_error(ceiling):
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
         f"Error: GLAISHER_CEILING must be a non-negative integer, got '{ceiling}'"
+    ]
+
+
+def test_density_bound_violation_exits_one_with_report(monkeypatch, runner):
+    from glaisher.series import Series, Z
+
+    module = sys.modules["glaisher.verify"]
+    monkeypatch.setattr(module, "epsilon", lambda m, precision, route:
+                        Series(Z, [1] * (precision + 1)))
+    result = runner.invoke(main, ["density", "--m", "3", "--x", "1000",
+                                  "--format", "json"])
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["bound_satisfied"] is False
+    assert payload["nonzero_count"] == 1000
+    assert payload["window_bound"] == 46
+
+
+def test_unexpected_exception_is_a_one_line_internal_error(monkeypatch, runner):
+    def broken(spec, n_max):
+        raise RuntimeError("table store\nunavailable")
+
+    monkeypatch.setattr("glaisher.cli.count_table", broken)
+    result = runner.invoke(main, ["count", "--family", "A", "--m", "3",
+                                  "--n-max", "5"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "Error: internal error: RuntimeError: table store unavailable"
     ]

@@ -10,8 +10,11 @@ m = 2, and diverges broadly for m >= 4 (a genuine feature of these
 families, locked in by regression below).
 """
 
+import random
+
 import pytest
 
+from glaisher import kernels
 from glaisher.genfun import (
     EPSILON_ROUTES,
     epsilon,
@@ -176,6 +179,37 @@ def test_epsilon_tiny_precisions():
 
 def test_gf_Bj_lhs_zero_blocks_is_one():
     assert gf_Bj_lhs(3, 0, 8) == Series.one(Z, 8)
+
+
+def _gf_Bj_lhs_full_width(m, n_sum, precision):
+    """The residue sum with the working series kept to the full precision
+    in every block."""
+    acc = [0] * (precision + 1)
+    acc[0] = 1
+    for j in range(1, m):
+        v = [1] + [0] * precision
+        for r in range(1, m - j + 1):
+            kernels.div_one_minus_uqk(v, 1, r)
+        n = 1
+        while (n_sum is None or n <= n_sum) and m * n - j <= precision:
+            kernels.add_scaled_shifted(acc, v, m * n - j, 1)
+            n += 1
+            if (n_sum is not None and n > n_sum) or m * n - j > precision:
+                break
+            for r in range(1, m - j + 1):
+                kernels.div_one_minus_uqk(v, 1, r + m * (n - 1))
+            for r in range(m - j + 1, m):
+                kernels.div_one_minus_uqk(v, 1, r + m * (n - 2))
+    return acc
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_gf_Bj_lhs_truncated_blocks_match_full_width(m):
+    rng = random.Random(40 + m)
+    for n_sum in (None, 1, 2, 3, 4, 5, 6):
+        for precision in (0, 1, m - 1, m, rng.randint(0, 300), rng.randint(0, 300)):
+            assert list(gf_Bj_lhs(m, n_sum, precision).coeffs) == \
+                _gf_Bj_lhs_full_width(m, n_sum, precision), (n_sum, precision)
 
 
 def test_epsilon3_intermediate_sum_form():

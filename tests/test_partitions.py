@@ -1,8 +1,13 @@
 """DP counters vs the literal brute-force enumerator, plus the small
 identities that tie the families together."""
 
-import pytest
+from unittest.mock import patch
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glaisher import partitions
 from glaisher.partitions import (
     BRUTE_FORCE_LIMIT,
     FamilySpec,
@@ -122,6 +127,36 @@ def test_count_table_builds_its_table_once(monkeypatch):
     assert table.counts == tuple(real(2, 300))
 
 
+@st.composite
+def _spec_and_sizes(draw):
+    m = draw(st.integers(2, 7))
+    family = draw(st.sampled_from(("A", "B", "Bj", "C", "D")))
+    j = draw(st.integers(1, m - 1)) if family == "Bj" else None
+    n, extra = draw(st.integers(0, 40)), draw(st.integers(0, 200))
+    return FamilySpec(family, m, j), n, extra
+
+
+_COUNT = {
+    "A": lambda sp, n: count_A(sp.m, n),
+    "B": lambda sp, n: count_B(sp.m, n),
+    "Bj": lambda sp, n: count_Bj(sp.m, sp.j, n),
+    "C": lambda sp, n: count_C(sp.m, n),
+    "D": lambda sp, n: count_D(sp.m, n),
+}
+
+
+@settings(deadline=None, database=None)
+@given(_spec_and_sizes())
+def test_count_does_not_depend_on_its_table_size(case):
+    # the checkers build each table at the largest n they read, then read
+    # every smaller n from it
+    spec, n, extra = case
+    count = _COUNT[spec.family]
+    with patch.object(partitions, "_cache", {}):
+        count(spec, n + extra)
+        assert count(spec, n) == brute_force_count(spec, n)
+
+
 def test_brute_force_examples():
     assert brute_force_count(FamilySpec("A", 3), 4) == 4
     assert brute_force_count(FamilySpec("C", 3), 6) == 3
@@ -141,16 +176,9 @@ def _all_specs(m):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_brute_force_agrees_with_dp(m):
-    dp = {
-        "A": lambda sp, n: count_A(sp.m, n),
-        "B": lambda sp, n: count_B(sp.m, n),
-        "Bj": lambda sp, n: count_Bj(sp.m, sp.j, n),
-        "C": lambda sp, n: count_C(sp.m, n),
-        "D": lambda sp, n: count_D(sp.m, n),
-    }
     for n in range(21):
         for sp in _all_specs(m):
-            assert brute_force_count(sp, n) == dp[sp.family](sp, n), (sp, n)
+            assert brute_force_count(sp, n) == _COUNT[sp.family](sp, n), (sp, n)
 
 
 def test_bounded_and_regular_counts_agree():

@@ -1,10 +1,13 @@
 """The identity checkers: pass verdicts where the identities hold, honest
 fail verdicts with witnesses where they do not, and the density census."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+from glaisher import partitions
+from glaisher.series import Series, Z
 from glaisher.verify import THEOREMS, density_report, verify
 
 
@@ -90,6 +93,40 @@ def test_T18_m4_fails_at_n1():
     assert report.first_failure[0] == 1
 
 
+# each count-level checker builds every table it reads once, at the largest
+# n it reads; 150 is above the cache's 64-cell floor and its 128 doubling
+_N = 150
+_BUILDERS = {"A": "_build_bounded_mult", "B": "_build_B", "Bj": "_build_Bj",
+             "C": "_build_C", "D": "_build_D"}
+
+
+@pytest.mark.parametrize("theorem,m,tops", [
+    pytest.param("T1.2", 2, {"A": _N, "B": _N}, id="T1.2-m2"),
+    pytest.param("T1.2", 3, {"A": _N, "B": _N}, id="T1.2-m3"),
+    pytest.param("E1.4", 2, {"Bj": _N, "B": _N}, id="E1.4-m2"),
+    pytest.param("E1.4", 3, {"Bj": _N, "B": _N}, id="E1.4-m3"),
+    pytest.param("T1.3", 2, {"Bj": _N, "C": _N + 1}, id="T1.3-m2"),
+    pytest.param("T1.3", 3, {"Bj": _N, "C": _N + 1}, id="T1.3-m3"),
+    pytest.param("T1.4", 2, {"C": _N, "D": _N}, id="T1.4-m2"),
+    pytest.param("T1.4", 3, {"C": _N, "D": _N}, id="T1.4-m3"),
+    pytest.param("T1.6", 3, {"C": _N, "D": _N}, id="T1.6-m3"),
+    pytest.param("T1.8", 2, {"A": _N, "B": _N, "C": _N + 1, "D": _N + 1},
+                 id="T1.8-m2"),
+    pytest.param("T1.8", 3, {"A": _N, "B": _N, "Bj": _N, "C": _N + 1,
+                             "D": _N + 1}, id="T1.8-m3"),
+])
+def test_count_checkers_build_each_table_once(monkeypatch, theorem, m, tops):
+    sizes = {}
+    for family, name in _BUILDERS.items():
+        def build(*args, _real=getattr(partitions, name), _family=family):
+            sizes.setdefault(_family, []).append(args[-1])
+            return _real(*args)
+        monkeypatch.setattr(partitions, name, build)
+    monkeypatch.setattr(partitions, "_cache", {})
+    assert verify(theorem, m, n_max=_N).passed
+    assert sizes == {family: [top] for family, top in tops.items()}
+
+
 def test_T19_documented_case():
     assert verify("T1.9", 2, n_sum=1, precision=50).passed
 
@@ -156,3 +193,15 @@ def test_density_validation():
         density_report(1, 100)
     with pytest.raises(ValueError):
         density_report(3, 0)
+
+
+def test_density_bound_violation_is_reported(monkeypatch):
+    # a census with every coefficient nonzero breaks any window bound
+    module = sys.modules["glaisher.verify"]
+    monkeypatch.setattr(module, "epsilon", lambda m, precision, route:
+                        Series(Z, [1] * (precision + 1)))
+    stats = density_report(3, 1000)
+    assert not stats.bound_satisfied
+    assert stats.nonzero_count == 1000
+    assert stats.N_x == 0
+    assert stats.window_bound == 46
