@@ -115,7 +115,7 @@ def gf_Bj_lhs(m: int, n_sum: int | None, precision: int) -> Series:
         raise ValueError("n_sum must be non-negative or None")
     acc = [0] * (precision + 1)
     acc[0] = 1
-    for j in range(1, m):
+    for j in range(max(1, m - precision), m):  # residues that land at all
         shift = m - j
         v = [1] + [0] * (precision - shift)
         for r in range(1, m - j + 1):
@@ -205,7 +205,7 @@ def _epsilon_triangular(m: int, precision: int) -> Series:
     while _tri(k) <= precision:
         width = min(precision - _tri(k), (m - 1) * (k + 1) + _tri(m - 2))
         poly = [1] + [0] * width
-        for i in range(m - 1):
+        for i in range(min(m - 1, width - k)):  # factors beyond width are 1
             kernels.mul_one_minus_uqk(poly, 1, k + 1 + i)
         scale = (-1 if k & 1 else 1) * chi(m, k)
         kernels.add_scaled_shifted(acc, poly, _tri(k), scale)

@@ -78,6 +78,8 @@ def _mult_choice_update(dp: list[int], k: int, m: int) -> list[int]:
 
 def _build_bounded_mult(m: int, min_part: int, max_part: int | None,
                         n_max: int) -> list[int]:
+    if min_part < 1:
+        raise ValueError("min_part must be >= 1")
     dp = [0] * (n_max + 1)
     dp[0] = 1
     top = n_max if max_part is None else min(max_part, n_max)
@@ -157,15 +159,22 @@ _cache: dict = {}
 _cache_lock = threading.Lock()
 
 
-def _table(key, n_max: int, build):
-    """Memoized table lookup; tables are rebuilt larger on demand (with
-    doubling, so ascending-n call patterns stay amortized) and are safe to
-    read concurrently once returned."""
+def _table(key, n: int, build):
+    """The cached table for key = (family, m, *args), holding at least 0..n,
+    built as build(m, *args, size).  Checks m and n for every counter.
+    Tables are rebuilt larger on demand (with doubling, so ascending-n call
+    patterns stay amortized) and are safe to read concurrently once
+    returned."""
+    m = key[1]
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    if n < 0:
+        raise ValueError("n must be non-negative")
     with _cache_lock:
         size, entry = _cache.get(key, (-1, None))
-        if size < n_max:
-            target = max(n_max, 2 * size, 64)
-            entry = build(target)
+        if size < n:
+            target = max(n, 2 * size, 64)
+            entry = build(*key[1:], target)
             _cache[key] = (target, entry)
         return entry
 
@@ -179,14 +188,7 @@ def count_bounded_mult(m: int, n: int, min_part: int = 1,
                        max_part: int | None = None) -> int:
     """Partitions of n into parts in [min_part, max_part] (max_part None =
     unbounded), each repeating fewer than m times."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if min_part < 1:
-        raise ValueError("min_part must be >= 1")
-    key = ("bm", m, min_part, max_part)
-    return _table(key, n, lambda t: _build_bounded_mult(m, min_part, max_part, t))[n]
+    return _table(("bm", m, min_part, max_part), n, _build_bounded_mult)[n]
 
 
 def count_A(m: int, n: int) -> int:
@@ -196,60 +198,40 @@ def count_A(m: int, n: int) -> int:
 
 def count_B(m: int, n: int) -> int:
     """Partitions of n with no part divisible by m."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _table(("B", m), n, lambda t: _build_B(m, t))[n]
+    return _table(("B", m), n, _build_B)[n]
 
 
 def count_Bj(m: int, j: int, n: int) -> int:
     """Partitions of n with no part divisible by m and largest part
     congruent to j mod m; 0 at n = 0 (the empty partition has no largest
     part)."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if not 1 <= j <= m - 1:
+    if m >= 2 and not 1 <= j <= m - 1:  # _table reports a bad m first
         raise ValueError(f"j must lie in [1, {m - 1}]")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _table(("Bj", m), n, lambda t: _build_Bj(m, t))[j - 1][n]
+    return _table(("Bj", m), n, _build_Bj)[j - 1][n]
 
 
 def count_C(m: int, n: int) -> int:
     """Partitions of n whose largest part is a multiple of m, say m*j, with
     every part <= j repeating fewer than m times; 1 at n = 0 by definition."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _table(("C", m), n, lambda t: _build_C(m, t))[n]
+    return _table(("C", m), n, _build_C)[n]
 
 
 def count_D(m: int, n: int) -> int:
     """Partitions of n into non-negative parts whose smallest part occurs
     exactly m times while every other part repeats fewer than m times."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _table(("D", m), n, lambda t: _build_D(m, t))[n]
+    return _table(("D", m), n, _build_D)[n]
 
 
 def count_table(spec: FamilySpec, n_max: int) -> CountTable:
-    """The full count vector 0..n_max for one family."""
+    """The full count vector 0..n_max for one family, read through its
+    count_* function (looked up by name, so a rebound one is the one
+    called)."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    fns = {
-        "A": lambda n: count_A(spec.m, n),
-        "B": lambda n: count_B(spec.m, n),
-        "Bj": lambda n: count_Bj(spec.m, spec.j, n),
-        "C": lambda n: count_C(spec.m, n),
-        "D": lambda n: count_D(spec.m, n),
-    }
-    fn = fns[spec.family]
-    fn(n_max)  # build the table once at full size; the walk only reads it
-    return CountTable(spec, tuple(fn(n) for n in range(n_max + 1)))
+    count = globals()["count_" + spec.family]
+    head = (spec.m,) if spec.j is None else (spec.m, spec.j)
+    count(*head, n_max)  # build the table once at full size; the walk only reads it
+    return CountTable(spec, tuple(count(*head, n) for n in range(n_max + 1)))
 
 
 # ---------------------------------------------------------------------------

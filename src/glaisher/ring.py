@@ -26,12 +26,6 @@ class CycPoly:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
@@ -81,24 +75,22 @@ def cyclotomic_polynomial(m: int) -> CycPoly:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """phi(m) and the power-basis coordinates of z^(phi+t) for t >= 0,
-    enough rows to reduce any product of two reduced elements."""
+def _root_powers(m: int) -> tuple[tuple[int, ...], ...]:
+    """Power-basis coordinates of z^e for e in [0, m); z^e for any e >= 0
+    is row e % m."""
     phi_poly = cyclotomic_polynomial(m)
     phi = phi_poly.degree
-    rows: list[tuple[int, ...]] = []
     # z^phi = -(c_0 + c_1 z + ... + c_{phi-1} z^{phi-1})
-    row = [-c for c in phi_poly.coefficients[:phi]]
-    rows.append(tuple(row))
-    for _ in range(phi - 2):
+    z_phi = [-c for c in phi_poly.coefficients[:phi]]
+    row = [1] + [0] * (phi - 1)
+    powers = []
+    for _ in range(m):
+        powers.append(tuple(row))
         top = row[-1]
         row = [0] + row[:-1]
         if top:
-            base = rows[0]
-            for i in range(phi):
-                row[i] += top * base[i]
-        rows.append(tuple(row))
-    return phi, tuple(rows)
+            row = [r + top * b for r, b in zip(row, z_phi)]
+    return tuple(powers)
 
 
 def euler_phi(m: int) -> int:
@@ -118,7 +110,7 @@ class CycInt:
     def __init__(self, m: int, coords):
         if m < 2:
             raise ValueError("CycInt requires m >= 2")
-        phi = _reduction_rows(m)[0]
+        phi = len(_root_powers(m)[0])
         coords = tuple(coords)
         if len(coords) != phi:
             raise ValueError(
@@ -140,7 +132,7 @@ class CycInt:
 
     @classmethod
     def from_int(cls, m: int, c: int) -> "CycInt":
-        phi = _reduction_rows(m)[0]
+        phi = len(_root_powers(m)[0])
         return cls(m, (c,) + (0,) * (phi - 1))
 
     @classmethod
@@ -187,8 +179,10 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        phi, rows = _reduction_rows(self.m)
+        m = self.m
+        powers = _root_powers(m)
         a, b = self.coords, o.coords
+        phi = len(a)
         prod = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -198,10 +192,10 @@ class CycInt:
         for t in range(len(prod) - 1, phi - 1, -1):
             c = prod[t]
             if c:
-                row = rows[t - phi]
+                row = powers[t % m]
                 for i in range(phi):
                     prod[i] += c * row[i]
-        return CycInt._wrap(self.m, tuple(prod[:phi]))
+        return CycInt._wrap(m, tuple(prod[:phi]))
 
     __rmul__ = __mul__
 
@@ -224,24 +218,7 @@ class CycInt:
 
 def cyc_root_power(m: int, e: int) -> CycInt:
     """zeta_m^e (e taken mod m) in the power basis."""
-    phi, rows = _reduction_rows(m)
-    e = e % m
-    if e < phi:
-        coords = [0] * phi
-        coords[e] = 1
-        return CycInt(m, coords)
-    if e - phi < len(rows):
-        return CycInt(m, rows[e - phi])
-    # phi(m) can be much smaller than m; square-and-multiply the rest
-    out = CycInt.from_int(m, 1)
-    base = cyc_root_power(m, 1)
-    k = e
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
+    return CycInt(m, _root_powers(m)[e % m])
 
 
 def cyc_as_integer(a: CycInt):

@@ -162,9 +162,6 @@ class Series:
             raise ValueError(f"cannot truncate to precision {precision}")
         return Series._wrap(self.ring, list(self._coeffs[: precision + 1]))
 
-    def is_zero(self) -> bool:
-        return not any(self._coeffs)
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check_compatible(self, other: "Series"):

@@ -10,10 +10,6 @@ The m*C = D + correction identity is checked on n = 0 and n >= 2; both
 sides at n = 1 are evaluated and attached to the report notes instead of
 deciding the status, since the n = 1 behaviour differs across m and is
 worth seeing rather than asserting blindly.
-
-The count-level checkers walk n upward, but before the walk each asks every
-count it reads once, at the largest n it reads.  The DP table behind each
-count is then built once at full size, not rebuilt by doubling on the way up.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from math import isqrt
 
 from . import kernels
 from .genfun import epsilon, gf_Bj_lhs, gf_C, gf_D, gf_regular, p_polynomial
-from .partitions import count_A, count_B, count_Bj, count_C, count_D
+from .partitions import FamilySpec, count_table
 from .series import PochSpec, Series, Z, pochhammer
 
 THEOREMS = ("T1.2", "E1.4", "T1.3", "T1.4", "T1.5", "T1.6", "T1.8", "T1.9", "C1.10")
@@ -82,19 +78,27 @@ def _finish(theorem, m, rng, routes, t0, check, notes=None) -> IdentityReport:
     )
 
 
+def _counts(family: str, m: int, n_max: int, j: int | None = None) -> tuple:
+    return count_table(FamilySpec(family, m, j), n_max).counts
+
+
+def _first_mismatch(ns, lhs, rhs, lhs_label, rhs_label) -> None:
+    """Fail at the first n in ns where lhs[n] != rhs[n]; each label maps n
+    to the name its side is reported under, as in "name=value"."""
+    for n in ns:
+        if lhs[n] != rhs[n]:
+            raise _Failure(n, f"{lhs_label(n)}={lhs[n]}",
+                           f"{rhs_label(n)}={rhs[n]}")
+
+
 def _verify_T12(m: int, n_max: int, t0) -> IdentityReport:
     def check():
-        count_A(m, n_max), count_B(m, n_max)
-        for n in range(n_max + 1):
-            a, b = count_A(m, n), count_B(m, n)
-            if a != b:
-                raise _Failure(n, f"A({n})={a}", f"B({n})={b}")
-        sa = gf_regular(m, "A_product", n_max)
-        sb = gf_regular(m, "B_product", n_max)
-        for n in range(n_max + 1):
-            if sa.coeff(n) != sb.coeff(n):
-                raise _Failure(n, f"[q^{n}] A_product={sa.coeff(n)}",
-                               f"[q^{n}] B_product={sb.coeff(n)}")
+        ns = range(n_max + 1)
+        _first_mismatch(ns, _counts("A", m, n_max), _counts("B", m, n_max),
+                        "A({})".format, "B({})".format)
+        _first_mismatch(ns, gf_regular(m, "A_product", n_max).coeffs,
+                        gf_regular(m, "B_product", n_max).coeffs,
+                        "[q^{}] A_product".format, "[q^{}] B_product".format)
 
     return _finish("T1.2", m, (0, n_max), ["counts", "products"], t0, check)
 
@@ -103,24 +107,19 @@ def _verify_E14(m: int, n_max: int, t0) -> IdentityReport:
     notes = {"n=0": "left side 1, right side 0 by convention; excluded"}
 
     def check():
-        count_Bj(m, 1, n_max), count_B(m, n_max)
-        for n in range(1, n_max + 1):
-            total = sum(count_Bj(m, j, n) for j in range(1, m))
-            b = count_B(m, n)
-            if total != b:
-                raise _Failure(n, f"sum_j Bj({n})={total}", f"B({n})={b}")
+        bj = [_counts("Bj", m, n_max, j) for j in range(1, m)]
+        _first_mismatch(range(1, n_max + 1), [sum(v) for v in zip(*bj)],
+                        _counts("B", m, n_max), "sum_j Bj({})".format,
+                        "B({})".format)
 
     return _finish("E1.4", m, (1, n_max), ["counts"], t0, check, notes)
 
 
 def _verify_T13(m: int, n_max: int, t0) -> IdentityReport:
     def check():
-        count_Bj(m, m - 1, n_max), count_C(m, n_max + 1)
-        for n in range(n_max + 1):
-            lhs = count_Bj(m, m - 1, n)
-            rhs = count_C(m, n + 1)
-            if lhs != rhs:
-                raise _Failure(n, f"B^({m - 1})({n})={lhs}", f"C({n + 1})={rhs}")
+        _first_mismatch(range(n_max + 1), _counts("Bj", m, n_max, m - 1),
+                        _counts("C", m, n_max + 1)[1:],
+                        lambda n: f"B^({m - 1})({n})", lambda n: f"C({n + 1})")
 
     return _finish("T1.3", m, (0, n_max), ["counts"], t0, check)
 
@@ -129,36 +128,39 @@ def _verify_T14(m: int, n_max: int, t0) -> IdentityReport:
     routes = ["definition", "triangular", "qbinomial", "identity"]
     if m == 3:
         routes.append("closed3")
-    series = {r: epsilon(m, n_max, r) for r in routes}
+    series = {r: epsilon(m, n_max, r).coeffs for r in routes}
     ref = series["triangular"]
-    count_C(m, n_max), count_D(m, n_max)
-    d1 = count_D(m, 1) + ref.coeff(1) if n_max >= 1 else None
+    # C and D are read up to the first n != 1 where a series leaves the
+    # triangular one (the walk stops there) and at least to the n = 1 note
+    stop = next((n for n in range(n_max + 1) if n != 1 and
+                 any(series[r][n] != ref[n] for r in routes)), n_max)
+    top = max(stop, min(n_max, 1))
+    C, D = _counts("C", m, top), _counts("D", m, top)
     notes = {
-        "n=1": (f"m*C(1)={m * count_C(m, 1)} vs D(1)+E(1)={d1}; "
+        "n=1": (f"m*C(1)={m * C[1]} vs D(1)+E(1)={D[1] + ref[1]}; "
                 "reported, not asserted") if n_max >= 1 else "out of range",
     }
 
     def check():
-        for n in range(n_max + 1):
+        for n in range(stop + 1):
             if n == 1:
                 continue
-            e = ref.coeff(n)
+            e = ref[n]
             for r in ("definition", "qbinomial", "closed3"):
-                if r in series and series[r].coeff(n) != e:
+                if r in series and series[r][n] != e:
                     raise _Failure(n, f"triangular E({n})={e}",
-                                   f"{r} E({n})={series[r].coeff(n)}")
-            if series["identity"].coeff(n) != e:
+                                   f"{r} E({n})={series[r][n]}")
+            if series["identity"][n] != e:
                 raise _Failure(n, f"triangular E({n})={e}",
                                f"identity m*C({n})-D({n})="
-                               f"{series['identity'].coeff(n)}")
-            lhs = m * count_C(m, n)
-            rhs = count_D(m, n) + e
+                               f"{series['identity'][n]}")
+            lhs, rhs = m * C[n], D[n] + e
             if lhs != rhs:
                 raise _Failure(n, f"m*C({n})={lhs}", f"D({n})+E({n})={rhs}")
         # the arithmetic routes must agree even at the excluded n = 1
         if n_max >= 1:
-            vals = {r: series[r].coeff(1) for r in ("definition", "triangular",
-                                                    "qbinomial")}
+            vals = {r: series[r][1] for r in ("definition", "triangular",
+                                              "qbinomial")}
             if len(set(vals.values())) != 1:
                 raise _Failure(1, "definition/triangular/qbinomial at n=1",
                                repr(vals))
@@ -168,12 +170,9 @@ def _verify_T14(m: int, n_max: int, t0) -> IdentityReport:
 
 def _verify_T15(n_max: int, t0) -> IdentityReport:
     def check():
-        a = epsilon(3, n_max, "definition")
-        b = epsilon(3, n_max, "closed3")
-        for n in range(n_max + 1):
-            if a.coeff(n) != b.coeff(n):
-                raise _Failure(n, f"definition E_3({n})={a.coeff(n)}",
-                               f"closed form E_3({n})={b.coeff(n)}")
+        _first_mismatch(range(n_max + 1), epsilon(3, n_max, "definition").coeffs,
+                        epsilon(3, n_max, "closed3").coeffs,
+                        "definition E_3({})".format, "closed form E_3({})".format)
 
     return _finish("T1.5", 3, (0, n_max), ["definition", "closed3"], t0, check)
 
@@ -193,9 +192,9 @@ def _verify_T16(n_max: int, t0) -> IdentityReport:
                          "the identity must (and does) fail"}
 
     def check():
-        count_C(3, n_max), count_D(3, n_max)
+        C, D = _counts("C", 3, n_max), _counts("D", 3, n_max)
         for n in range(1, n_max + 1):
-            lhs, rhs = 3 * count_C(3, n), count_D(3, n)
+            lhs, rhs = 3 * C[n], D[n]
             if n in excluded:
                 if lhs == rhs:
                     raise _Failure(n, f"3*C({n})={lhs}",
@@ -207,18 +206,17 @@ def _verify_T16(n_max: int, t0) -> IdentityReport:
 
 
 def _verify_T18(m: int, n_max: int, t0) -> IdentityReport:
-    eps = epsilon(m, n_max + 1, "triangular")
+    eps = epsilon(m, n_max + 1, "triangular").coeffs
 
     def check():
-        count_A(m, n_max), count_B(m, n_max)
-        count_C(m, n_max + 1), count_D(m, n_max + 1)
-        if m > 2:  # m = 2 reads no Bj table
-            count_Bj(m, 1, n_max)
+        A, B = _counts("A", m, n_max), _counts("B", m, n_max)
+        bj = [_counts("Bj", m, n_max, k) for k in range(1, m - 1)]
+        C, D = _counts("C", m, n_max + 1), _counts("D", m, n_max + 1)
         for n in range(1, n_max + 1):
-            a, b = count_A(m, n), count_B(m, n)
-            partial = sum(count_Bj(m, k, n) for k in range(1, m - 1))
-            v3 = partial + count_C(m, n + 1)
-            de = count_D(m, n + 1) + eps.coeff(n + 1)
+            a, b = A[n], B[n]
+            partial = sum(v[n] for v in bj)
+            v3 = partial + C[n + 1]
+            de = D[n + 1] + eps[n + 1]
             if a != b:
                 raise _Failure(n, f"A({n})={a}", f"B({n})={b}")
             if b != v3:
@@ -237,7 +235,7 @@ def _verify_T18(m: int, n_max: int, t0) -> IdentityReport:
 def _rhs_T19(m: int, n_sum: int, precision: int) -> Series:
     """(q^m; q^m)_(n_sum) / (q; q)_(m n_sum), truncated."""
     c = list(pochhammer(PochSpec(1, m, m, n_sum), precision).coeffs)
-    for k in range(1, m * n_sum + 1):
+    for k in range(1, min(m * n_sum, precision) + 1):
         kernels.div_one_minus_uqk(c, 1, k)
     return Series._wrap(Z, c)
 
@@ -247,12 +245,10 @@ def _verify_T19(m: int, n_sum: int, precision: int, t0) -> IdentityReport:
         raise ValueError("T1.9 requires a positive block count (N_sum)")
 
     def check():
-        lhs = gf_Bj_lhs(m, n_sum, precision)
-        rhs = _rhs_T19(m, n_sum, precision)
-        for n in range(precision + 1):
-            if lhs.coeff(n) != rhs.coeff(n):
-                raise _Failure(n, f"[q^{n}] lhs={lhs.coeff(n)}",
-                               f"[q^{n}] rhs={rhs.coeff(n)}")
+        _first_mismatch(range(precision + 1),
+                        gf_Bj_lhs(m, n_sum, precision).coeffs,
+                        _rhs_T19(m, n_sum, precision).coeffs,
+                        "[q^{}] lhs".format, "[q^{}] rhs".format)
 
     return _finish("T1.9", m, (0, precision), ["sum", "product"], t0, check,
                    {"N_sum": n_sum})
@@ -260,12 +256,9 @@ def _verify_T19(m: int, n_sum: int, precision: int, t0) -> IdentityReport:
 
 def _verify_C110(m: int, precision: int, t0) -> IdentityReport:
     def check():
-        lhs = gf_Bj_lhs(m, None, precision)
-        rhs = gf_regular(m, "B_product", precision)
-        for n in range(precision + 1):
-            if lhs.coeff(n) != rhs.coeff(n):
-                raise _Failure(n, f"[q^{n}] sum={lhs.coeff(n)}",
-                               f"[q^{n}] product={rhs.coeff(n)}")
+        _first_mismatch(range(precision + 1), gf_Bj_lhs(m, None, precision).coeffs,
+                        gf_regular(m, "B_product", precision).coeffs,
+                        "[q^{}] sum".format, "[q^{}] product".format)
 
     return _finish("C1.10", m, (0, precision), ["sum", "product"], t0, check)
 

@@ -119,6 +119,27 @@ def test_verify_json_round_trips_byte_identically(runner):
                              "first_failure", "elapsed_ms", "routes"]
 
 
+@pytest.mark.parametrize("args,keys", [
+    pytest.param(["count", "--family", "Bj", "--m", "4", "--j", "3",
+                  "--n-max", "60"],
+                 ["command", "family", "m", "j", "n_max", "counts"], id="count"),
+    pytest.param(["expand", "--series", "epsilon", "--m", "5",
+                  "--precision", "60", "--route", "definition"],
+                 ["command", "series", "m", "precision", "route",
+                  "coefficients"], id="expand"),
+    pytest.param(["density", "--m", "4", "--x", "900"],
+                 ["command", "m", "x", "nonzero_count", "N_x", "ratio",
+                  "ratio_decimal", "window_bound", "bound_satisfied"],
+                 id="density"),
+])
+def test_json_round_trips_byte_identically(runner, args, keys):
+    result = runner.invoke(main, args + ["--format", "json"])
+    assert result.exit_code == 0
+    body = result.output.rstrip("\n")
+    assert json.dumps(json.loads(body), indent=2) == body
+    assert list(json.loads(body)) == keys
+
+
 def test_verify_mismatch_exit_one(runner):
     result = runner.invoke(main, ["verify", "--theorem", "T1.4", "--m", "4",
                                   "--n-max", "40", "--format", "json"])

@@ -25,7 +25,8 @@ from glaisher.genfun import (
     p_polynomial,
 )
 from glaisher.partitions import count_A, count_B, count_C, count_D
-from glaisher.series import Series, Z
+from glaisher.series import PochSpec, Series, Z, pochhammer
+from glaisher.verify import _rhs_T19
 
 
 def test_gf_regular_examples():
@@ -210,6 +211,55 @@ def test_gf_Bj_lhs_truncated_blocks_match_full_width(m):
         for precision in (0, 1, m - 1, m, rng.randint(0, 300), rng.randint(0, 300)):
             assert list(gf_Bj_lhs(m, n_sum, precision).coeffs) == \
                 _gf_Bj_lhs_full_width(m, n_sum, precision), (n_sum, precision)
+
+
+# -- loops bounded by the precision, not by m ---------------------------------
+
+
+def _rhs_T19_uncapped(m, n_sum, precision):
+    """(q^m; q^m)_(n_sum) / (q; q)_(m n_sum) with every divisor applied."""
+    c = list(pochhammer(PochSpec(1, m, m, n_sum), precision).coeffs)
+    for k in range(1, m * n_sum + 1):
+        kernels.div_one_minus_uqk(c, 1, k)
+    return c
+
+
+_M_BOUNDED = {
+    "gf_Bj_lhs-inf": lambda m, p: gf_Bj_lhs(m, None, p),
+    "gf_Bj_lhs-2": lambda m, p: gf_Bj_lhs(m, 2, p),
+    "triangular": lambda m, p: epsilon(m, p, "triangular"),
+    "rhs_T19": lambda m, p: _rhs_T19(m, 2, p),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_M_BOUNDED))
+@pytest.mark.parametrize("precision", [0, 5, 12])
+def test_kernel_calls_stop_growing_with_m(monkeypatch, route, precision):
+    # past m = precision + 1 no residue, factor or divisor that m adds can
+    # reach a stored coefficient, so no kernel call is spent on one
+    calls = []
+    for name in ("mul_one_minus_uqk", "div_one_minus_uqk", "add_scaled_shifted"):
+        def counted(*args, _real=getattr(kernels, name)):
+            calls.append(1)
+            return _real(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    counts = []
+    for m in (precision + 2, precision + 3, 10 * precision + 50, 20000):
+        calls.clear()
+        _M_BOUNDED[route](m, precision)
+        counts.append(len(calls))
+    assert len(set(counts)) == 1, counts
+
+
+@pytest.mark.parametrize("precision", [0, 1, 5, 40, 58, 59, 60, 61])
+def test_m_bounded_loops_match_uncapped_loops(precision):
+    m = 60
+    for n_sum in (None, 1, 2):
+        assert list(gf_Bj_lhs(m, n_sum, precision).coeffs) == \
+            _gf_Bj_lhs_full_width(m, n_sum, precision)
+    for n_sum in (1, 2):
+        assert list(_rhs_T19(m, n_sum, precision).coeffs) == \
+            _rhs_T19_uncapped(m, n_sum, precision)
 
 
 def test_epsilon3_intermediate_sum_form():

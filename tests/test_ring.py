@@ -58,6 +58,26 @@ def test_root_power_examples():
     assert cyc_root_power(4, 3).coords == (0, -1)
 
 
+def _x_power_mod_phi(m, e):
+    """x^e reduced modulo Phi_m by long division."""
+    phi_coeffs = cyclotomic_polynomial(m).coefficients
+    phi = len(phi_coeffs) - 1
+    rem = [0] * e + [1]
+    for t in range(len(rem) - 1, phi - 1, -1):
+        c = rem[t]
+        for d, pd in enumerate(phi_coeffs):
+            rem[t - phi + d] -= c * pd
+    return tuple(rem[:phi] + [0] * (phi - len(rem)))
+
+
+@pytest.mark.parametrize("m", [6, 10, 12, 30])
+def test_root_powers_far_above_phi(m):
+    # phi(m) is small against m here, so most exponents lie past the
+    # degree 2 phi - 2 that one product of reduced elements reaches
+    for e in range(-m, 2 * m + 1):
+        assert cyc_root_power(m, e).coords == _x_power_mod_phi(m, e % m), e
+
+
 @pytest.mark.parametrize("m", range(2, 13))
 def test_root_powers_have_order_m(m):
     z = cyc_root_power(m, 1)

@@ -296,6 +296,13 @@ def test_triangular_degree_capped_terms_match_dense(m):
             _epsilon_triangular_dense(m, precision), precision
 
 
+@pytest.mark.parametrize("precision", [0, 1, 5, 40, 58, 59, 60, 61])
+def test_triangular_large_m_matches_dense(precision):
+    # at m = 60 most of each term's m - 1 factors lie past its width
+    assert list(_epsilon_triangular(60, precision).coeffs) == \
+        _epsilon_triangular_dense(60, precision)
+
+
 def _mult_choice_update_direct(dp, k, m):
     """ndp[t] = sum of dp[t - c*k] over c = 0..m-1, summed term by term."""
     ndp = [0] * len(dp)

@@ -116,6 +116,13 @@ _BUILDERS = {"A": "_build_bounded_mult", "B": "_build_B", "Bj": "_build_Bj",
                              "D": _N + 1}, id="T1.8-m3"),
 ])
 def test_count_checkers_build_each_table_once(monkeypatch, theorem, m, tops):
+    sizes = _record_builds(monkeypatch)
+    assert verify(theorem, m, n_max=_N).passed
+    assert sizes == {family: [top] for family, top in tops.items()}
+
+
+def _record_builds(monkeypatch) -> dict:
+    """Empty the table cache and record, per family, the size of each build."""
     sizes = {}
     for family, name in _BUILDERS.items():
         def build(*args, _real=getattr(partitions, name), _family=family):
@@ -123,8 +130,18 @@ def test_count_checkers_build_each_table_once(monkeypatch, theorem, m, tops):
             return _real(*args)
         monkeypatch.setattr(partitions, name, build)
     monkeypatch.setattr(partitions, "_cache", {})
-    assert verify(theorem, m, n_max=_N).passed
-    assert sizes == {family: [top] for family, top in tops.items()}
+    return sizes
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_T14_reads_counts_only_as_far_as_its_walk(monkeypatch, m):
+    # the walk stops at n = 2, so C and D are built once at the cache's
+    # 64-cell floor, not at n_max
+    sizes = _record_builds(monkeypatch)
+    report = verify("T1.4", m, n_max=_N)
+    assert report.first_failure[0] == 2
+    assert "m*C(1)=" in report.notes["n=1"]
+    assert sizes == {"C": [64], "D": [64]}
 
 
 def test_T19_documented_case():
@@ -205,3 +222,97 @@ def test_density_bound_violation_is_reported(monkeypatch):
     assert stats.nonzero_count == 1000
     assert stats.N_x == 0
     assert stats.window_bound == 46
+
+
+# Each checker, fed one wrong input, reports that input's first mismatch in
+# exact words.  A DP table entry is changed through a wrapped builder, a
+# series through the name `verify` imports it under.
+
+def _bump_table(monkeypatch, builder, n, delta=1, j=None):
+    real = getattr(partitions, builder)
+
+    def build(*args):
+        out = real(*args)
+        (out if j is None else out[j - 1])[n] += delta
+        return out
+    monkeypatch.setattr(partitions, builder, build)
+    monkeypatch.setattr(partitions, "_cache", {})
+
+
+def _bump_series(monkeypatch, name, n, only=None):
+    module = sys.modules["glaisher.verify"]
+    real = getattr(module, name)
+
+    def expand(*args):
+        s = real(*args)
+        if only is not None and only not in args:
+            return s
+        coeffs = list(s.coeffs)
+        coeffs[n] += 1
+        return Series(Z, coeffs)
+    monkeypatch.setattr(module, name, expand)
+
+
+@pytest.mark.parametrize("bump,args,kwargs,first", [
+    pytest.param(lambda mp: _bump_table(mp, "_build_B", 7), ("T1.2", 3),
+                 {"n_max": 40}, (7, "A(7)=9", "B(7)=10"), id="T1.2-counts"),
+    pytest.param(lambda mp: _bump_series(mp, "gf_regular", 11, "B_product"),
+                 ("T1.2", 3), {"n_max": 40},
+                 (11, "[q^11] A_product=27", "[q^11] B_product=28"),
+                 id="T1.2-products"),
+    pytest.param(lambda mp: _bump_table(mp, "_build_B", 5), ("E1.4", 4),
+                 {"n_max": 40}, (5, "sum_j Bj(5)=6", "B(5)=7"), id="E1.4-B"),
+    pytest.param(lambda mp: _bump_table(mp, "_build_Bj", 6, j=2), ("E1.4", 4),
+                 {"n_max": 40}, (6, "sum_j Bj(6)=10", "B(6)=9"), id="E1.4-Bj"),
+    pytest.param(lambda mp: _bump_table(mp, "_build_C", 9), ("T1.3", 3),
+                 {"n_max": 40}, (8, "B^(2)(8)=7", "C(9)=8"), id="T1.3"),
+    pytest.param(lambda mp: _bump_table(mp, "_build_D", 10), ("T1.4", 3),
+                 {"n_max": 40}, (10, "m*C(10)=27", "D(10)+E(10)=28"),
+                 id="T1.4-counts"),
+    pytest.param(lambda mp: _bump_series(mp, "epsilon", 6, "qbinomial"),
+                 ("T1.4", 3), {"n_max": 40},
+                 (6, "triangular E(6)=0", "qbinomial E(6)=1"), id="T1.4-route"),
+    pytest.param(lambda mp: _bump_series(mp, "epsilon", 1, "definition"),
+                 ("T1.4", 3), {"n_max": 40},
+                 (1, "definition/triangular/qbinomial at n=1",
+                  "{'definition': 0, 'triangular': -1, 'qbinomial': -1}"),
+                 id="T1.4-n1"),
+    pytest.param(lambda mp: None, ("T1.4", 4), {"n_max": 40},
+                 (2, "triangular E(2)=-3", "identity m*C(2)-D(2)=-2"),
+                 id="T1.4-m4-unperturbed"),
+    pytest.param(lambda mp: _bump_series(mp, "epsilon", 13, "closed3"),
+                 ("T1.5",), {"precision": 40},
+                 (13, "definition E_3(13)=0", "closed form E_3(13)=1"),
+                 id="T1.5"),
+    pytest.param(lambda mp: _bump_table(mp, "_build_D", 5), ("T1.6",),
+                 {"n_max": 40}, (5, "3*C(5)=6", "D(5)=7"), id="T1.6"),
+    pytest.param(lambda mp: _bump_table(mp, "_build_D", 7), ("T1.6",),
+                 {"n_max": 40},
+                 (7, "3*C(7)=12", "D(7)=12 (expected inequality)"),
+                 id="T1.6-excluded"),
+    pytest.param(lambda mp: _bump_table(mp, "_build_bounded_mult", 4),
+                 ("T1.8", 3), {"n_max": 40}, (4, "A(4)=5", "B(4)=4"),
+                 id="T1.8-A"),
+    pytest.param(lambda mp: _bump_table(mp, "_build_C", 6), ("T1.8", 3),
+                 {"n_max": 40},
+                 (5, "B(5)=5", "sum_k<m-1 Bj(5) + C(6)=6"), id="T1.8-C"),
+    pytest.param(lambda mp: _bump_table(mp, "_build_D", 6), ("T1.8", 3),
+                 {"n_max": 40},
+                 (5, "chain value 5", "(D(6)+E(6))=10 not divisible by 3"),
+                 id="T1.8-divisibility"),
+    pytest.param(lambda mp: _bump_table(mp, "_build_D", 6, 3), ("T1.8", 3),
+                 {"n_max": 40}, (5, "... + C(6)=5", "... + (D+E)/3=6"),
+                 id="T1.8-quotient"),
+    pytest.param(lambda mp: _bump_series(mp, "gf_Bj_lhs", 9), ("T1.9", 3),
+                 {"n_sum": 2, "precision": 40},
+                 (9, "[q^9] lhs=14", "[q^9] rhs=13"), id="T1.9"),
+    pytest.param(lambda mp: _bump_series(mp, "gf_regular", 12), ("C1.10", 3),
+                 {"precision": 40},
+                 (12, "[q^12] sum=36", "[q^12] product=37"), id="C1.10"),
+])
+def test_checker_reports_the_first_wrong_input(monkeypatch, bump, args, kwargs,
+                                               first):
+    bump(monkeypatch)
+    report = verify(*args, **kwargs)
+    assert report.status == "fail"
+    assert report.first_failure == first
