@@ -1,10 +1,11 @@
 """Exact partition counting and q-series identity verification.
 
 Five layers: cyclotomic scalar arithmetic (`ring`), truncated exact power
-series (`series`), combinatorial counters with a brute-force oracle
+series over Z (`series`), combinatorial counters with a brute-force oracle
 (`partitions`), generating functions and the correction-series routes
 (`genfun`), and theorem checking / density scans (`verify`), fronted by the
-`glaisher` CLI.
+`glaisher` CLI.  Z[zeta_m] appears only as scalars (`CycInt`) and as
+coefficient lists that `map_ring` checks down to an integer `Series`.
 """
 
 from .ring import (
@@ -18,12 +19,10 @@ from .ring import (
 )
 from .series import (
     CoefficientRangeError,
-    CyclotomicRing,
     NotIntegerCoefficientError,
     PochSpec,
     PrecisionMismatchError,
     Series,
-    Z,
     inv_pochhammer,
     map_ring,
     pochhammer,

@@ -21,8 +21,8 @@ share no intermediate algebra, only the kernel primitives.
 from __future__ import annotations
 
 from . import kernels
-from .ring import chi, cyc_root_power
-from .series import CyclotomicRing, Series, Z, map_ring, qbinomial_poly
+from .ring import CycInt, chi, cyc_root_power
+from .series import Series, _check_precision, map_ring, qbinomial_poly
 
 EPSILON_ROUTES = ("definition", "triangular", "qbinomial", "identity", "closed3")
 
@@ -46,6 +46,7 @@ def gf_regular(m: int, which: str, precision: int) -> Series:
     _check_m(m)
     if which not in GF_REGULAR_FORMS:
         raise ValueError(f"which must be one of {GF_REGULAR_FORMS}")
+    _check_precision(precision)
     c = [1] + [0] * precision
     if which == "B_product":
         for k in range(1, precision + 1):
@@ -57,13 +58,14 @@ def gf_regular(m: int, which: str, precision: int) -> Series:
             kernels.div_one_minus_uqk(c, 1, i)
             if m * i <= precision:
                 kernels.mul_one_minus_uqk(c, 1, m * i)
-    return Series._wrap(Z, c)
+    return Series._wrap(c)
 
 
 def gf_C(m: int, precision: int) -> Series:
     """Largest-part-multiple family: sum over blocks n >= 0 of
     q^(m n) * prod_{i<=n}(1 - q^(m i)) / prod_{i<=m n}(1 - q^i)."""
     _check_m(m)
+    _check_precision(precision)
     acc = [1] + [0] * precision  # n = 0 term
     term = [1] + [0] * precision
     n = 1
@@ -75,13 +77,14 @@ def gf_C(m: int, precision: int) -> Series:
             kernels.div_one_minus_uqk(term, 1, r)
         kernels.add_scaled_shifted(acc, term, 0, 1)
         n += 1
-    return Series._wrap(Z, acc)
+    return Series._wrap(acc)
 
 
 def gf_D(m: int, precision: int) -> Series:
     """Smallest-part-exactly-m family: sum over the smallest part j >= 0 of
     q^(m j) * prod_{i > j} (1 + q^i + ... + q^((m-1)i))."""
     _check_m(m)
+    _check_precision(precision)
     inner = [1] + [0] * precision
     for i in range(1, precision + 1):
         kernels.div_one_minus_uqk(inner, 1, i)
@@ -95,7 +98,7 @@ def gf_D(m: int, precision: int) -> Series:
         kernels.div_one_minus_uqk(inner, 1, m * j)
         kernels.add_scaled_shifted(acc, inner, m * j, 1)
         j += 1
-    return Series._wrap(Z, acc)
+    return Series._wrap(acc)
 
 
 def gf_Bj_lhs(m: int, n_sum: int | None, precision: int) -> Series:
@@ -113,6 +116,7 @@ def gf_Bj_lhs(m: int, n_sum: int | None, precision: int) -> Series:
     _check_m(m)
     if n_sum is not None and n_sum < 0:
         raise ValueError("n_sum must be non-negative or None")
+    _check_precision(precision)
     acc = [0] * (precision + 1)
     acc[0] = 1
     for j in range(max(1, m - precision), m):  # residues that land at all
@@ -132,7 +136,7 @@ def gf_Bj_lhs(m: int, n_sum: int | None, precision: int) -> Series:
                 kernels.div_one_minus_uqk(v, 1, r + m * (n - 1))
             for r in range(m - j + 1, m):
                 kernels.div_one_minus_uqk(v, 1, r + m * (n - 2))
-    return Series._wrap(Z, acc)
+    return Series._wrap(acc)
 
 
 def p_polynomial(m: int) -> Series:
@@ -159,23 +163,24 @@ def p_polynomial(m: int) -> Series:
         if c:
             deg = i
     assert deg < m * (m - 1) // 2 or deg == 0
-    return Series._wrap(Z, out[: deg + 1])
+    return Series._wrap(out[: deg + 1])
 
 
 def _epsilon_definition(m: int, precision: int) -> Series:
     """Cyclotomic route: sum over n >= 0 of q^(m n) (q^(n+1); q)_inf times
-    the sum over j of (zeta_m^j q^(n+1); q)_inf, expanded exactly in
-    Z[zeta_m] and then checked down to Z.
+    the sum over j of (zeta_m^j q^(n+1); q)_inf, expanded exactly as
+    coefficient lists over Z[zeta_m] (CycInt) and then checked down to Z
+    by `map_ring`.
 
     Worked from the top block downward so each step multiplies two linear
     factors instead of rebuilding the infinite products."""
-    ring = CyclotomicRing(m)
-    zero = ring.zero
+    zero = CycInt.zero(m)
+    one = CycInt.one(m)
     n_top = precision // m
     roots = [cyc_root_power(m, j) for j in range(1, m)]
     prods = []
     for u in roots:
-        w = [ring.one] + [zero] * precision
+        w = [one] + [zero] * precision
         for i in range(n_top + 1, precision + 1):
             kernels.mul_one_minus_uqk(w, 1, i)
             kernels.mul_one_minus_uqk(w, u, i)
@@ -191,7 +196,7 @@ def _epsilon_definition(m: int, precision: int) -> Series:
             kernels.mul_one_minus_uqk(w, 1, n)
             kernels.mul_one_minus_uqk(w, u, n)
         n -= 1
-    return map_ring(Series._wrap(ring, acc))
+    return map_ring(acc)
 
 
 def _epsilon_triangular(m: int, precision: int) -> Series:
@@ -210,7 +215,7 @@ def _epsilon_triangular(m: int, precision: int) -> Series:
         scale = (-1 if k & 1 else 1) * chi(m, k)
         kernels.add_scaled_shifted(acc, poly, _tri(k), scale)
         k += 1
-    return Series._wrap(Z, acc)
+    return Series._wrap(acc)
 
 
 def _epsilon_qbinomial(m: int, precision: int) -> Series:
@@ -235,7 +240,7 @@ def _epsilon_qbinomial(m: int, precision: int) -> Series:
                 continue
             kernels.add_scaled_shifted(acc, delta, _tri(k), sign * chi(m, k - j))
         k += 1
-    return Series._wrap(Z, acc)
+    return Series._wrap(acc)
 
 
 def _epsilon_identity(m: int, precision: int) -> Series:
@@ -254,7 +259,7 @@ def _epsilon_closed3(precision: int) -> Series:
     while _tri(n) + 1 <= precision:
         acc[_tri(n) + 1] = (-1 if n & 1 else 1) * chi(3, n - 1)
         n += 1
-    return Series._wrap(Z, acc)
+    return Series._wrap(acc)
 
 
 def epsilon(m: int, precision: int, route: str = "triangular") -> Series:
@@ -268,6 +273,7 @@ def epsilon(m: int, precision: int, route: str = "triangular") -> Series:
         raise ValueError(f"unknown route {route!r}, expected {EPSILON_ROUTES}")
     if route == "closed3" and m != 3:
         raise ValueError("route closed3 is only valid for m = 3")
+    _check_precision(precision)
     if route == "definition":
         return _epsilon_definition(m, precision)
     if route == "triangular":

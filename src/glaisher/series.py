@@ -1,10 +1,11 @@
-"""Truncated dense formal power series over an exact coefficient ring.
+"""Truncated dense formal power series over Z.
 
 A Series of precision N stores exactly the coefficients of q^0..q^N; all
 arithmetic is exact below the truncation point and anything above it is
-discarded, never wrapped.  Coefficients live in Z (plain int) or in Z[zeta_m]
-(CycInt); the ring is explicit so that mixing them is an error instead of an
-accident.
+discarded, never wrapped.  Coefficients are plain ints; anything else,
+bool and CycInt included, is a TypeError.  A coefficient list over
+Z[zeta_m] (CycInt) enters only through `map_ring`, which checks each
+coefficient down to Z.
 
 Products are naive O(N^2) convolutions on purpose: coefficients are bignums
 and exactness is the point.  The inner loops live in `glaisher.kernels`.
@@ -19,7 +20,7 @@ from .ring import CycInt, cyc_as_integer
 
 
 class PrecisionMismatchError(ValueError):
-    """Binary series operation with unequal precisions or rings."""
+    """Binary series operation with unequal precisions."""
 
 
 class CoefficientRangeError(IndexError):
@@ -27,7 +28,7 @@ class CoefficientRangeError(IndexError):
 
 
 class NotIntegerCoefficientError(ValueError):
-    """A cyclotomic series coefficient failed the rational-integer check."""
+    """A cyclotomic coefficient failed the rational-integer check."""
 
     def __init__(self, exponent: int, value):
         self.exponent = exponent
@@ -37,75 +38,26 @@ class NotIntegerCoefficientError(ValueError):
         )
 
 
-class IntegerRing:
-    """The ring of plain arbitrary-precision integers."""
-
-    zero = 0
-    one = 1
-
-    def coerce(self, x):
-        if isinstance(x, int) and not isinstance(x, bool):
-            return x
-        raise TypeError(f"not an integer coefficient: {x!r}")
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash(IntegerRing)
-
-    def __repr__(self):
-        return "Z"
+def _coerce(x) -> int:
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"not an integer coefficient: {x!r}")
 
 
-Z = IntegerRing()
-
-
-class CyclotomicRing:
-    """Z[zeta_m], elements represented as CycInt."""
-
-    def __init__(self, m: int):
-        if m < 2:
-            raise ValueError("cyclotomic ring requires m >= 2")
-        self.m = m
-        self.zero = CycInt.zero(m)
-        self.one = CycInt.one(m)
-
-    def coerce(self, x):
-        if isinstance(x, CycInt):
-            if x.m != self.m:
-                raise TypeError(f"CycInt of order {x.m} in Z[zeta_{self.m}]")
-            return x
-        if isinstance(x, int) and not isinstance(x, bool):
-            return CycInt.from_int(self.m, x)
-        raise TypeError(f"not a Z[zeta_{self.m}] coefficient: {x!r}")
-
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicRing) and other.m == self.m
-
-    def __hash__(self):
-        return hash((CyclotomicRing, self.m))
-
-    def __repr__(self):
-        return f"Z[zeta_{self.m}]"
-
-
-def _ring_of_scalar(u):
-    if isinstance(u, CycInt):
-        return CyclotomicRing(u.m)
-    return Z
+def _check_precision(precision: int) -> None:
+    if precision < 0:
+        raise ValueError(f"precision must be non-negative, got {precision}")
 
 
 class Series:
     """Immutable truncated power series: precision N, coefficients q^0..q^N."""
 
-    __slots__ = ("ring", "_coeffs")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, ring, coeffs):
-        coeffs = tuple(ring.coerce(c) for c in coeffs)
+    def __init__(self, coeffs):
+        coeffs = tuple(_coerce(c) for c in coeffs)
         if not coeffs:
             raise ValueError("a series stores at least the q^0 coefficient")
-        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_coeffs", coeffs)
 
     def __setattr__(self, *_):
@@ -114,27 +66,27 @@ class Series:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, ring, coeffs, precision: int) -> "Series":
+    def from_coeffs(cls, coeffs, precision: int) -> "Series":
         """Build at a stated precision, zero-padding short coefficient lists."""
+        _check_precision(precision)
         coeffs = list(coeffs)
         if len(coeffs) > precision + 1:
             raise ValueError("more coefficients than the stated precision holds")
-        coeffs += [ring.zero] * (precision + 1 - len(coeffs))
-        return cls(ring, coeffs)
+        coeffs += [0] * (precision + 1 - len(coeffs))
+        return cls(coeffs)
 
     @classmethod
-    def zero(cls, ring, precision: int) -> "Series":
-        return cls(ring, [ring.zero] * (precision + 1))
+    def zero(cls, precision: int) -> "Series":
+        return cls.from_coeffs([], precision)
 
     @classmethod
-    def one(cls, ring, precision: int) -> "Series":
-        return cls(ring, [ring.one] + [ring.zero] * precision)
+    def one(cls, precision: int) -> "Series":
+        return cls.from_coeffs([1], precision)
 
     @classmethod
-    def _wrap(cls, ring, coeffs: list) -> "Series":
+    def _wrap(cls, coeffs: list) -> "Series":
         """Internal: adopt an already-coerced coefficient list."""
         self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_coeffs", tuple(coeffs))
         return self
 
@@ -160,15 +112,11 @@ class Series:
         """Drop coefficients above `precision` (explicit, never implicit)."""
         if precision < 0 or precision > self.precision:
             raise ValueError(f"cannot truncate to precision {precision}")
-        return Series._wrap(self.ring, list(self._coeffs[: precision + 1]))
+        return Series._wrap(self._coeffs[: precision + 1])
 
     # -- arithmetic -----------------------------------------------------------
 
     def _check_compatible(self, other: "Series"):
-        if self.ring != other.ring:
-            raise PrecisionMismatchError(
-                f"mixed coefficient rings {self.ring} and {other.ring}"
-            )
         if self.precision != other.precision:
             raise PrecisionMismatchError(
                 f"mixed precisions {self.precision} and {other.precision}; "
@@ -179,34 +127,29 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        return Series._wrap(
-            self.ring, [a + b for a, b in zip(self._coeffs, other._coeffs)]
-        )
+        return Series._wrap([a + b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __sub__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        return Series._wrap(
-            self.ring, [a - b for a, b in zip(self._coeffs, other._coeffs)]
-        )
+        return Series._wrap([a - b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __neg__(self):
-        return Series._wrap(self.ring, [-a for a in self._coeffs])
+        return Series._wrap([-a for a in self._coeffs])
 
     def __mul__(self, other):
         if isinstance(other, Series):
             self._check_compatible(other)
             out = kernels.conv_truncated(
-                list(self._coeffs), list(other._coeffs), self.precision,
-                self.ring.zero,
+                list(self._coeffs), list(other._coeffs), self.precision, 0
             )
-            return Series._wrap(self.ring, out)
+            return Series._wrap(out)
         try:
-            scalar = self.ring.coerce(other)
+            scalar = _coerce(other)
         except TypeError:
             return NotImplemented
-        return Series._wrap(self.ring, [scalar * c for c in self._coeffs])
+        return Series._wrap([scalar * c for c in self._coeffs])
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -214,20 +157,16 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.precision == other.precision
-            and self._coeffs == other._coeffs
-        )
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self.ring, self._coeffs))
+        return hash(self._coeffs)
 
     def __repr__(self):
         shown = ", ".join(repr(c) for c in self._coeffs[:9])
         if self.precision > 8:
             shown += ", ..."
-        return f"Series(N={self.precision}, {self.ring}; [{shown}])"
+        return f"Series(N={self.precision}; [{shown}])"
 
 
 @dataclass(frozen=True)
@@ -238,7 +177,7 @@ class PochSpec:
     working precision are dropped since they cannot touch stored coefficients.
     """
 
-    unit: object = 1
+    unit: int = 1
     offset: int = 1
     step: int = 1
     count: int | None = None
@@ -252,10 +191,10 @@ class PochSpec:
 
 def pochhammer(spec: PochSpec, precision: int) -> Series:
     """Expand prod_i (1 - u*q^(e+s*i)) for i = 0..count-1 (or to infinity),
-    truncated at `precision`."""
-    ring = _ring_of_scalar(spec.unit)
-    u = ring.coerce(spec.unit)
-    c = [ring.one] + [ring.zero] * precision
+    truncated at `precision`; the unit u is an integer."""
+    _check_precision(precision)
+    u = _coerce(spec.unit)
+    c = [1] + [0] * precision
     i = 0
     while spec.count is None or i < spec.count:
         exp = spec.offset + spec.step * i
@@ -263,7 +202,7 @@ def pochhammer(spec: PochSpec, precision: int) -> Series:
             break
         kernels.mul_one_minus_uqk(c, u, exp)
         i += 1
-    return Series._wrap(ring, c)
+    return Series._wrap(c)
 
 
 def inv_pochhammer(
@@ -271,6 +210,7 @@ def inv_pochhammer(
 ) -> Series:
     """Expand 1 / prod_i (1 - q^(e+s*i)): the product of geometric series
     1 + q^k + q^(2k) + ...; exact inverse of pochhammer with unit 1."""
+    _check_precision(precision)
     if offset < 1 or step < 1:
         raise ValueError("offset and step must be >= 1")
     if count is not None and count < 0:
@@ -283,7 +223,7 @@ def inv_pochhammer(
             break
         kernels.div_one_minus_uqk(c, 1, exp)
         i += 1
-    return Series._wrap(Z, c)
+    return Series._wrap(c)
 
 
 def _poly_mul_one_minus(poly: list[int], k: int) -> list[int]:
@@ -320,21 +260,17 @@ def qbinomial_poly(a: int, b: int) -> list[int]:
 def qbinomial(a: int, b: int, precision: int) -> Series:
     """The Gaussian binomial [a+b, b]_q as a Series, truncated at `precision`
     when that is below the polynomial degree a*b."""
-    poly = qbinomial_poly(a, b)
-    if len(poly) > precision + 1:
-        poly = poly[: precision + 1]
-    return Series.from_coeffs(Z, poly, precision)
+    return Series.from_coeffs(qbinomial_poly(a, b)[: precision + 1], precision)
 
 
-def map_ring(a: Series) -> Series:
-    """Convert a series over Z[zeta_m] to one over Z; raises
-    NotIntegerCoefficientError at the first non-rational coefficient."""
-    if not isinstance(a.ring, CyclotomicRing):
-        raise TypeError("map_ring expects a series over a cyclotomic ring")
+def map_ring(coeffs: list[CycInt]) -> Series:
+    """Check a Z[zeta_m] coefficient list down to Z and return it as a
+    Series; raises NotIntegerCoefficientError at the first non-rational
+    coefficient."""
     out = []
-    for n, c in enumerate(a.coeffs):
+    for n, c in enumerate(coeffs):
         v = cyc_as_integer(c)
         if v is None:
             raise NotIntegerCoefficientError(n, c)
         out.append(v)
-    return Series._wrap(Z, out)
+    return Series._wrap(out)

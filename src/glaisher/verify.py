@@ -22,7 +22,7 @@ from math import isqrt
 from . import kernels
 from .genfun import epsilon, gf_Bj_lhs, gf_C, gf_D, gf_regular, p_polynomial
 from .partitions import FamilySpec, count_table
-from .series import PochSpec, Series, Z, pochhammer
+from .series import PochSpec, Series, pochhammer
 
 THEOREMS = ("T1.2", "E1.4", "T1.3", "T1.4", "T1.5", "T1.6", "T1.8", "T1.9", "C1.10")
 
@@ -128,13 +128,18 @@ def _verify_T14(m: int, n_max: int, t0) -> IdentityReport:
     routes = ["definition", "triangular", "qbinomial", "identity"]
     if m == 3:
         routes.append("closed3")
-    series = {r: epsilon(m, n_max, r).coeffs for r in routes}
+    series = {r: epsilon(m, n_max, r).coeffs for r in routes
+              if r != "definition"}
     ref = series["triangular"]
-    # C and D are read up to the first n != 1 where a series leaves the
-    # triangular one (the walk stops there) and at least to the n = 1 note
+    # The walk stops at the first n != 1 where a series leaves the
+    # triangular one, so the definition route, C and D are read only that
+    # far, and at least to the n = 1 note.  A truncated expansion is a
+    # prefix of the full one; a definition mismatch below `stop` is still
+    # the walk's first failure.
     stop = next((n for n in range(n_max + 1) if n != 1 and
-                 any(series[r][n] != ref[n] for r in routes)), n_max)
+                 any(s[n] != ref[n] for s in series.values())), n_max)
     top = max(stop, min(n_max, 1))
+    series["definition"] = epsilon(m, top, "definition").coeffs
     C, D = _counts("C", m, top), _counts("D", m, top)
     notes = {
         "n=1": (f"m*C(1)={m * C[1]} vs D(1)+E(1)={D[1] + ref[1]}; "
@@ -237,7 +242,7 @@ def _rhs_T19(m: int, n_sum: int, precision: int) -> Series:
     c = list(pochhammer(PochSpec(1, m, m, n_sum), precision).coeffs)
     for k in range(1, min(m * n_sum, precision) + 1):
         kernels.div_one_minus_uqk(c, 1, k)
-    return Series._wrap(Z, c)
+    return Series._wrap(c)
 
 
 def _verify_T19(m: int, n_sum: int, precision: int, t0) -> IdentityReport:

@@ -25,7 +25,6 @@ from glaisher import (
     FamilySpec,
     PochSpec,
     Series,
-    Z,
     brute_force_count,
     count_A,
     count_B,
@@ -258,7 +257,7 @@ def test_criterion_08_oracle_triple_agreement():
 def test_criterion_09_m2_correction_is_one():
     t0 = time.perf_counter()
     e2 = epsilon(2, 2000, "triangular")
-    ok = e2 == Series.one(Z, 2000)
+    ok = e2 == Series.one(2000)
     # consequence: 2*C(n) = D(n) for n >= 2 (and provably not at n = 1)
     ok = ok and all(2 * count_C(2, n) == count_D(2, n) for n in range(2, 301))
     ok = ok and 2 * count_C(2, 1) != count_D(2, 1)
@@ -294,7 +293,7 @@ def test_criterion_10_ring_and_series_properties():
         e, s = rng.randint(1, 6), rng.randint(1, 6)
         count = rng.choice([None, 0, 1, 2, 3, 5, 8])
         if pochhammer(PochSpec(1, e, s, count), 64) * \
-                inv_pochhammer(e, s, count, 64) != Series.one(Z, 64):
+                inv_pochhammer(e, s, count, 64) != Series.one(64):
             problems.append(f"poch*inv {e},{s},{count}")
 
     for a in range(9):

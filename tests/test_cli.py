@@ -252,11 +252,11 @@ def test_bad_ceiling_is_a_one_line_usage_error(ceiling):
 
 
 def test_density_bound_violation_exits_one_with_report(monkeypatch, runner):
-    from glaisher.series import Series, Z
+    from glaisher.series import Series
 
     module = sys.modules["glaisher.verify"]
     monkeypatch.setattr(module, "epsilon", lambda m, precision, route:
-                        Series(Z, [1] * (precision + 1)))
+                        Series([1] * (precision + 1)))
     result = runner.invoke(main, ["density", "--m", "3", "--x", "1000",
                                   "--format", "json"])
     assert result.exit_code == 1

@@ -25,8 +25,40 @@ from glaisher.genfun import (
     p_polynomial,
 )
 from glaisher.partitions import count_A, count_B, count_C, count_D
-from glaisher.series import PochSpec, Series, Z, pochhammer
+from glaisher.series import (
+    PochSpec,
+    Series,
+    inv_pochhammer,
+    pochhammer,
+    qbinomial,
+)
 from glaisher.verify import _rhs_T19
+
+
+_SERIES_BUILDERS = [
+    ("Series.zero", lambda p: Series.zero(p)),
+    ("Series.one", lambda p: Series.one(p)),
+    ("Series.from_coeffs", lambda p: Series.from_coeffs([], p)),
+    ("pochhammer", lambda p: pochhammer(PochSpec(1, 1, 1, None), p)),
+    ("inv_pochhammer", lambda p: inv_pochhammer(1, 1, None, p)),
+    ("qbinomial", lambda p: qbinomial(2, 2, p)),
+    ("gf_regular A", lambda p: gf_regular(3, "A_product", p)),
+    ("gf_regular B", lambda p: gf_regular(3, "B_product", p)),
+    ("gf_C", lambda p: gf_C(3, p)),
+    ("gf_D", lambda p: gf_D(3, p)),
+    ("gf_Bj_lhs", lambda p: gf_Bj_lhs(3, None, p)),
+    ("gf_Bj_lhs n_sum", lambda p: gf_Bj_lhs(3, 2, p)),
+] + [(f"epsilon {route}", lambda p, r=route: epsilon(3, p, r))
+     for route in EPSILON_ROUTES]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _SERIES_BUILDERS],
+                         ids=[name for name, _ in _SERIES_BUILDERS])
+@pytest.mark.parametrize("precision", [-1, -7])
+def test_negative_precision_is_rejected(build, precision):
+    with pytest.raises(ValueError, match="precision must be non-negative"):
+        build(precision)
+    assert build(0).precision == 0
 
 
 def test_gf_regular_examples():
@@ -91,7 +123,7 @@ def test_epsilon_m3_prefix():
 
 def test_epsilon_m2_triangular_telescopes_to_one():
     e = epsilon(2, 50, "triangular")
-    assert e == Series.one(Z, 50)
+    assert e == Series.one(50)
 
 
 @pytest.mark.parametrize("m", range(2, 6))
@@ -179,7 +211,7 @@ def test_epsilon_tiny_precisions():
 
 
 def test_gf_Bj_lhs_zero_blocks_is_one():
-    assert gf_Bj_lhs(3, 0, 8) == Series.one(Z, 8)
+    assert gf_Bj_lhs(3, 0, 8) == Series.one(8)
 
 
 def _gf_Bj_lhs_full_width(m, n_sum, precision):
@@ -265,30 +297,31 @@ def test_m_bounded_loops_match_uncapped_loops(precision):
 def test_epsilon3_intermediate_sum_form():
     # the same series as a base-product times a weighted sum of shifted
     # conjugate products: (q;q)_inf * sum_j q^(3j)/(q;q)_j *
-    # [(w q^(j+1); q)_inf + (w^2 q^(j+1); q)_inf]
-    from glaisher.ring import cyc_root_power
-    from glaisher.series import CyclotomicRing, PochSpec, inv_pochhammer, pochhammer
+    # [(w q^(j+1); q)_inf + (w^2 q^(j+1); q)_inf], as CycInt lists
+    from glaisher import kernels
+    from glaisher.ring import CycInt, cyc_root_power
+    from glaisher.series import PochSpec, inv_pochhammer, map_ring, pochhammer
 
     n_max = 60
-    ring = CyclotomicRing(3)
-
-    def lift(s):
-        return Series(ring, [ring.coerce(c) for c in s.coeffs])
-
-    total = Series.zero(ring, n_max)
+    zero = CycInt.zero(3)
+    total = [zero] * (n_max + 1)
     j = 0
     while 3 * j <= n_max:
-        weight = Series.from_coeffs(Z, [0] * (3 * j) + [1], n_max) * \
+        weight = Series.from_coeffs([0] * (3 * j) + [1], n_max) * \
             inv_pochhammer(1, 1, j, n_max)
-        bracket = (
-            pochhammer(PochSpec(cyc_root_power(3, 1), j + 1, 1, None), n_max)
-            + pochhammer(PochSpec(cyc_root_power(3, 2), j + 1, 1, None), n_max)
-        )
-        total = total + lift(weight) * bracket
+        bracket = [zero] * (n_max + 1)
+        for u in (cyc_root_power(3, 1), cyc_root_power(3, 2)):
+            w = [CycInt.one(3)] + [zero] * n_max
+            for i in range(j + 1, n_max + 1):
+                kernels.mul_one_minus_uqk(w, u, i)
+            kernels.add_scaled_shifted(bracket, w, 0, 1)
+        kernels.add_scaled_shifted(
+            total, kernels.conv_truncated(list(weight.coeffs), bracket,
+                                          n_max, zero), 0, 1)
         j += 1
-    base = lift(pochhammer(PochSpec(1, 1, 1, None), n_max))
-    from glaisher.series import map_ring
-    assert map_ring(base * total) == epsilon(3, n_max, "triangular")
+    base = list(pochhammer(PochSpec(1, 1, 1, None), n_max).coeffs)
+    product = kernels.conv_truncated(base, total, n_max, zero)
+    assert map_ring(product) == epsilon(3, n_max, "triangular")
 
 
 def test_epsilon3_support_characterization():

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glaisher import kernels
 from glaisher.genfun import _epsilon_triangular, _tri
@@ -18,12 +20,10 @@ from glaisher.ring import (
 )
 from glaisher.series import (
     CoefficientRangeError,
-    CyclotomicRing,
     NotIntegerCoefficientError,
     PochSpec,
     PrecisionMismatchError,
     Series,
-    Z,
     inv_pochhammer,
     map_ring,
     pochhammer,
@@ -33,40 +33,57 @@ from glaisher.series import (
 
 
 def S(*coeffs):
-    return Series(Z, coeffs)
+    return Series(coeffs)
 
 
 def test_add_sub_mul_basics():
-    a = Series.from_coeffs(Z, [1, 1], 3)   # 1 + q
-    b = Series.from_coeffs(Z, [1, -1], 3)  # 1 - q
+    a = Series.from_coeffs([1, 1], 3)   # 1 + q
+    b = Series.from_coeffs([1, -1], 3)  # 1 - q
     assert (a * b).coeffs == (1, 0, -1, 0)
     assert (a + b).coeffs == (2, 0, 0, 0)
     assert (a - b).coeffs == (0, 2, 0, 0)
 
 
 def test_triple_product_expansion():
-    out = Series.one(Z, 6)
+    out = Series.one(6)
     for k in (1, 2, 3):
-        out = out * Series.from_coeffs(Z, [1] + [0] * (k - 1) + [-1], 6)
+        out = out * Series.from_coeffs([1] + [0] * (k - 1) + [-1], 6)
     assert out.coeffs == (1, -1, -1, 0, 1, 1, -1)
 
 
 def test_precision_and_ring_mismatch_rejected():
     with pytest.raises(PrecisionMismatchError):
-        Series.one(Z, 3) + Series.one(Z, 4)
-    with pytest.raises(PrecisionMismatchError):
-        Series.one(Z, 3) * Series.one(CyclotomicRing(3), 3)
+        Series.one(3) + Series.one(4)
+    # coefficients are plain ints; Z[zeta_m] values enter only via map_ring
+    for bad in (CycInt.one(3), True, 1.0):
+        with pytest.raises(TypeError):
+            Series([1, bad])
 
 
-def test_mul_commutes_on_random_series():
-    rng = random.Random(42)
-    for _ in range(20):
-        a = Series(Z, [rng.randint(-9, 9) for _ in range(17)])
-        b = Series(Z, [rng.randint(-9, 9) for _ in range(17)])
-        c = Series(Z, [rng.randint(-9, 9) for _ in range(17)])
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+@st.composite
+def _series_triples(draw):
+    """Three integer series of one random precision."""
+    n = draw(st.integers(0, 16))
+    coeffs = st.lists(st.integers(), min_size=n + 1, max_size=n + 1)
+    return tuple(Series(draw(coeffs)) for _ in range(3))
+
+
+@settings(deadline=None, database=None)
+@given(_series_triples())
+def test_mul_commutes_on_random_series(abc):
+    a, b, c = abc
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+
+
+@settings(deadline=None, database=None)
+@given(_series_triples(), st.data())
+def test_truncate_commutes_with_add_and_mul(abc, data):
+    a, b, _ = abc
+    p = data.draw(st.integers(0, a.precision))
+    assert (a + b).truncate(p) == a.truncate(p) + b.truncate(p)
+    assert (a * b).truncate(p) == a.truncate(p) * b.truncate(p)
 
 
 def test_pochhammer_two_factors():
@@ -75,11 +92,14 @@ def test_pochhammer_two_factors():
 
 
 def test_pochhammer_single_cyclotomic_factor():
+    # a Z[zeta_3] factor is a kernel call on a CycInt list, not a Series
     w = cyc_root_power(3, 1)
-    s = pochhammer(PochSpec(w, 2, 1, 1), 4)
-    ring = CyclotomicRing(3)
-    assert s.ring == ring
-    assert s.coeffs == (ring.one, ring.zero, -w, ring.zero, ring.zero)
+    one, zero = CycInt.one(3), CycInt.zero(3)
+    c = [one] + [zero] * 4
+    kernels.mul_one_minus_uqk(c, w, 2)
+    assert c == [one, zero, -w, zero, zero]
+    with pytest.raises(TypeError):
+        pochhammer(PochSpec(w, 2, 1, 1), 4)
 
 
 def test_pochhammer_infinite_pentagonal_prefix():
@@ -119,7 +139,7 @@ def test_pochhammer_times_inverse_is_one():
         count = rng.choice([None, 0, 1, 2, 3, 5, 8])
         p = pochhammer(PochSpec(1, e, s, count), 64)
         inv = inv_pochhammer(e, s, count, 64)
-        assert p * inv == Series.one(Z, 64), (e, s, count)
+        assert p * inv == Series.one(64), (e, s, count)
 
 
 def test_bad_poch_spec_rejected():
@@ -179,9 +199,9 @@ def test_truncate_is_explicit():
 
 
 def test_map_ring_constant_coords():
-    ring = CyclotomicRing(3)
-    s = Series(ring, [CycInt.from_int(3, c) for c in (5, -2, 0)])
-    assert map_ring(s).coeffs == (5, -2, 0)
+    got = map_ring([CycInt.from_int(3, c) for c in (5, -2, 0)])
+    assert got == Series([5, -2, 0])
+    assert all(type(c) is int for c in got.coeffs)
 
 
 def test_map_ring_sum_of_conjugate_products():
@@ -189,15 +209,19 @@ def test_map_ring_sum_of_conjugate_products():
     # cross-checked against the character-sum expansion
     # sum_k (-1)^k chi_3(k) q^(k(k+1)/2) / (q;q)_k.
     n = 6
-    total = pochhammer(PochSpec(cyc_root_power(3, 1), 1, 1, None), n) + \
-        pochhammer(PochSpec(cyc_root_power(3, 2), 1, 1, None), n)
+    total = [CycInt.zero(3)] * (n + 1)
+    for j in (1, 2):
+        w = [CycInt.one(3)] + [CycInt.zero(3)] * n
+        for i in range(1, n + 1):
+            kernels.mul_one_minus_uqk(w, cyc_root_power(3, j), i)
+        kernels.add_scaled_shifted(total, w, 0, 1)
     got = map_ring(total)
 
-    expected = Series.zero(Z, n)
+    expected = Series.zero(n)
     k = 0
     while k * (k + 1) // 2 <= n:
         shift = [0] * (k * (k + 1) // 2) + [(-1 if k & 1 else 1) * chi(3, k)]
-        term = Series.from_coeffs(Z, shift, n) * inv_pochhammer(1, 1, k, n)
+        term = Series.from_coeffs(shift, n) * inv_pochhammer(1, 1, k, n)
         expected = expected + term
         k += 1
     assert got == expected
@@ -205,28 +229,31 @@ def test_map_ring_sum_of_conjugate_products():
 
 
 def test_map_ring_flags_first_bad_exponent():
-    ring = CyclotomicRing(3)
-    coeffs = [ring.one, ring.zero, ring.zero, CycInt(3, (0, 1)), CycInt(3, (0, 2))]
+    coeffs = [CycInt.one(3), CycInt.zero(3), CycInt.zero(3), CycInt(3, (0, 1)),
+              CycInt(3, (0, 2))]
     with pytest.raises(NotIntegerCoefficientError) as err:
-        map_ring(Series(ring, coeffs))
+        map_ring(coeffs)
     assert err.value.exponent == 3
-
-
-def test_map_ring_requires_cyclotomic_input():
-    with pytest.raises(TypeError):
-        map_ring(Series.one(Z, 3))
+    assert err.value.value == CycInt(3, (0, 1))
 
 
 def test_series_is_immutable_and_hashable():
     s = S(1, 2)
     with pytest.raises(AttributeError):
-        s.ring = Z
+        s._coeffs = (9,)
+    assert s.coeffs == (1, 2)
     assert hash(s) == hash(S(1, 2))
 
 
 def test_scalar_multiplication():
     assert (3 * S(1, -2)).coeffs == (3, -6)
+    assert (S(1, -2) * 3).coeffs == (3, -6)
     assert (-S(1, -2)).coeffs == (-1, 2)
+    for bad in (True, CycInt.one(3)):
+        with pytest.raises(TypeError):
+            S(1, -2) * bad
+        with pytest.raises(TypeError):
+            bad * S(1, -2)
 
 
 # -- kernels ------------------------------------------------------------------
@@ -244,17 +271,16 @@ def test_add_scaled_shifted_truncates():
     assert acc == [0, 0, 5]
 
 
-def test_factor_kernels_mul_then_div_restores_int():
-    rng = random.Random(12)
-    for u in (1, -1, 3):
-        for k in (1, 2, 7, 60):
-            base = [rng.randint(-50, 50) for _ in range(50)]
-            c = list(base)
-            kernels.mul_one_minus_uqk(c, u, k)
-            if k < len(base):
-                assert c != base
-            kernels.div_one_minus_uqk(c, u, k)
-            assert c == base
+@settings(deadline=None, database=None)
+@given(st.lists(st.integers(), min_size=1, max_size=60), st.integers(),
+       st.integers(1, 70))
+def test_factor_kernels_mul_then_div_restores_int(base, u, k):
+    c = list(base)
+    kernels.mul_one_minus_uqk(c, u, k)
+    if u and k < len(base) and any(base[:len(base) - k]):
+        assert c != base
+    kernels.div_one_minus_uqk(c, u, k)
+    assert c == base
 
 
 def test_factor_kernels_mul_then_div_restores_cyclotomic():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from glaisher import partitions
-from glaisher.series import Series, Z
+from glaisher.series import Series
 from glaisher.verify import THEOREMS, density_report, verify
 
 
@@ -144,6 +144,25 @@ def test_T14_reads_counts_only_as_far_as_its_walk(monkeypatch, m):
     assert sizes == {"C": [64], "D": [64]}
 
 
+@pytest.mark.parametrize("m,n_max,top", [(4, _N, 2), (5, _N, 2), (4, 1, 1),
+                                         (4, 0, 0), (3, _N, _N)])
+def test_T14_expands_definition_only_as_far_as_its_walk(monkeypatch, m, n_max,
+                                                        top):
+    # the other routes find where the walk stops (n = 2 at m >= 4); the
+    # cyclotomic route is expanded only that far, and at least to n = 1
+    module = sys.modules["glaisher.verify"]
+    real, asked = module.epsilon, {}
+
+    def expand(m, precision, route):
+        asked.setdefault(route, []).append(precision)
+        return real(m, precision, route)
+    monkeypatch.setattr(module, "epsilon", expand)
+    report = verify("T1.4", m, n_max=n_max)
+    assert asked.pop("definition") == [top]
+    assert all(v == [n_max] for v in asked.values())
+    assert report.passed == (m == 3 or n_max < 2)
+
+
 def test_T19_documented_case():
     assert verify("T1.9", 2, n_sum=1, precision=50).passed
 
@@ -216,7 +235,7 @@ def test_density_bound_violation_is_reported(monkeypatch):
     # a census with every coefficient nonzero breaks any window bound
     module = sys.modules["glaisher.verify"]
     monkeypatch.setattr(module, "epsilon", lambda m, precision, route:
-                        Series(Z, [1] * (precision + 1)))
+                        Series([1] * (precision + 1)))
     stats = density_report(3, 1000)
     assert not stats.bound_satisfied
     assert stats.nonzero_count == 1000
@@ -249,7 +268,7 @@ def _bump_series(monkeypatch, name, n, only=None):
             return s
         coeffs = list(s.coeffs)
         coeffs[n] += 1
-        return Series(Z, coeffs)
+        return Series(coeffs)
     monkeypatch.setattr(module, name, expand)
 
 
