@@ -4,8 +4,10 @@ Five layers: cyclotomic scalar arithmetic (`ring`), truncated exact power
 series over Z (`series`), combinatorial counters with a brute-force oracle
 (`partitions`), generating functions and the correction-series routes
 (`genfun`), and theorem checking / density scans (`verify`), fronted by the
-`glaisher` CLI.  Z[zeta_m] appears only as scalars (`CycInt`) and as
-coefficient lists that `map_ring` checks down to an integer `Series`.
+`glaisher` CLI.  Z[zeta_m] appears only as scalars (`CycInt`) and, at
+the end of the cyclotomic `definition` route, as one coefficient list that
+`map_ring` checks down to an integer `Series`; that route expands its
+products over Z[x]/(x^m - 1) as plain int lists.
 """
 
 from .ring import (

@@ -9,8 +9,10 @@ different routes:
   smallest-part-exactly-m families directly from their product/sum forms.
 * ``gf_Bj_lhs`` expands the finite and infinite largest-part-residue sums.
 * ``epsilon`` computes the correction series linking m*C and D by five
-  independent routes: a cyclotomic product definition, a triangular-number
-  sum, a Gaussian-binomial rearrangement of that sum, the raw difference
+  independent routes: a cyclotomic product definition (one product per
+  root of unity, expanded as integer lists over Z[x]/(x^m - 1) and
+  reduced to Z[zeta_m] once at the end), a triangular-number sum, a
+  Gaussian-binomial rearrangement of that sum, the raw difference
   m*gf_C - gf_D, and (for m = 3 only) a closed form supported on shifted
   triangular numbers.
 
@@ -166,37 +168,51 @@ def p_polynomial(m: int) -> Series:
     return Series._wrap(out[: deg + 1])
 
 
+def _mul_factor_pair(w: list[list[int]], j: int, i: int) -> None:
+    """In place, multiply w = sum_r x^r W_r(q) in Z[x]/(x^m - 1)[[q]] by
+    (1 - q^i)(1 - x^j q^i); x^j shifts residue r - j (mod m) to r."""
+    for c in w:
+        kernels.mul_one_minus_uqk(c, 1, i)
+    old = [c[: len(c) - i] for c in w]
+    for r, c in enumerate(w):
+        kernels.add_scaled_shifted(c, old[r - j], i, -1)
+
+
 def _epsilon_definition(m: int, precision: int) -> Series:
     """Cyclotomic route: sum over n >= 0 of q^(m n) (q^(n+1); q)_inf times
-    the sum over j of (zeta_m^j q^(n+1); q)_inf, expanded exactly as
-    coefficient lists over Z[zeta_m] (CycInt) and then checked down to Z
-    by `map_ring`.
+    the sum over j of (zeta_m^j q^(n+1); q)_inf.
+
+    With x standing for zeta_m, the product for root j has factors
+    (1 - x^j q^i) and is held as m integer lists W_0..W_(m-1), one per
+    residue of Z[x]/(x^m - 1).  The sum over roots stays a sum of m - 1
+    separate products.  Only at the end is x^r sent to zeta_m^r, once per
+    residue, and the coefficients over Z[zeta_m] (CycInt) checked down to
+    Z by `map_ring`.
 
     Worked from the top block downward so each step multiplies two linear
     factors instead of rebuilding the infinite products."""
-    zero = CycInt.zero(m)
-    one = CycInt.one(m)
     n_top = precision // m
-    roots = [cyc_root_power(m, j) for j in range(1, m)]
     prods = []
-    for u in roots:
-        w = [one] + [zero] * precision
+    for j in range(1, m):
+        w = [[1] + [0] * precision] + [[0] * (precision + 1) for _ in range(m - 1)]
         for i in range(n_top + 1, precision + 1):
-            kernels.mul_one_minus_uqk(w, 1, i)
-            kernels.mul_one_minus_uqk(w, u, i)
+            _mul_factor_pair(w, j, i)
         prods.append(w)
-    acc = [zero] * (precision + 1)
+    acc = [[0] * (precision + 1) for _ in range(m)]
     n = n_top
     while True:
         for w in prods:
-            kernels.add_scaled_shifted(acc, w, m * n, 1)
+            for a, c in zip(acc, w):
+                kernels.add_scaled_shifted(a, c, m * n, 1)
         if n == 0:
             break
-        for w, u in zip(prods, roots):
-            kernels.mul_one_minus_uqk(w, 1, n)
-            kernels.mul_one_minus_uqk(w, u, n)
+        for j, w in enumerate(prods, 1):
+            _mul_factor_pair(w, j, n)
         n -= 1
-    return map_ring(acc)
+    out = [CycInt.zero(m)] * (precision + 1)
+    for r, a in enumerate(acc):
+        kernels.add_scaled_shifted(out, a, 0, cyc_root_power(m, r))
+    return map_ring(out)
 
 
 def _epsilon_triangular(m: int, precision: int) -> Series:

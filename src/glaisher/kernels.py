@@ -5,9 +5,11 @@ package.  `series`, `genfun` and `verify` call them as `kernels.<name>`,
 never imported by name, so wrapping the module attribute (as the
 benchmark's spans do) sees every call.
 
-Coefficients are opaque ring elements (int or CycInt): only `+`, `-`, `*`,
-`bool` and `== 1` are used, so both coefficient rings go through the same
-code paths.
+Coefficients are opaque ring elements: only `+`, `-`, `*`, `bool` and
+`== 1` are used, so int and CycInt lists go through the same code paths.
+In the package every list is of ints, with one exception: CycInt enters
+`add_scaled_shifted`, as the accumulator and the scale, in the final
+reduction of the cyclotomic `definition` route to Z[zeta_m].
 """
 
 

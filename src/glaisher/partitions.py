@@ -164,7 +164,11 @@ def _table(key, n: int, build):
     built as build(m, *args, size).  Checks m and n for every counter.
     Tables are rebuilt larger on demand (with doubling, so ascending-n call
     patterns stay amortized) and are safe to read concurrently once
-    returned."""
+    returned.
+
+    The lock guards only the cache lookup and the store: a build runs
+    outside it, so a slow build of one table blocks no other.  Two threads
+    may build the same key at once; the larger table is kept."""
     m = key[1]
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -172,11 +176,16 @@ def _table(key, n: int, build):
         raise ValueError("n must be non-negative")
     with _cache_lock:
         size, entry = _cache.get(key, (-1, None))
-        if size < n:
-            target = max(n, 2 * size, 64)
-            entry = build(*key[1:], target)
-            _cache[key] = (target, entry)
+    if size >= n:
         return entry
+    target = max(n, 2 * size, 64)
+    entry = build(*key[1:], target)
+    with _cache_lock:
+        size, cached = _cache.get(key, (-1, None))
+        if size >= target:
+            return cached
+        _cache[key] = (target, entry)
+    return entry
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glaisher.cli import main
+from glaisher.verify import THEOREMS
 
 
 @pytest.fixture()
@@ -117,6 +120,37 @@ def test_verify_json_round_trips_byte_identically(runner):
     payload = json.loads(body)
     assert list(payload) == ["theorem", "m", "range", "status",
                              "first_failure", "elapsed_ms", "routes"]
+
+
+_PRECISION_THEOREMS = ("T1.5", "T1.9", "C1.10")
+
+
+@st.composite
+def _verify_args(draw):
+    theorem = draw(st.sampled_from(THEOREMS))
+    if theorem in ("T1.5", "T1.6"):
+        m = draw(st.sampled_from([None, 3]))
+    else:
+        m = draw(st.integers(2, 7))
+    size = "--precision" if theorem in _PRECISION_THEOREMS else "--n-max"
+    args = ["verify", "--theorem", theorem, size, str(draw(st.integers(0, 60)))]
+    if m is not None:
+        args += ["--m", str(m)]
+    if theorem == "T1.9":
+        args += ["--N-sum", str(draw(st.integers(1, 6)))]
+    return args
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(_verify_args())
+def test_verify_json_round_trips_for_random_valid_arguments(args):
+    result = CliRunner().invoke(main, args + ["--format", "json"])
+    body = result.output.rstrip("\n")
+    assert json.dumps(json.loads(body), indent=2) == body
+    payload = json.loads(body)
+    assert list(payload) == ["theorem", "m", "range", "status",
+                             "first_failure", "elapsed_ms", "routes"]
+    assert result.exit_code == (0 if payload["status"] == "pass" else 1)
 
 
 @pytest.mark.parametrize("args,keys", [

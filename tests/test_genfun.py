@@ -13,8 +13,10 @@ families, locked in by regression below).
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glaisher import kernels
+from glaisher import genfun, kernels
 from glaisher.genfun import (
     EPSILON_ROUTES,
     epsilon,
@@ -25,10 +27,13 @@ from glaisher.genfun import (
     p_polynomial,
 )
 from glaisher.partitions import count_A, count_B, count_C, count_D
+from glaisher.ring import CycInt, cyc_root_power
 from glaisher.series import (
+    NotIntegerCoefficientError,
     PochSpec,
     Series,
     inv_pochhammer,
+    map_ring,
     pochhammer,
     qbinomial,
 )
@@ -208,6 +213,85 @@ def test_epsilon_tiny_precisions():
     assert epsilon(3, 0, "definition").coeffs == (2,)
     assert epsilon(3, 1, "definition").coeffs == (2, -1)
     assert epsilon(4, 2, "triangular").coeffs == (3, -2, -3)
+
+
+def _epsilon_definition_cycint(m, precision):
+    """The definition route as it was first written: each per-root product
+    a coefficient list over Z[zeta_m] (CycInt), multiplied by
+    (1 - q^i)(1 - zeta^j q^i) through the kernels, then checked down to Z."""
+    zero = CycInt.zero(m)
+    one = CycInt.one(m)
+    n_top = precision // m
+    roots = [cyc_root_power(m, j) for j in range(1, m)]
+    prods = []
+    for u in roots:
+        w = [one] + [zero] * precision
+        for i in range(n_top + 1, precision + 1):
+            kernels.mul_one_minus_uqk(w, 1, i)
+            kernels.mul_one_minus_uqk(w, u, i)
+        prods.append(w)
+    acc = [zero] * (precision + 1)
+    n = n_top
+    while True:
+        for w in prods:
+            kernels.add_scaled_shifted(acc, w, m * n, 1)
+        if n == 0:
+            break
+        for w, u in zip(prods, roots):
+            kernels.mul_one_minus_uqk(w, 1, n)
+            kernels.mul_one_minus_uqk(w, u, n)
+        n -= 1
+    return map_ring(acc)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_definition_residue_lists_match_cycint_loop(m):
+    # composite m included: the roots with gcd(j, m) > 1 have lower order
+    for precision in sorted({0, 1, m - 1, m, m + 1, 3 * m + 2, 150}):
+        assert epsilon(m, precision, "definition") == \
+            _epsilon_definition_cycint(m, precision), precision
+
+
+@pytest.mark.parametrize("m,precision", [(2, 0), (2, 40), (3, 40), (4, 7),
+                                         (6, 40), (9, 40)])
+def test_definition_route_does_integer_work_until_one_reduction(
+        monkeypatch, m, precision):
+    # Z[zeta_m] enters only in the final reduction: one add_scaled_shifted
+    # into a CycInt accumulator per residue of Z[x]/(x^m - 1), then map_ring
+    calls = []
+    for name in ("mul_one_minus_uqk", "div_one_minus_uqk", "add_scaled_shifted"):
+        def recorded(*args, _name=name, _real=getattr(kernels, name)):
+            calls.append((_name, any(isinstance(c, CycInt) for c in args[0])))
+            return _real(*args)
+        monkeypatch.setattr(kernels, name, recorded)
+    mapped = []
+
+    def recorded_map_ring(coeffs, _real=genfun.map_ring):
+        mapped.append(list(coeffs))
+        return _real(coeffs)
+    monkeypatch.setattr(genfun, "map_ring", recorded_map_ring)
+    epsilon(m, precision, "definition")
+    assert not [c for c in calls if c[0] != "add_scaled_shifted" and c[1]]
+    assert sum(1 for c in calls if c == ("add_scaled_shifted", True)) == m
+    assert len(mapped) == 1 and len(mapped[0]) == precision + 1
+    assert all(isinstance(c, CycInt) for c in mapped[0])
+
+
+def test_definition_route_keeps_the_integer_check(monkeypatch):
+    # send every x^r with r > 0 to zeta itself: the sum over roots is then no
+    # longer Galois-stable, and map_ring must name the first bad exponent
+    monkeypatch.setattr(genfun, "cyc_root_power",
+                        lambda m, e: cyc_root_power(m, 1 if e else 0))
+    with pytest.raises(NotIntegerCoefficientError) as info:
+        epsilon(3, 20, "definition")
+    assert info.value.exponent == 1
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(st.integers(2, 10), st.integers(0, 120))
+def test_definition_equals_triangular(m, precision):
+    assert epsilon(m, precision, "definition") == \
+        epsilon(m, precision, "triangular")
 
 
 def test_gf_Bj_lhs_zero_blocks_is_one():

@@ -1,6 +1,8 @@
 """DP counters vs the literal brute-force enumerator, plus the small
 identities that tie the families together."""
 
+import sys
+import threading
 from unittest.mock import patch
 
 import pytest
@@ -211,6 +213,81 @@ def test_counts_nonnegative_and_growing_cache():
     assert count_C(5, 3) == 0
     assert count_C(5, 60) >= 0
     assert all(count_D(4, n) >= 0 for n in range(50))
+
+
+def test_table_builds_run_outside_the_cache_lock(monkeypatch):
+    # a C build parked on an event must not stop a B lookup
+    started, release = threading.Event(), threading.Event()
+    real, waited = partitions._build_C, []
+
+    def slow_build(m, n_max):
+        started.set()
+        waited.append(release.wait(timeout=10))
+        return real(m, n_max)
+
+    monkeypatch.setattr(partitions, "_cache", {})
+    monkeypatch.setattr(partitions, "_build_C", slow_build)
+    got = []
+    worker = threading.Thread(target=lambda: got.append(count_C(3, 50)))
+    worker.start()
+    try:
+        assert started.wait(timeout=10)
+        assert count_B(3, 50) == partitions._build_B(3, 50)[50]
+        assert not waited, "count_B waited for the C build"
+    finally:
+        release.set()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert waited == [True] and got == [real(3, 64)[50]]
+    assert partitions._cache[("C", 3)][0] == 64
+
+
+def test_concurrent_builds_keep_the_larger_table(monkeypatch):
+    # a smaller build that finishes last must not replace a larger table
+    real = partitions._build_D
+    monkeypatch.setattr(partitions, "_cache", {})
+    larger = (500, real(3, 500))
+
+    def build_then_race(m, n_max):
+        partitions._cache[("D", m)] = larger  # another thread's store
+        return real(m, n_max)
+
+    monkeypatch.setattr(partitions, "_build_D", build_then_race)
+    assert count_D(3, 10) == larger[1][10]
+    assert partitions._cache[("D", 3)] is larger
+
+
+def test_concurrent_builds_and_reads_stay_exact(monkeypatch):
+    # more threads than cores race builds of one table at mixed sizes; with
+    # a short switch interval a lost or shrunken store would show as a
+    # wrong count or a table smaller than some request
+    monkeypatch.setattr(partitions, "_cache", {})
+    reference = partitions._build_C(3, 700)
+    sizes = [[(37 * t + 101 * k) % 700 for k in range(12)] for t in range(12)]
+    wrong = []
+
+    def worker(ns):
+        try:
+            for n in ns:
+                if count_C(3, n) != reference[n]:
+                    wrong.append(n)
+        except Exception as exc:  # a thread's exception would not fail the test
+            wrong.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(ns,)) for ns in sizes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    size, table = partitions._cache[("C", 3)]
+    assert size >= max(map(max, sizes)) and table[:701] == reference
 
 
 def test_concurrent_reads_are_consistent():
