@@ -6,6 +6,22 @@ touches the series machinery: agreement between these counts and the
 generating-function expansions is one of the package's core cross-checks,
 so the two sides must stay independent.
 
+Each DP table 0..n_max is held as one int, the sum of dp[t] * 2^(w*(n_max-t))
+over t: cell t is the w-bit slot n_max - t, so cell 0 is the top slot.
+Allowing a part k multiplies the table by a polynomial in q^k, and q^k is
+a right shift by w*k bits, which drops exactly the cells pushed past
+n_max.  So a DP step is a few whole-table shift-and-adds, and a table is
+decoded into a list once per build.
+
+This is exact because no slot ever carries into the next.  Every cell a
+builder holds, intermediate ones included, counts restricted partitions of
+some t <= n_max.  So it is at most p(n_max) < exp(pi*sqrt(2*n_max/3))
+(Apostol, Introduction to Analytic Number Theory, ch. 14), and w has a bit
+to spare above that.  Each int is then the plain base-2^w digit string of
+its table: adds do not carry, a right shift drops whole cells, and C's cap
+step, the one subtraction, takes from each cell at most what it holds (its
+result is again a table of counts), so it does not borrow.
+
 Family conventions at n = 0: the bounded-multiplicity family (A) and the
 no-multiple family (B) count the empty partition (1); the largest-part
 families (Bj) count nothing (0, no largest part exists); C counts 1 by
@@ -14,8 +30,13 @@ definition; D counts 1 (the block of m zero parts).
 
 from __future__ import annotations
 
+import math
+import struct
+import sys
 import threading
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 FAMILIES = ("A", "B", "Bj", "C", "D")
 
@@ -61,102 +82,120 @@ class CountTable:
 # ---------------------------------------------------------------------------
 
 
-def _mult_choice_update(dp: list[int], k: int, m: int) -> list[int]:
-    """One DP step: allow part k with multiplicity choice 0..m-1.
+def _slot_bits(n_max: int) -> int:
+    """The slot width for tables 0..n_max: the bits of exp(pi*sqrt(2*n_max/3))
+    > p(n_max), a spare bit and two more against float rounding, rounded up
+    to whole bytes, and at least 64 (one machine word, decoded in bulk)."""
+    bits = int(math.pi * math.sqrt(2 * n_max / 3) / math.log(2))
+    return max(64, (bits + 10) // 8 * 8)
 
-    ndp[t] = dp[t] + dp[t-k] + ... + dp[t-(m-1)k] is kept as a sliding
-    window, ndp[t] = dp[t] + ndp[t-k] - dp[t-mk], so each step is O(n)."""
-    n_max = len(dp) - 1
-    mk = m * k
-    ndp = list(dp)
-    for t in range(k, min(mk, n_max + 1)):
-        ndp[t] += ndp[t - k]
-    for t in range(mk, n_max + 1):
-        ndp[t] += ndp[t - k] - dp[t - mk]
-    return ndp
+
+def _unpack(x: int, w: int, n_max: int) -> list[int]:
+    """The cells 0..n_max of a packed table."""
+    if not x:
+        return [0] * (n_max + 1)
+    raw = x.to_bytes(w // 8 * (n_max + 1), "big")
+    if w == 64:  # one word per cell
+        words = array("Q", raw)
+        if sys.byteorder == "little":
+            words.byteswap()
+        return words.tolist()
+    cells = struct.unpack(f"{w // 8}s" * (n_max + 1), raw)
+    return list(map(int.from_bytes, cells, repeat("big")))
+
+
+def _allow_part(x: int, k: int, m: int | None, w: int, n_max: int) -> int:
+    """One DP step on a packed table: allow part k with multiplicity below m
+    (None for no bound), i.e. multiply by S_m = 1 + q^k + ... + q^((m-1)k).
+
+    Copies past n_max // k fall off, so an m above that (or None) becomes
+    the power of two just above it.  S_m is built by binary powering, from
+    S_1 = 1 over the bits of m after the leading one: S_2a = S_a * (1 +
+    q^(ak)) and S_(a+1) = 1 + q^k * S_a, one shift-add each.  Every cell
+    along the way is a sum of at most min(m, n_max // k + 1) cells of x."""
+    reach = n_max // k
+    c = m if m is not None and m <= reach else 1 << reach.bit_length()
+    shift = w * k
+    y, copies = x, 1
+    for bit in bin(c)[3:]:
+        y += y >> shift * copies
+        copies *= 2
+        if bit == "1":
+            y = x + (y >> shift)
+            copies += 1
+    return y
 
 
 def _build_bounded_mult(m: int, min_part: int, max_part: int | None,
                         n_max: int) -> list[int]:
     if min_part < 1:
         raise ValueError("min_part must be >= 1")
-    dp = [0] * (n_max + 1)
-    dp[0] = 1
+    w = _slot_bits(n_max)
+    x = 1 << w * n_max
     top = n_max if max_part is None else min(max_part, n_max)
     for k in range(min_part, top + 1):
-        dp = _mult_choice_update(dp, k, m)
-    return dp
+        x = _allow_part(x, k, m, w, n_max)
+    return _unpack(x, w, n_max)
 
 
 def _build_B(m: int, n_max: int) -> list[int]:
-    dp = [0] * (n_max + 1)
-    dp[0] = 1
+    w = _slot_bits(n_max)
+    x = 1 << w * n_max
     for k in range(1, n_max + 1):
-        if k % m == 0:
-            continue
-        for t in range(k, n_max + 1):
-            dp[t] += dp[t - k]
-    return dp
+        if k % m:
+            x = _allow_part(x, k, None, w, n_max)
+    return _unpack(x, w, n_max)
 
 
 def _build_Bj(m: int, n_max: int) -> list[list[int]]:
     """All m-1 largest-part-residue tables in one ascending sweep."""
-    dp = [0] * (n_max + 1)
-    dp[0] = 1
-    tabs = [[0] * (n_max + 1) for _ in range(m - 1)]
+    w = _slot_bits(n_max)
+    x = 1 << w * n_max
+    tabs = [0] * (m - 1)
     for largest in range(1, n_max + 1):
         if largest % m == 0:
             continue
-        for t in range(largest, n_max + 1):
-            dp[t] += dp[t - largest]
-        tab = tabs[largest % m - 1]
-        for t in range(n_max - largest + 1):
-            tab[largest + t] += dp[t]
-    return tabs
+        x = _allow_part(x, largest, None, w, n_max)
+        tabs[largest % m - 1] += x >> w * largest
+    return [_unpack(tab, w, n_max) for tab in tabs]
 
 
 def _build_C(m: int, n_max: int) -> list[int]:
     """Largest part a multiple of m (say m*j), parts <= j repeating < m times,
     parts in (j, m*j] unrestricted (extra copies of m*j allowed)."""
-    dp = [0] * (n_max + 1)
-    dp[0] = 1
-    out = [0] * (n_max + 1)
-    out[0] = 1
+    if n_max < m:  # no largest part fits: only n = 0 counts
+        return [1] + [0] * n_max
+    w = _slot_bits(n_max)
+    x = out = 1 << w * n_max
     for j in range(1, n_max // m + 1):
         # newly reachable parts (m*(j-1), m*j], unrestricted multiplicity
         for k in range(m * (j - 1) + 1, m * j + 1):
-            for t in range(k, n_max + 1):
-                dp[t] += dp[t - k]
+            x = _allow_part(x, k, None, w, n_max)
         # part j leaves the unrestricted zone: cap its multiplicity at m-1
-        cap = m * j
-        for t in range(n_max, cap - 1, -1):
-            dp[t] -= dp[t - cap]
+        x -= x >> w * m * j
         # one mandatory copy of the largest part m*j
-        for t in range(n_max - m * j + 1):
-            out[m * j + t] += dp[t]
-    return out
+        out += x >> w * m * j
+    return _unpack(out, w, n_max)
 
 
 def _build_D(m: int, n_max: int) -> list[int]:
     """Smallest part s occurring exactly m times (s = 0 allowed), every other
     part above s repeating < m times."""
-    dp = [0] * (n_max + 1)
-    dp[0] = 1
-    out = [0] * (n_max + 1)
+    w = _slot_bits(n_max)
+    x, out = 1 << w * n_max, 0
     for p in range(n_max, 0, -1):
-        dp = _mult_choice_update(dp, p, m)
+        x = _allow_part(x, p, m, w, n_max)
         s = p - 1
         if m * s <= n_max:
-            base = m * s
-            for t in range(n_max - base + 1):
-                out[base + t] += dp[t]
-    if not out[0]:  # n_max < m still counts the m zeros at n = 0
-        out[0] = 1
-    return out
+            out += x >> w * m * s
+    if n_max == 0:  # no part to allow, but the m zero parts still count
+        out = 1
+    return _unpack(out, w, n_max)
 
 
 _cache: dict = {}
 _cache_lock = threading.Lock()
+_CACHE_LIMIT = 64  # tables kept; a store past it evicts the oldest store
 
 
 def _table(key, n: int, build):
@@ -168,7 +207,11 @@ def _table(key, n: int, build):
 
     The lock guards only the cache lookup and the store: a build runs
     outside it, so a slow build of one table blocks no other.  Two threads
-    may build the same key at once; the larger table is kept."""
+    may build the same key at once; the larger table is kept.
+
+    At most _CACHE_LIMIT tables are kept.  A store moves its key to the
+    newest place and evicts the key stored longest ago past the limit;
+    reads do not reorder."""
     m = key[1]
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -184,7 +227,10 @@ def _table(key, n: int, build):
         size, cached = _cache.get(key, (-1, None))
         if size >= target:
             return cached
+        _cache.pop(key, None)
         _cache[key] = (target, entry)
+        if len(_cache) > _CACHE_LIMIT:
+            del _cache[next(iter(_cache))]
     return entry
 
 

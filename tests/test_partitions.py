@@ -1,6 +1,8 @@
-"""DP counters vs the literal brute-force enumerator, plus the small
-identities that tie the families together."""
+"""DP counters vs the literal brute-force enumerator and the list-loop
+reference builders, plus the small identities that tie the families
+together."""
 
+import random
 import sys
 import threading
 from unittest.mock import patch
@@ -299,3 +301,206 @@ def test_concurrent_reads_are_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         for got in pool.map(worker, range(16)):
             assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# packed tables vs the list loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_mult_choice_update(dp, k, m):
+    """ndp[t] = dp[t] + ... + dp[t-(m-1)k] as a sliding window."""
+    n_max = len(dp) - 1
+    mk = m * k
+    ndp = list(dp)
+    for t in range(k, min(mk, n_max + 1)):
+        ndp[t] += ndp[t - k]
+    for t in range(mk, n_max + 1):
+        ndp[t] += ndp[t - k] - dp[t - mk]
+    return ndp
+
+
+def _ref_bounded_mult(m, min_part, max_part, n_max):
+    dp = [0] * (n_max + 1)
+    dp[0] = 1
+    top = n_max if max_part is None else min(max_part, n_max)
+    for k in range(min_part, top + 1):
+        dp = _ref_mult_choice_update(dp, k, m)
+    return dp
+
+
+def _ref_B(m, n_max):
+    dp = [0] * (n_max + 1)
+    dp[0] = 1
+    for k in range(1, n_max + 1):
+        if k % m == 0:
+            continue
+        for t in range(k, n_max + 1):
+            dp[t] += dp[t - k]
+    return dp
+
+
+def _ref_Bj(m, n_max):
+    dp = [0] * (n_max + 1)
+    dp[0] = 1
+    tabs = [[0] * (n_max + 1) for _ in range(m - 1)]
+    for largest in range(1, n_max + 1):
+        if largest % m == 0:
+            continue
+        for t in range(largest, n_max + 1):
+            dp[t] += dp[t - largest]
+        tab = tabs[largest % m - 1]
+        for t in range(n_max - largest + 1):
+            tab[largest + t] += dp[t]
+    return tabs
+
+
+def _ref_C(m, n_max):
+    dp = [0] * (n_max + 1)
+    dp[0] = 1
+    out = [0] * (n_max + 1)
+    out[0] = 1
+    for j in range(1, n_max // m + 1):
+        for k in range(m * (j - 1) + 1, m * j + 1):
+            for t in range(k, n_max + 1):
+                dp[t] += dp[t - k]
+        cap = m * j
+        for t in range(n_max, cap - 1, -1):
+            dp[t] -= dp[t - cap]
+        for t in range(n_max - m * j + 1):
+            out[m * j + t] += dp[t]
+    return out
+
+
+def _ref_D(m, n_max):
+    dp = [0] * (n_max + 1)
+    dp[0] = 1
+    out = [0] * (n_max + 1)
+    for p in range(n_max, 0, -1):
+        dp = _ref_mult_choice_update(dp, p, m)
+        s = p - 1
+        if m * s <= n_max:
+            base = m * s
+            for t in range(n_max - base + 1):
+                out[base + t] += dp[t]
+    if not out[0]:
+        out[0] = 1
+    return out
+
+
+_BUILDERS = {
+    "A": (lambda m, n: partitions._build_bounded_mult(m, 1, None, n),
+          lambda m, n: _ref_bounded_mult(m, 1, None, n)),
+    "B": (partitions._build_B, _ref_B),
+    "Bj": (partitions._build_Bj, _ref_Bj),
+    "C": (partitions._build_C, _ref_C),
+    "D": (partitions._build_D, _ref_D),
+}
+
+
+def _assert_builders_match(m, n):
+    for family, (packed, reference) in _BUILDERS.items():
+        assert packed(m, n) == reference(m, n), (family, m, n)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_packed_builders_match_list_loops(m):
+    for n in [*range(81), 150, 513, 1000]:
+        _assert_builders_match(m, n)
+
+
+@pytest.mark.parametrize("m", [20, 60, 200])
+def test_packed_builders_match_list_loops_at_large_m(m):
+    _assert_builders_match(m, 600)
+
+
+@pytest.mark.parametrize("min_part", [1, 2, 5])
+@pytest.mark.parametrize("max_part", [None, 3, 40])
+def test_packed_bounded_mult_matches_list_loop(min_part, max_part):
+    for m in (2, 3, 7, 20):
+        for n in (0, 1, 2, 7, 50, 300):
+            assert partitions._build_bounded_mult(m, min_part, max_part, n) \
+                == _ref_bounded_mult(m, min_part, max_part, n), (m, n)
+
+
+@settings(deadline=None, database=None)
+@given(st.sampled_from(sorted(_BUILDERS)), st.integers(2, 70),
+       st.integers(0, 400))
+def test_packed_builder_matches_list_loop(family, m, n):
+    packed, reference = _BUILDERS[family]
+    assert packed(m, n) == reference(m, n)
+
+
+def _mult_choice_update_direct(dp, k, m):
+    """ndp[t] = sum of dp[t - c*k] over c = 0..m-1, summed term by term."""
+    ndp = [0] * len(dp)
+    for t in range(len(dp)):
+        acc = 0
+        c = 0
+        ck = 0
+        while c < m and ck <= t:
+            acc += dp[t - ck]
+            c += 1
+            ck += k
+        ndp[t] = acc
+    return ndp
+
+
+def test_sliding_window_update_matches_direct_sum():
+    # the packed step on cells below 2^(w-1)/m, so every sum fits a slot
+    rng = random.Random(21)
+    bounded = set()
+    for _ in range(400):
+        m = rng.randint(2, 70)
+        n = rng.randint(0, 80)
+        k = rng.randint(1, 90)
+        w = partitions._slot_bits(n)
+        dp = [rng.randrange(2 ** (w - 1) // m) for _ in range(n + 1)]
+        x = sum(cell << w * (n - t) for t, cell in enumerate(dp))
+        got = partitions._unpack(partitions._allow_part(x, k, m, w, n), w, n)
+        assert got == _mult_choice_update_direct(dp, k, m), (m, n, k)
+        bounded.add(m <= n // k)
+    assert bounded == {True, False}  # powering over m, and doubling alone
+
+
+def _partition_numbers(n_max):
+    """p(0..n_max) by Euler's pentagonal-number recurrence."""
+    p = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        total, i = 0, 1
+        while True:
+            g1 = i * (3 * i - 1) // 2
+            if g1 > n:
+                break
+            sign = 1 if i % 2 else -1
+            total += sign * p[n - g1]
+            g2 = i * (3 * i + 1) // 2
+            if g2 <= n:
+                total += sign * p[n - g2]
+            i += 1
+        p[n] = total
+    return p
+
+
+def test_slot_width_holds_every_count_up_to_the_ceiling():
+    p = _partition_numbers(5000)
+    assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[100] == 190569292
+    for n, pn in enumerate(p):
+        w = partitions._slot_bits(n)
+        assert w % 8 == 0 and w >= pn.bit_length() + 1, n
+
+
+def test_cache_keeps_at_most_64_tables(monkeypatch):
+    monkeypatch.setattr(partitions, "_cache", {})
+    for min_part in range(1, 66):
+        count_bounded_mult(3, 30, min_part)
+    keys = list(partitions._cache)
+    assert len(keys) == 64
+    assert ("bm", 3, 1, None) not in partitions._cache
+    assert keys[0] == ("bm", 3, 2, None) and keys[-1] == ("bm", 3, 65, None)
+    # the evicted table is rebuilt exactly, and its store evicts the next
+    assert count_bounded_mult(3, 40) == \
+        brute_force_count(FamilySpec("A", 3), 40)
+    assert len(partitions._cache) == 64
+    assert ("bm", 3, 2, None) not in partitions._cache
+    assert list(partitions._cache)[-1] == ("bm", 3, 1, None)

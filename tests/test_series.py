@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from glaisher import kernels
 from glaisher.genfun import _epsilon_triangular, _tri
-from glaisher.partitions import _mult_choice_update
 from glaisher.ring import (
     CycInt,
     chi,
@@ -327,34 +326,6 @@ def test_triangular_large_m_matches_dense(precision):
     # at m = 60 most of each term's m - 1 factors lie past its width
     assert list(_epsilon_triangular(60, precision).coeffs) == \
         _epsilon_triangular_dense(60, precision)
-
-
-def _mult_choice_update_direct(dp, k, m):
-    """ndp[t] = sum of dp[t - c*k] over c = 0..m-1, summed term by term."""
-    ndp = [0] * len(dp)
-    for t in range(len(dp)):
-        acc = 0
-        c = 0
-        ck = 0
-        while c < m and ck <= t:
-            acc += dp[t - ck]
-            c += 1
-            ck += k
-        ndp[t] = acc
-    return ndp
-
-
-def test_sliding_window_update_matches_direct_sum():
-    rng = random.Random(21)
-    for _ in range(400):
-        m = rng.randint(2, 7)
-        n = rng.randint(0, 80)
-        k = rng.randint(1, 90)
-        dp = [rng.randint(-10 ** 20, 10 ** 20) for _ in range(n + 1)]
-        before = list(dp)
-        assert _mult_choice_update(dp, k, m) == \
-            _mult_choice_update_direct(dp, k, m), (m, n, k)
-        assert dp == before
 
 
 def _cyc_mul_reference(a, b):
