@@ -32,9 +32,7 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 import threading
-from array import array
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -85,21 +83,14 @@ class CountTable:
 def _slot_bits(n_max: int) -> int:
     """The slot width for tables 0..n_max: the bits of exp(pi*sqrt(2*n_max/3))
     > p(n_max), a spare bit and two more against float rounding, rounded up
-    to whole bytes, and at least 64 (one machine word, decoded in bulk)."""
+    to whole bytes."""
     bits = int(math.pi * math.sqrt(2 * n_max / 3) / math.log(2))
-    return max(64, (bits + 10) // 8 * 8)
+    return (bits + 10) // 8 * 8
 
 
 def _unpack(x: int, w: int, n_max: int) -> list[int]:
     """The cells 0..n_max of a packed table."""
-    if not x:
-        return [0] * (n_max + 1)
     raw = x.to_bytes(w // 8 * (n_max + 1), "big")
-    if w == 64:  # one word per cell
-        words = array("Q", raw)
-        if sys.byteorder == "little":
-            words.byteswap()
-        return words.tolist()
     cells = struct.unpack(f"{w // 8}s" * (n_max + 1), raw)
     return list(map(int.from_bytes, cells, repeat("big")))
 
@@ -163,8 +154,6 @@ def _build_Bj(m: int, n_max: int) -> list[list[int]]:
 def _build_C(m: int, n_max: int) -> list[int]:
     """Largest part a multiple of m (say m*j), parts <= j repeating < m times,
     parts in (j, m*j] unrestricted (extra copies of m*j allowed)."""
-    if n_max < m:  # no largest part fits: only n = 0 counts
-        return [1] + [0] * n_max
     w = _slot_bits(n_max)
     x = out = 1 << w * n_max
     for j in range(1, n_max // m + 1):
