@@ -7,7 +7,7 @@ series over Z (`series`), combinatorial counters with a brute-force oracle
 `glaisher` CLI.  Z[zeta_m] appears only as scalars (`CycInt`) and, at
 the end of the cyclotomic `definition` route, as one coefficient list that
 `map_ring` checks down to an integer `Series`; that route expands its
-products over Z[x]/(x^m - 1) as plain int lists.
+products over Z[x]/(x^m - 1), each residue list packed into one int.
 """
 
 from .ring import (

@@ -91,12 +91,28 @@ def _check_bound(value: int, name: str):
         )
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+def _open_out(out: str | None):
+    """Open the --out file before any work is done, so a path that cannot be
+    written is a one-line configuration error (exit 2), not an internal
+    error after the computation.  Like a shell redirection, this creates or
+    truncates the file first.  The file closes with the command."""
+    if out is None:
+        return None
+    try:
+        fh = open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write --out {out!r}: {exc.strerror or exc}"
+        ) from None
+    click.get_current_context().call_on_close(fh.close)
+    return fh
+
+
+def _emit(text: str, fh):
+    if fh is None:
         click.echo(text)
+    else:
+        fh.write(text + "\n")
 
 
 def _csv_rows(header, rows) -> str:
@@ -152,6 +168,7 @@ def count(family, m, j, n_max, fmt, out):
         spec = FamilySpec(family, m, j)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    fh = _open_out(out)
     table = count_table(spec, n_max)
     rows = [(n, str(c)) for n, c in enumerate(table.counts)]
     if fmt == "json":
@@ -163,15 +180,15 @@ def count(family, m, j, n_max, fmt, out):
             "n_max": n_max,
             "counts": [str(c) for c in table.counts],
         }
-        _emit(json.dumps(payload, indent=2), out)
+        _emit(json.dumps(payload, indent=2), fh)
     elif fmt == "csv":
-        _emit(_csv_rows(("n", "value"), rows), out)
+        _emit(_csv_rows(("n", "value"), rows), fh)
     else:
         width = max(len(r[1]) for r in rows)
         lines = [f"{family}_{m}" + (f"^({j})" if j is not None else "") +
                  f" counts for n = 0..{n_max}"]
         lines += [f"{n:>6}  {v:>{width}}" for n, v in rows]
-        _emit("\n".join(lines), out)
+        _emit("\n".join(lines), fh)
 
 
 @main.command()
@@ -192,6 +209,7 @@ def expand(series_name, m, precision, n_sum, route, fmt, out):
     _check_bound(precision, "--precision")
     if m < 2:
         raise click.UsageError("m must be >= 2")
+    fh = _open_out(out)
     try:
         if series_name == "A":
             s = gf_regular(m, "A_product", precision)
@@ -219,14 +237,14 @@ def expand(series_name, m, precision, n_sum, route, fmt, out):
             "route": route if series_name == "epsilon" else None,
             "coefficients": [str(c) for c in s.coeffs],
         }
-        _emit(json.dumps(payload, indent=2), out)
+        _emit(json.dumps(payload, indent=2), fh)
     elif fmt == "csv":
-        _emit(_csv_rows(("n", "value"), rows), out)
+        _emit(_csv_rows(("n", "value"), rows), fh)
     else:
         width = max(len(r[1]) for r in rows)
         lines = [f"{series_name} (m = {m}) to q^{s.precision}"]
         lines += [f"{n:>6}  {v:>{width}}" for n, v in rows]
-        _emit("\n".join(lines), out)
+        _emit("\n".join(lines), fh)
 
 
 def _report_payload(report) -> dict:
@@ -270,13 +288,14 @@ def verify_cmd(theorem, m, n_max, precision, n_sum, fmt, out):
                       (n_sum, "--N-sum")):
         if val is not None:
             _check_bound(val, name)
+    fh = _open_out(out)
     try:
         report = verify(theorem, m=m, n_max=n_max, precision=precision,
                         n_sum=n_sum)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if fmt == "json":
-        _emit(json.dumps(_report_payload(report), indent=2), out)
+        _emit(json.dumps(_report_payload(report), indent=2), fh)
     elif fmt == "csv":
         n, lhs, rhs = report.first_failure or ("", "", "")
         _emit(_csv_rows(
@@ -284,7 +303,7 @@ def verify_cmd(theorem, m, n_max, precision, n_sum, fmt, out):
              "first_n", "lhs", "rhs", "elapsed_ms"),
             [(report.theorem, report.m, report.range[0], report.range[1],
               report.status, n, lhs, rhs, report.elapsed_ms)],
-        ), out)
+        ), fh)
     else:
         lines = [
             f"{report.theorem} (m = {report.m}) over "
@@ -298,7 +317,7 @@ def verify_cmd(theorem, m, n_max, precision, n_sum, fmt, out):
             lines.append(f"first failure at n = {n}: {lhs} != {rhs}")
         for key, val in report.notes.items():
             lines.append(f"note [{key}]: {val}")
-        _emit("\n".join(lines), out)
+        _emit("\n".join(lines), fh)
     if not report.passed:
         sys.exit(1)
 
@@ -316,6 +335,7 @@ def density(m, x, fmt, out):
     Exits 0 when the census is within the bound, 1 when it breaks it.
     """
     _check_bound(x, "--x")
+    fh = _open_out(out)
     try:
         stats = density_report(m, x)
     except ValueError as exc:
@@ -334,14 +354,14 @@ def density(m, x, fmt, out):
             "window_bound": stats.window_bound,
             "bound_satisfied": stats.bound_satisfied,
         }
-        _emit(json.dumps(payload, indent=2), out)
+        _emit(json.dumps(payload, indent=2), fh)
     elif fmt == "csv":
         _emit(_csv_rows(
             ("m", "x", "nonzero_count", "N_x", "ratio", "ratio_decimal",
              "window_bound", "bound_satisfied"),
             [(stats.m, stats.x, stats.nonzero_count, stats.N_x, fraction,
               decimal, stats.window_bound, stats.bound_satisfied)],
-        ), out)
+        ), fh)
     else:
         _emit("\n".join([
             f"correction-series census for m = {stats.m}, n < {stats.x}",
@@ -350,7 +370,7 @@ def density(m, x, fmt, out):
             f"ratio: {fraction} = {decimal}",
             f"window bound: {stats.window_bound} "
             f"(satisfied: {stats.bound_satisfied})",
-        ]), out)
+        ]), fh)
     if not stats.bound_satisfied:
         sys.exit(1)
 

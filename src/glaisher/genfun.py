@@ -10,17 +10,40 @@ different routes:
 * ``gf_Bj_lhs`` expands the finite and infinite largest-part-residue sums.
 * ``epsilon`` computes the correction series linking m*C and D by five
   independent routes: a cyclotomic product definition (one product per
-  root of unity, expanded as integer lists over Z[x]/(x^m - 1) and
-  reduced to Z[zeta_m] once at the end), a triangular-number sum, a
-  Gaussian-binomial rearrangement of that sum, the raw difference
-  m*gf_C - gf_D, and (for m = 3 only) a closed form supported on shifted
-  triangular numbers.
+  root of unity, expanded over Z[x]/(x^m - 1) with each residue list
+  packed into one int, and reduced to Z[zeta_m] once at the end), a
+  triangular-number sum, a Gaussian-binomial rearrangement of that sum,
+  the raw difference m*gf_C - gf_D, and (for m = 3 only) a closed form
+  supported on shifted triangular numbers.
 
 Route cross-agreement is the package's strongest internal check: the routes
 share no intermediate algebra, only the kernel primitives.
+
+The `definition` route holds each residue list W_r (cells 0..N) as one int:
+cell t is the w-bit slot at bits w*t, and the arithmetic runs mod
+2^(w(N+1)).  That is Z[q]/(q^(N+1)) evaluated at q = 2^w, a ring map, so
+multiplying by q^i is a left shift by w*i bits with the cells pushed past
+N masked off, and a factor (1 - q^i)(1 - x^j q^i) is a few whole-list
+shift-subtracts.  Cells are signed: a decode adds 2^(w-1) to every slot,
+after which each slot is the plain base-2^w digit c + 2^(w-1), so every
+cell with |c| < 2^(w-1) reads back exactly.
+
+No slot ever wraps.  Replace every sign and every x by 1: each cell of a
+partial product, at q^t, is then at most [q^t] prod_{i>=1} (1 + q^i)^2.
+That coefficient is at most e^(ut) prod_{i>=1} (1 + e^(-ui))^2 for every
+u > 0, and with sum_{i>=1} log(1 + e^(-ui)) <= pi^2/(12u) the best u
+bounds it by exp(pi*sqrt(2t/3)) <= exp(pi*sqrt(2N/3)).  An accumulator
+cell sums at most (m-1)(floor(N/m) + 1) such cells, one per root and
+block.  w holds the bits of that product, one sign bit and two guard bits
+against float rounding, rounded up to whole bytes
+(`_definition_slot_bits`).  Since the arithmetic is exact mod
+2^(w(N+1)), only the decoded accumulators need the bound; every product
+cell meets it too.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import kernels
 from .ring import CycInt, chi, cyc_root_power
@@ -168,14 +191,43 @@ def p_polynomial(m: int) -> Series:
     return Series._wrap(out[: deg + 1])
 
 
-def _mul_factor_pair(w: list[list[int]], j: int, i: int) -> None:
-    """In place, multiply w = sum_r x^r W_r(q) in Z[x]/(x^m - 1)[[q]] by
-    (1 - q^i)(1 - x^j q^i); x^j shifts residue r - j (mod m) to r."""
-    for c in w:
-        kernels.mul_one_minus_uqk(c, 1, i)
-    old = [c[: len(c) - i] for c in w]
-    for r, c in enumerate(w):
-        kernels.add_scaled_shifted(c, old[r - j], i, -1)
+def _definition_slot_bits(m: int, precision: int) -> int:
+    """The slot width of the packed `definition` route: every cell it holds
+    is below 2^(w - 1) in absolute value (see the module docstring).
+
+    The bits of exp(pi*sqrt(2N/3)), rounded up, plus those of the number of
+    products an accumulator cell sums, one sign bit and two bits against
+    float rounding, rounded up to whole bytes."""
+    bits = int(math.pi * math.sqrt(2 * precision / 3) / math.log(2)) + 1
+    bits += ((m - 1) * (precision // m + 1)).bit_length()
+    return (bits + 3 + 7) // 8 * 8
+
+
+def _unpack_signed(x: int, w: int, precision: int) -> list[int]:
+    """The signed cells 0..precision of a packed residue list: adding
+    2^(w - 1) to every slot makes each one its plain base-2^w digit."""
+    size = w // 8
+    half = 1 << (w - 1)
+    slot = bytes(size - 1) + b"\x80"  # 2^(w - 1), little-endian
+    bias = int.from_bytes(slot * (precision + 1), "little")
+    raw = ((x + bias) & ((1 << w * (precision + 1)) - 1)).to_bytes(
+        size * (precision + 1), "little")
+    return [int.from_bytes(raw[k:k + size], "little") - half
+            for k in range(0, len(raw), size)]
+
+
+def _mul_packed_pair(p: list[int], j: int, s: int, keep: int, keep2: int,
+                     mask: int) -> None:
+    """In place, multiply p = sum_r x^r P_r(q) in Z[x]/(x^m - 1)[[q]] by
+    (1 - q^i)(1 - x^j q^i) = 1 - (1 + x^j) q^i + x^j q^(2i), each P_r packed
+    with s = w*i; keep and keep2 = mask >> s and mask >> 2s are the cells
+    that q^i and q^(2i) do not push past the precision.  x^j moves
+    residue r - j (mod m) to r."""
+    old = p[:]
+    for r, x in enumerate(old):
+        y = old[r - j]
+        if x or y:
+            p[r] = (x + ((y & keep2) << 2 * s) - (((x + y) & keep) << s)) & mask
 
 
 def _epsilon_definition(m: int, precision: int) -> Series:
@@ -183,35 +235,36 @@ def _epsilon_definition(m: int, precision: int) -> Series:
     the sum over j of (zeta_m^j q^(n+1); q)_inf.
 
     With x standing for zeta_m, the product for root j has factors
-    (1 - x^j q^i) and is held as m integer lists W_0..W_(m-1), one per
-    residue of Z[x]/(x^m - 1).  The sum over roots stays a sum of m - 1
-    separate products.  Only at the end is x^r sent to zeta_m^r, once per
-    residue, and the coefficients over Z[zeta_m] (CycInt) checked down to
-    Z by `map_ring`.
+    (1 - x^j q^i) and is held as m residue lists W_0..W_(m-1) of
+    Z[x]/(x^m - 1), each packed into one int (see the module docstring).
+    The sum over roots stays a sum of m - 1 separate products.  Only at the
+    end is each accumulated residue decoded and x^r sent to zeta_m^r, once
+    per residue, and the coefficients over Z[zeta_m] (CycInt) checked down
+    to Z by `map_ring`.
 
     Worked from the top block downward so each step multiplies two linear
     factors instead of rebuilding the infinite products."""
-    n_top = precision // m
-    prods = []
-    for j in range(1, m):
-        w = [[1] + [0] * precision] + [[0] * (precision + 1) for _ in range(m - 1)]
-        for i in range(n_top + 1, precision + 1):
-            _mul_factor_pair(w, j, i)
-        prods.append(w)
-    acc = [[0] * (precision + 1) for _ in range(m)]
-    n = n_top
-    while True:
-        for w in prods:
-            for a, c in zip(acc, w):
-                kernels.add_scaled_shifted(a, c, m * n, 1)
-        if n == 0:
-            break
-        for j, w in enumerate(prods, 1):
-            _mul_factor_pair(w, j, n)
-        n -= 1
+    w = _definition_slot_bits(m, precision)
+    mask = (1 << w * (precision + 1)) - 1
+    prods = [[1] + [0] * (m - 1) for _ in range(1, m)]
+    acc = [0] * m
+    top = precision
+    for n in range(precision // m, -1, -1):
+        for i in range(top, n, -1):  # the factors i > n, not yet applied
+            s = w * i
+            keep = mask >> s
+            keep2 = keep >> s
+            for j, p in enumerate(prods, 1):
+                _mul_packed_pair(p, j, s, keep, keep2, mask)
+        top = n
+        s = w * m * n
+        keep = mask >> s
+        for r in range(m):
+            acc[r] += (sum(p[r] for p in prods) & keep) << s
     out = [CycInt.zero(m)] * (precision + 1)
     for r, a in enumerate(acc):
-        kernels.add_scaled_shifted(out, a, 0, cyc_root_power(m, r))
+        kernels.add_scaled_shifted(out, _unpack_signed(a, w, precision), 0,
+                                   cyc_root_power(m, r))
     return map_ring(out)
 
 

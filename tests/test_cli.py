@@ -243,6 +243,42 @@ def test_out_writes_file(runner, tmp_path):
                                                "2,1", "3,2"]
 
 
+_OUT_COMMANDS = {
+    "count_table": ["count", "--family", "A", "--m", "3"],
+    "epsilon": ["expand", "--series", "epsilon", "--m", "3"],
+    "verify": ["verify", "--theorem", "T1.2", "--m", "3"],
+    "density_report": ["density", "--m", "3", "--x", "100"],
+}
+
+
+@pytest.mark.parametrize("work", sorted(_OUT_COMMANDS))
+def test_out_in_a_missing_directory_is_a_one_line_usage_error(
+        monkeypatch, runner, tmp_path, work):
+    # reported before any work is done, with the path and the OS reason
+    calls = []
+    monkeypatch.setattr(f"glaisher.cli.{work}",
+                        lambda *args, **kwargs: calls.append(args))
+    target = tmp_path / "missing" / "x.json"
+    result = runner.invoke(main, _OUT_COMMANDS[work] + ["--out", str(target)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"Error: cannot write --out {str(target)!r}: No such file or directory"
+    ]
+    assert calls == []
+    assert not target.parent.exists()
+
+
+def test_out_holds_the_report_of_a_mismatch(runner, tmp_path):
+    target = tmp_path / "report.json"
+    result = runner.invoke(main, ["verify", "--theorem", "T1.4", "--m", "4",
+                                  "--n-max", "40", "--format", "json",
+                                  "--out", str(target)])
+    assert result.exit_code == 1
+    assert result.output == ""
+    assert json.loads(target.read_text())["status"] == "fail"
+
+
 def test_deterministic_output(runner):
     args = ["density", "--m", "4", "--x", "600", "--format", "json"]
     assert runner.invoke(main, args).output == runner.invoke(main, args).output

@@ -244,6 +244,74 @@ def _epsilon_definition_cycint(m, precision):
     return map_ring(acc)
 
 
+def _epsilon_definition_lists(m, precision, peaks=None):
+    """The definition route with each residue of Z[x]/(x^m - 1) an int list,
+    multiplied by (1 - q^i)(1 - x^j q^i) through the kernels.  If `peaks` is
+    a list, the largest |cell| of every product after each factor pair and
+    of every accumulator after each block is appended to it: the values the
+    packed route holds."""
+    def peak(lists):
+        if peaks is not None:
+            peaks.append(max(max(max(c), -min(c)) for c in lists))
+
+    def mul_factor_pair(w, j, i):
+        live = [any(c) for c in w]  # a zero residue stays zero
+        for c, nonzero in zip(w, live):
+            if nonzero:
+                kernels.mul_one_minus_uqk(c, 1, i)
+        old = [c[: len(c) - i] for c in w]
+        for r, c in enumerate(w):
+            if live[r - j]:
+                kernels.add_scaled_shifted(c, old[r - j], i, -1)
+        peak(w)
+
+    n_top = precision // m
+    prods = []
+    for j in range(1, m):
+        w = [[1] + [0] * precision] + [[0] * (precision + 1) for _ in range(m - 1)]
+        for i in range(n_top + 1, precision + 1):
+            mul_factor_pair(w, j, i)
+        prods.append(w)
+    acc = [[0] * (precision + 1) for _ in range(m)]
+    n = n_top
+    while True:
+        for w in prods:
+            for a, c in zip(acc, w):
+                kernels.add_scaled_shifted(a, c, m * n, 1)
+        peak(acc)
+        if n == 0:
+            break
+        for j, w in enumerate(prods, 1):
+            mul_factor_pair(w, j, n)
+        n -= 1
+    out = [CycInt.zero(m)] * (precision + 1)
+    for r, a in enumerate(acc):
+        kernels.add_scaled_shifted(out, a, 0, cyc_root_power(m, r))
+    return map_ring(out)
+
+
+_SLOT_GRID = sorted({(m, n) for m in (*range(2, 10), 12, 20)
+                     for n in (0, 1, m - 1, m, 150, 600)} | {(3, 2000)})
+
+
+@pytest.mark.parametrize("m,precision", _SLOT_GRID)
+def test_definition_slot_width_holds(m, precision):
+    # every cell of every product and accumulator fits a signed slot
+    peaks = []
+    expected = _epsilon_definition_lists(m, precision, peaks)
+    w = genfun._definition_slot_bits(m, precision)
+    assert max(peaks) < 1 << (w - 1)
+    assert epsilon(m, precision, "definition") == expected
+
+
+@pytest.mark.parametrize("m,precision", [(3, 1000), (5, 600), (7, 400),
+                                         (20, 300), (60, 100)])
+def test_packed_definition_matches_lists_and_triangular(m, precision):
+    packed = epsilon(m, precision, "definition")
+    assert packed == _epsilon_definition_lists(m, precision)
+    assert packed == epsilon(m, precision, "triangular")
+
+
 @pytest.mark.parametrize("m", range(2, 10))
 def test_definition_residue_lists_match_cycint_loop(m):
     # composite m included: the roots with gcd(j, m) > 1 have lower order
@@ -257,7 +325,8 @@ def test_definition_residue_lists_match_cycint_loop(m):
 def test_definition_route_does_integer_work_until_one_reduction(
         monkeypatch, m, precision):
     # Z[zeta_m] enters only in the final reduction: one add_scaled_shifted
-    # into a CycInt accumulator per residue of Z[x]/(x^m - 1), then map_ring
+    # into a CycInt accumulator per residue of Z[x]/(x^m - 1), then map_ring.
+    # The products are packed ints, so no int list goes through a kernel.
     calls = []
     for name in ("mul_one_minus_uqk", "div_one_minus_uqk", "add_scaled_shifted"):
         def recorded(*args, _name=name, _real=getattr(kernels, name)):
@@ -271,8 +340,8 @@ def test_definition_route_does_integer_work_until_one_reduction(
         return _real(coeffs)
     monkeypatch.setattr(genfun, "map_ring", recorded_map_ring)
     epsilon(m, precision, "definition")
-    assert not [c for c in calls if c[0] != "add_scaled_shifted" and c[1]]
-    assert sum(1 for c in calls if c == ("add_scaled_shifted", True)) == m
+    assert not [c for c in calls if c[0] != "add_scaled_shifted"]
+    assert calls == [("add_scaled_shifted", True)] * m
     assert len(mapped) == 1 and len(mapped[0]) == precision + 1
     assert all(isinstance(c, CycInt) for c in mapped[0])
 
