@@ -15,6 +15,11 @@ different routes:
   triangular-number sum, a Gaussian-binomial rearrangement of that sum,
   the raw difference m*gf_C - gf_D, and (for m = 3 only) a closed form
   supported on shifted triangular numbers.
+* ``triangular_stream`` yields the nonzero coefficients of the triangular
+  sum below x one at a time, each term held as a sparse dict (or, while
+  it is narrow, a dense list) and flushed from a window of about m*sqrt(x)
+  exponents: the density census runs in O(sqrt(x)) terms and never holds
+  a dense series.
 
 Route cross-agreement is the package's strongest internal check: the routes
 share no intermediate algebra, only the kernel primitives.
@@ -44,6 +49,7 @@ cell meets it too.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 from . import kernels
 from .ring import CycInt, chi, cyc_root_power
@@ -285,6 +291,61 @@ def _epsilon_triangular(m: int, precision: int) -> Series:
         kernels.add_scaled_shifted(acc, poly, _tri(k), scale)
         k += 1
     return Series._wrap(acc)
+
+
+def triangular_stream(m: int, x: int) -> Iterator[tuple[int, int]]:
+    """The nonzero coefficients (n, eps_n) of the correction series for
+    n < x, in increasing n, from the triangular sum
+    sum_k (-1)^k chi_m(k) q^(T_k) (q^(k+1); q)_(m-1), without expanding
+    the dense series.
+
+    Term k is grown one factor (1 - q^(k+1+i)) at a time, exponents >= x
+    dropped, and added into a window keyed by exponent.  Term k+1 starts
+    at T_(k+1), so once term k is in, every exponent below T_(k+1) is
+    final: it is yielded and leaves the window.  The window spans about
+    m*k exponents, never x.
+
+    A product of j of the factors lands on j(k+1) plus a sum of j distinct
+    numbers from 0..m-2, which takes j(m-1-j) + 1 values, so a term has at
+    most C(m, 3) + m monomials (never more than 2^(m-1)).  A term at least
+    twice that wide is grown as a dict of its monomials; a narrower one
+    (large m, small k) as a dense list, which is cheaper per entry."""
+    _check_m(m)
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    most = m * (m - 1) * (m - 2) // 6 + m
+    window: dict[int, int] = {}
+    k = 0
+    start = 0  # T_k
+    while start < x:
+        limit = x - start  # term exponents, relative to T_k, stay below this
+        factors = range(k + 1, min(k + m, limit))  # later factors are 1
+        if 2 * most <= min(limit, (m - 1) * (k + 1) + _tri(m - 2) + 1):
+            term = {0: 1}
+            for a in factors:
+                grown = term.copy()
+                for e, c in term.items():
+                    e += a
+                    if e < limit:
+                        grown[e] = grown.get(e, 0) - c
+                term = grown
+            monomials = term.items()
+        else:
+            poly = [1]
+            for a in factors:
+                poly += [0] * (min(len(poly) + a, limit) - len(poly))
+                poly[a:] = [c - d for c, d in zip(poly[a:], poly)]
+            monomials = enumerate(poly)
+        scale = (-1 if k & 1 else 1) * chi(m, k)
+        for e, c in monomials:
+            if c:
+                window[start + e] = window.get(start + e, 0) + scale * c
+        k += 1
+        start += k
+        for e in sorted(e for e in window if e < start):
+            c = window.pop(e)
+            if c:
+                yield e, c
 
 
 def _epsilon_qbinomial(m: int, precision: int) -> Series:

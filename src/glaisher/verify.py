@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import isqrt
 
 from . import kernels
-from .genfun import epsilon, gf_Bj_lhs, gf_C, gf_D, gf_regular, p_polynomial
+from .genfun import (epsilon, gf_Bj_lhs, gf_C, gf_D, gf_regular, p_polynomial,
+                     triangular_stream)
 from .partitions import FamilySpec, count_table
 from .series import PochSpec, Series, pochhammer
 
@@ -318,8 +319,10 @@ def _req(value, name):
 
 
 def density_report(m: int, x: int) -> DensityStats:
-    """Census of vanishing correction coefficients for n < x, via the
-    triangular route, against the window sparsity bound
+    """Census of vanishing correction coefficients for n < x, counted from
+    `triangular_stream` (the triangular sum, streamed term by term over a
+    sparse window, so time grows like sqrt(x) and memory stays small),
+    against the window sparsity bound
     (2^(m-1) - m) * (isqrt(2x) + 1) + |support of the polynomial prefix|.
 
     A census above the bound is a finding, reported as
@@ -328,8 +331,7 @@ def density_report(m: int, x: int) -> DensityStats:
         raise ValueError("m must be >= 2")
     if x < 1:
         raise ValueError("x must be >= 1")
-    coeffs = epsilon(m, x - 1, "triangular").coeffs
-    nonzero = sum(1 for c in coeffs if c)
+    nonzero = sum(1 for _ in triangular_stream(m, x))
     zeros = x - nonzero
     p_support = sum(1 for c in p_polynomial(m).coeffs if c)
     window_bound = (2 ** (m - 1) - m) * (isqrt(2 * x) + 1) + p_support

@@ -322,11 +322,9 @@ def test_bad_ceiling_is_a_one_line_usage_error(ceiling):
 
 
 def test_density_bound_violation_exits_one_with_report(monkeypatch, runner):
-    from glaisher.series import Series
-
     module = sys.modules["glaisher.verify"]
-    monkeypatch.setattr(module, "epsilon", lambda m, precision, route:
-                        Series([1] * (precision + 1)))
+    monkeypatch.setattr(module, "triangular_stream", lambda m, x:
+                        ((n, 1) for n in range(x)))
     result = runner.invoke(main, ["density", "--m", "3", "--x", "1000",
                                   "--format", "json"])
     assert result.exit_code == 1

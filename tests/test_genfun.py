@@ -25,9 +25,10 @@ from glaisher.genfun import (
     gf_D,
     gf_regular,
     p_polynomial,
+    triangular_stream,
 )
 from glaisher.partitions import count_A, count_B, count_C, count_D
-from glaisher.ring import CycInt, cyc_root_power
+from glaisher.ring import CycInt, chi, cyc_root_power
 from glaisher.series import (
     NotIntegerCoefficientError,
     PochSpec,
@@ -36,6 +37,7 @@ from glaisher.series import (
     map_ring,
     pochhammer,
     qbinomial,
+    qbinomial_poly,
 )
 from glaisher.verify import _rhs_T19
 
@@ -361,6 +363,72 @@ def test_definition_route_keeps_the_integer_check(monkeypatch):
 def test_definition_equals_triangular(m, precision):
     assert epsilon(m, precision, "definition") == \
         epsilon(m, precision, "triangular")
+
+
+def _nonzero(series):
+    return [(n, c) for n, c in enumerate(series.coeffs) if c]
+
+
+@settings(deadline=None, database=None, max_examples=60)
+@given(st.integers(2, 12), st.integers(1, 20000))
+def test_triangular_stream_equals_dense_routes(m, x):
+    streamed = list(triangular_stream(m, x))
+    assert streamed == _nonzero(epsilon(m, x - 1, "triangular"))
+    assert streamed == _nonzero(epsilon(m, x - 1, "qbinomial"))
+
+
+@pytest.mark.parametrize("m,x", [(13, 1), (13, 2), (13, 3000), (20, 4000),
+                                 (60, 2500), (200, 300)])
+def test_triangular_stream_dense_terms_match(m, x):
+    # large m: the early, narrow terms are grown as dense lists
+    assert list(triangular_stream(m, x)) == \
+        _nonzero(epsilon(m, x - 1, "triangular"))
+
+
+def test_triangular_stream_validation():
+    with pytest.raises(ValueError):
+        next(triangular_stream(1, 10))
+    with pytest.raises(ValueError):
+        next(triangular_stream(3, 0))
+
+
+def _qbinomial_stream(m, x):
+    """The nonzero (n, eps_n) for n < x by the Gaussian-binomial route,
+    held sparsely: P_m, plus ([m-1, j]_q - 1) at T_k scaled by
+    (-1)^k chi_m(k - j), each exponent flushed once no later T_k can
+    reach it."""
+    deltas = []
+    for j in range(m):
+        qb = qbinomial_poly(m - 1 - j, j)
+        qb[0] -= 1
+        deltas.append([(e, c) for e, c in enumerate(qb) if c])
+    window = {e: c for e, c in enumerate(p_polynomial(m).coeffs) if c}
+    k = start = 0
+    while start < x:
+        sign = -1 if k & 1 else 1
+        for j, delta in enumerate(deltas):
+            for e, c in delta:
+                if start + e < x:
+                    window[start + e] = (window.get(start + e, 0)
+                                         + sign * chi(m, k - j) * c)
+        k += 1
+        start += k
+        for e in sorted(e for e in window if e < min(start, x)):
+            c = window.pop(e)
+            if c:
+                yield e, c
+
+
+def test_qbinomial_stream_reference_matches_dense():
+    for m, x in [(2, 1), (3, 50), (5, 1000), (8, 3000)]:
+        assert list(_qbinomial_stream(m, x)) == \
+            _nonzero(epsilon(m, x - 1, "qbinomial"))
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_triangular_stream_equals_qbinomial_stream_at_paper_scale(m):
+    x = 10 ** 6
+    assert list(triangular_stream(m, x)) == list(_qbinomial_stream(m, x))
 
 
 def test_gf_Bj_lhs_zero_blocks_is_one():

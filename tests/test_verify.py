@@ -224,6 +224,14 @@ def test_density_partitions_the_range(m, x):
     assert stats.p_support >= 1
 
 
+@pytest.mark.parametrize("x,nonzero", [(10 ** 6, 1415), (10 ** 7, 4473)])
+def test_density_m3_paper_scale_sits_one_below_its_bound(x, nonzero):
+    stats = density_report(3, x)
+    assert stats.nonzero_count == nonzero
+    assert stats.window_bound == nonzero + 1
+    assert stats.bound_satisfied
+
+
 def test_density_validation():
     with pytest.raises(ValueError):
         density_report(1, 100)
@@ -234,8 +242,8 @@ def test_density_validation():
 def test_density_bound_violation_is_reported(monkeypatch):
     # a census with every coefficient nonzero breaks any window bound
     module = sys.modules["glaisher.verify"]
-    monkeypatch.setattr(module, "epsilon", lambda m, precision, route:
-                        Series([1] * (precision + 1)))
+    monkeypatch.setattr(module, "triangular_stream", lambda m, x:
+                        ((n, 1) for n in range(x)))
     stats = density_report(3, 1000)
     assert not stats.bound_satisfied
     assert stats.nonzero_count == 1000
