@@ -6,15 +6,18 @@ different routes:
 * ``gf_regular`` expands the two classical product forms whose equality is
   Glaisher's theorem (bounded-multiplicity form and no-multiple form).
 * ``gf_C`` / ``gf_D`` expand the largest-part-multiple and
-  smallest-part-exactly-m families directly from their product/sum forms.
+  smallest-part-exactly-m families directly from their product/sum forms,
+  each block kept only to the coefficients it can still land; gf_D starts
+  from the partition numbers of Euler's pentagonal recurrence.
 * ``gf_Bj_lhs`` expands the finite and infinite largest-part-residue sums.
 * ``epsilon`` computes the correction series linking m*C and D by five
   independent routes: a cyclotomic product definition (one product per
-  root of unity, expanded over Z[x]/(x^m - 1) with each residue list
-  packed into one int, and reduced to Z[zeta_m] once at the end), a
-  triangular-number sum, a Gaussian-binomial rearrangement of that sum,
-  the raw difference m*gf_C - gf_D, and (for m = 3 only) a closed form
-  supported on shifted triangular numbers.
+  proper divisor d of m, expanded over Z[x]/(x^m - 1) with each residue
+  list packed into one int, carried to every root of order m/d by a
+  Galois permutation of residues, and reduced to Z[zeta_m] once at the
+  end), a triangular-number sum, a Gaussian-binomial rearrangement of that
+  sum, the raw difference m*gf_C - gf_D, and (for m = 3 only) a closed
+  form supported on shifted triangular numbers.
 * ``triangular_stream`` yields the nonzero coefficients of the triangular
   sum below x one at a time, each term held as a sparse dict (or, while
   it is narrow, a dense list) and flushed from a window of about m*sqrt(x)
@@ -37,10 +40,12 @@ No slot ever wraps.  Replace every sign and every x by 1: each cell of a
 partial product, at q^t, is then at most [q^t] prod_{i>=1} (1 + q^i)^2.
 That coefficient is at most e^(ut) prod_{i>=1} (1 + e^(-ui))^2 for every
 u > 0, and with sum_{i>=1} log(1 + e^(-ui)) <= pi^2/(12u) the best u
-bounds it by exp(pi*sqrt(2t/3)) <= exp(pi*sqrt(2N/3)).  An accumulator
-cell sums at most (m-1)(floor(N/m) + 1) such cells, one per root and
-block.  w holds the bits of that product, one sign bit and two guard bits
-against float rounding, rounded up to whole bytes
+bounds it by exp(pi*sqrt(2t/3)) <= exp(pi*sqrt(2N/3)).  The product for
+root j is the product for the divisor d = gcd(j, m) with its residues
+permuted, so a final accumulator cell still sums at most
+(m-1)(floor(N/m) + 1) such cells, one per root and block, and a
+divisor's accumulator fewer.  w holds the bits of that product, one sign
+bit and two guard bits against float rounding, rounded up to whole bytes
 (`_definition_slot_bits`).  Since the arithmetic is exact mod
 2^(w(N+1)), only the decoded accumulators need the bound; every product
 cell meets it too.
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from operator import add, sub
 
 from . import kernels
 from .ring import CycInt, chi, cyc_root_power
@@ -94,37 +100,76 @@ def gf_regular(m: int, which: str, precision: int) -> Series:
 
 def gf_C(m: int, precision: int) -> Series:
     """Largest-part-multiple family: sum over blocks n >= 0 of
-    q^(m n) * prod_{i<=n}(1 - q^(m i)) / prod_{i<=m n}(1 - q^i)."""
+    q^(m n) * prod_{i<=n}(1 - q^(m i)) / prod_{i<=m n}(1 - q^i).
+
+    Block n's term is held relative to q^(m n) and kept to the
+    precision - m n cells it can still land: exact, since multiplying or
+    dividing by (1 - q^k) never moves a coefficient down."""
     _check_m(m)
     _check_precision(precision)
     acc = [1] + [0] * precision  # n = 0 term
     term = [1] + [0] * precision
     n = 1
     while m * n <= precision:
-        # term_n = term_{n-1} * q^m * (1 - q^(m n)) / ((1-q^(mn-m+1))...(1-q^(mn)))
-        term = [0] * m + term[: precision + 1 - m]
+        # term_n = term_{n-1} * (1 - q^(m n)) / ((1-q^(mn-m+1))...(1-q^(mn)))
+        del term[precision - m * n + 1:]
         kernels.mul_one_minus_uqk(term, 1, m * n)
         for r in range(m * (n - 1) + 1, m * n + 1):
             kernels.div_one_minus_uqk(term, 1, r)
-        kernels.add_scaled_shifted(acc, term, 0, 1)
+        kernels.add_scaled_shifted(acc, term, m * n, 1)
         n += 1
     return Series._wrap(acc)
 
 
+def _pentagonal(limit: int) -> list[tuple[int, int]]:
+    """The generalized pentagonal numbers k(3k -+ 1)/2 in 1..limit, in
+    increasing order, each with its sign (-1)^k in
+    (q; q)_inf = sum_k (-1)^k q^(k(3k-1)/2)."""
+    out = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= limit:
+        sign = -1 if k & 1 else 1
+        out.append((k * (3 * k - 1) // 2, sign))
+        if k * (3 * k + 1) // 2 <= limit:
+            out.append((k * (3 * k + 1) // 2, sign))
+        k += 1
+    return out
+
+
+def _euler_inverse(precision: int) -> list[int]:
+    """The coefficients of 1/(q; q)_inf, the partition numbers p(0..N), by
+    Euler's pentagonal recurrence p(n) = -sum_(g >= 1) s_g p(n - g) over the
+    generalized pentagonal numbers g with sign s_g: O(N^1.5)."""
+    p = [1] + [0] * precision
+    pent = _pentagonal(precision)
+    odd = [g for g, sign in pent if sign < 0]  # k odd: p(n - g) adds
+    even = [g for g, sign in pent if sign > 0]
+    for n in range(1, precision + 1):
+        p[n] = (sum(p[n - g] for g in odd if g <= n)
+                - sum(p[n - g] for g in even if g <= n))
+    return p
+
+
 def gf_D(m: int, precision: int) -> Series:
     """Smallest-part-exactly-m family: sum over the smallest part j >= 0 of
-    q^(m j) * prod_{i > j} (1 + q^i + ... + q^((m-1)i))."""
+    q^(m j) * prod_{i > j} (1 + q^i + ... + q^((m-1)i)).
+
+    The j = 0 product prod_i (1 - q^(m i))/(1 - q^i) is built as
+    (q^m; q^m)_inf / (q; q)_inf: the partition numbers from Euler's
+    pentagonal recurrence, times the sparse (q^m; q^m)_inf, one shifted add
+    per pentagonal exponent.  Each later product is kept to the
+    precision - m j cells it can still land."""
     _check_m(m)
     _check_precision(precision)
-    inner = [1] + [0] * precision
-    for i in range(1, precision + 1):
-        kernels.div_one_minus_uqk(inner, 1, i)
-        if m * i <= precision:
-            kernels.mul_one_minus_uqk(inner, 1, m * i)
+    partitions = _euler_inverse(precision)
+    inner = list(partitions)
+    for g, sign in _pentagonal(precision // m):
+        kernels.add_scaled_shifted(inner, partitions, m * g, sign)
     acc = list(inner)  # j = 0
     j = 1
     while m * j <= precision:
         # drop the i = j factor: multiply back (1 - q^j) / (1 - q^(m j))
+        del inner[precision - m * j + 1:]
         kernels.mul_one_minus_uqk(inner, 1, j)
         kernels.div_one_minus_uqk(inner, 1, m * j)
         kernels.add_scaled_shifted(acc, inner, m * j, 1)
@@ -173,22 +218,32 @@ def gf_Bj_lhs(m: int, n_sum: int | None, precision: int) -> Series:
 def p_polynomial(m: int) -> Series:
     """The finite polynomial prefix of the Gaussian-binomial route:
     - sum_j [m-1, j]_q * sum_{k<j} (-1)^k chi_m(k - j) q^(T_k).
-    Returned at its exact degree (< m(m-1)/2)."""
+    Returned at its exact degree (< m(m-1)/2).
+
+    Since 0 < j - k < m, chi_m(k - j) = -1, so this is
+    sum_{k <= m-2} (-1)^k q^(T_k) S_k with the suffix sums
+    S_k = sum_{j > k} [m-1, j]_q, read off one row of Gaussian binomials
+    built by the q-Pascal rule [n, j]_q = [n-1, j-1]_q + q^j [n-1, j]_q."""
     _check_m(m)
-    bound = m * (m - 1)  # generous; trimmed below
-    out = [0] * (bound + 1)
-    for j in range(m):
-        qb = qbinomial_poly(m - 1 - j, j)
-        inner = [0] * (_tri(j - 1) + 1 if j else 1)
-        for k in range(j):
-            inner[_tri(k)] += (-1 if k & 1 else 1) * chi(m, k - j)
-        if not any(inner):
-            continue
-        for a, ca in enumerate(qb):
-            if ca:
-                for b, cb in enumerate(inner):
-                    if cb:
-                        out[a + b] -= ca * cb
+    row = [[1]]  # [n, j]_q for j = 0..n, starting at n = 0
+    for n in range(1, m):
+        grown = [[1]]
+        for j in range(1, n):
+            lower, upper = row[j - 1], row[j]
+            poly = lower + [0] * (j + len(upper) - len(lower))
+            poly[j:] = map(add, poly[j:], upper)
+            grown.append(poly)
+        grown.append([1])
+        row = grown
+    out = [0] * (m * (m - 1) // 2 + len(row[(m - 1) // 2]))
+    suffix = [0] * len(row[(m - 1) // 2])  # S_k, from k = m - 2 down
+    for k in range(m - 2, -1, -1):
+        suffix[:len(row[k + 1])] = map(add, suffix, row[k + 1])
+        shift = _tri(k)
+        if k & 1:
+            out[shift:shift + len(suffix)] = map(sub, out[shift:], suffix)
+        else:
+            out[shift:shift + len(suffix)] = map(add, out[shift:], suffix)
     deg = 0
     for i, c in enumerate(out):
         if c:
@@ -236,6 +291,19 @@ def _mul_packed_pair(p: list[int], j: int, s: int, keep: int, keep2: int,
             p[r] = (x + ((y & keep2) << 2 * s) - (((x + y) & keep) << s)) & mask
 
 
+def _galois_images(m: int) -> dict[int, list[list[int]]]:
+    """For each proper divisor d of m, the residue permutations r -> u r
+    (mod m) that carry the root-d product to the root-j one, one per root j
+    with gcd(j, m) = d: u is the first unit with u d = j (mod m)."""
+    units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+    images = {d: [] for d in range(1, m) if m % d == 0}
+    for j in range(1, m):
+        d = math.gcd(j, m)
+        u = next(u for u in units if u * d % m == j)
+        images[d].append([u * r % m for r in range(m)])
+    return images
+
+
 def _epsilon_definition(m: int, precision: int) -> Series:
     """Cyclotomic route: sum over n >= 0 of q^(m n) (q^(n+1); q)_inf times
     the sum over j of (zeta_m^j q^(n+1); q)_inf.
@@ -243,32 +311,47 @@ def _epsilon_definition(m: int, precision: int) -> Series:
     With x standing for zeta_m, the product for root j has factors
     (1 - x^j q^i) and is held as m residue lists W_0..W_(m-1) of
     Z[x]/(x^m - 1), each packed into one int (see the module docstring).
-    The sum over roots stays a sum of m - 1 separate products.  Only at the
-    end is each accumulated residue decoded and x^r sent to zeta_m^r, once
-    per residue, and the coefficients over Z[zeta_m] (CycInt) checked down
-    to Z by `map_ring`.
+    For gcd(u, m) = 1, x -> x^u is a ring automorphism of Z[x]/(x^m - 1)
+    that sends the root-d product to the root-(u d mod m) one, and on the
+    residue lists it is the permutation r -> u r mod m.  So only one
+    product is expanded per proper divisor d of m, each with its own
+    accumulator; after the last block every accumulator is added, permuted,
+    into each root j with gcd(j, m) = d.  Only at the end is each
+    accumulated residue decoded and x^r sent to zeta_m^r, once per residue,
+    and the coefficients over Z[zeta_m] (CycInt) checked down to Z by
+    `map_ring`.
 
     Worked from the top block downward so each step multiplies two linear
     factors instead of rebuilding the infinite products."""
     w = _definition_slot_bits(m, precision)
     mask = (1 << w * (precision + 1)) - 1
-    prods = [[1] + [0] * (m - 1) for _ in range(1, m)]
-    acc = [0] * m
+    images = _galois_images(m)
+    prods = {d: [1] + [0] * (m - 1) for d in images}
+    accs = {d: [0] * m for d in images}
     top = precision
     for n in range(precision // m, -1, -1):
         for i in range(top, n, -1):  # the factors i > n, not yet applied
             s = w * i
             keep = mask >> s
             keep2 = keep >> s
-            for j, p in enumerate(prods, 1):
-                _mul_packed_pair(p, j, s, keep, keep2, mask)
+            for d, p in prods.items():
+                _mul_packed_pair(p, d, s, keep, keep2, mask)
         top = n
         s = w * m * n
         keep = mask >> s
-        for r in range(m):
-            acc[r] += (sum(p[r] for p in prods) & keep) << s
+        for d, p in prods.items():
+            acc = accs[d]
+            for r, x in enumerate(p):
+                if x:
+                    acc[r] += (x & keep) << s
+    total = [0] * m
+    for d, acc in accs.items():
+        for perm in images[d]:
+            for r, a in enumerate(acc):
+                if a:
+                    total[perm[r]] += a
     out = [CycInt.zero(m)] * (precision + 1)
-    for r, a in enumerate(acc):
+    for r, a in enumerate(total):
         kernels.add_scaled_shifted(out, _unpack_signed(a, w, precision), 0,
                                    cyc_root_power(m, r))
     return map_ring(out)

@@ -102,7 +102,8 @@ class CycInt:
     """An element of Z[zeta_m] in the power basis modulo Phi_m.
 
     Immutable; supports +, -, * with other CycInt of the same m and with
-    plain ints (coerced to constants).
+    plain ints (coerced to constants; a product by an int just scales the
+    coordinates).
     """
 
     __slots__ = ("m", "coords")
@@ -176,6 +177,8 @@ class CycInt:
         return CycInt._wrap(self.m, tuple(map(neg, self.coords)))
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return CycInt._wrap(self.m, tuple(c * other for c in self.coords))
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -97,6 +97,59 @@ def test_gf_D_examples():
     assert gf_D(2, 8).coeff(0) == 1
 
 
+def _gf_C_full_width(m, precision):
+    """The largest-part-multiple sum with each block's term kept at its
+    absolute exponents, to the full precision."""
+    acc = [1] + [0] * precision
+    term = [1] + [0] * precision
+    n = 1
+    while m * n <= precision:
+        term = [0] * m + term[: precision + 1 - m]
+        kernels.mul_one_minus_uqk(term, 1, m * n)
+        for r in range(m * (n - 1) + 1, m * n + 1):
+            kernels.div_one_minus_uqk(term, 1, r)
+        kernels.add_scaled_shifted(acc, term, 0, 1)
+        n += 1
+    return acc
+
+
+def _gf_D_full_width(m, precision):
+    """The smallest-part-exactly-m sum with the starting product built
+    factor by factor and every product kept to the full precision."""
+    inner = [1] + [0] * precision
+    for i in range(1, precision + 1):
+        kernels.div_one_minus_uqk(inner, 1, i)
+        if m * i <= precision:
+            kernels.mul_one_minus_uqk(inner, 1, m * i)
+    acc = list(inner)
+    j = 1
+    while m * j <= precision:
+        kernels.mul_one_minus_uqk(inner, 1, j)
+        kernels.div_one_minus_uqk(inner, 1, m * j)
+        kernels.add_scaled_shifted(acc, inner, m * j, 1)
+        j += 1
+    return acc
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_gf_C_and_gf_D_truncated_match_full_width(m):
+    rng = random.Random(70 + m)
+    for precision in (0, 1, m - 1, m, m + 1, rng.randint(0, 400),
+                      rng.randint(0, 400)):
+        assert list(gf_C(m, precision).coeffs) == \
+            _gf_C_full_width(m, precision), precision
+        assert list(gf_D(m, precision).coeffs) == \
+            _gf_D_full_width(m, precision), precision
+
+
+def test_pentagonal_recurrence_counts_partitions():
+    # with m > n, no part is excluded from a B-partition of n: count_B is p(n)
+    n_max = 200
+    assert genfun._euler_inverse(n_max) == \
+        [count_B(n_max + 1, n) for n in range(n_max + 1)]
+    assert genfun._euler_inverse(0) == [1]
+
+
 @pytest.mark.parametrize("m", range(2, 6))
 def test_gf_matches_dp_counters(m):
     n_max = 120
@@ -211,6 +264,27 @@ def test_p_polynomial_is_consistent_across_routes(m):
     assert epsilon(m, 60, "qbinomial") == epsilon(m, 60, "triangular")
 
 
+def _p_polynomial_double_loop(m):
+    """P_m straight from its definition: each [m-1, j]_q times its inner
+    character sum, convolved term by term."""
+    out = [0] * (m * (m - 1) + 1)
+    for j in range(m):
+        qb = qbinomial_poly(m - 1 - j, j)
+        inner = [0] * (genfun._tri(j - 1) + 1 if j else 1)
+        for k in range(j):
+            inner[genfun._tri(k)] += (-1 if k & 1 else 1) * chi(m, k - j)
+        for a, ca in enumerate(qb):
+            for b, cb in enumerate(inner):
+                out[a + b] -= ca * cb
+    deg = max((i for i, c in enumerate(out) if c), default=0)
+    return tuple(out[: deg + 1])
+
+
+@pytest.mark.parametrize("m", [*range(2, 31), 40])
+def test_p_polynomial_matches_double_loop(m):
+    assert p_polynomial(m).coeffs == _p_polynomial_double_loop(m)
+
+
 def test_epsilon_tiny_precisions():
     assert epsilon(3, 0, "definition").coeffs == (2,)
     assert epsilon(3, 1, "definition").coeffs == (2, -1)
@@ -290,6 +364,60 @@ def _epsilon_definition_lists(m, precision, peaks=None):
     for r, a in enumerate(acc):
         kernels.add_scaled_shifted(out, a, 0, cyc_root_power(m, r))
     return map_ring(out)
+
+
+def _epsilon_definition_per_root(m, precision):
+    """The packed definition route with one product per root j = 1..m-1,
+    each multiplied by (1 - q^i)(1 - x^j q^i) and all summed into one
+    accumulator per residue in every block."""
+    w = genfun._definition_slot_bits(m, precision)
+    mask = (1 << w * (precision + 1)) - 1
+    prods = [[1] + [0] * (m - 1) for _ in range(1, m)]
+    acc = [0] * m
+    top = precision
+    for n in range(precision // m, -1, -1):
+        for i in range(top, n, -1):
+            s = w * i
+            keep = mask >> s
+            keep2 = keep >> s
+            for j, p in enumerate(prods, 1):
+                genfun._mul_packed_pair(p, j, s, keep, keep2, mask)
+        top = n
+        s = w * m * n
+        keep = mask >> s
+        for r in range(m):
+            acc[r] += (sum(p[r] for p in prods) & keep) << s
+    out = [CycInt.zero(m)] * (precision + 1)
+    for r, a in enumerate(acc):
+        kernels.add_scaled_shifted(out, genfun._unpack_signed(a, w, precision),
+                                   0, cyc_root_power(m, r))
+    return map_ring(out)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 9, 12, 30])
+def test_definition_per_divisor_matches_per_root(m):
+    # composite m: the roots with gcd(j, m) = d > 1 are Galois images of
+    # the root-d product, not of the root-1 one
+    for precision in sorted({0, 1, m - 1, m, m + 1, 150}):
+        assert epsilon(m, precision, "definition") == \
+            _epsilon_definition_per_root(m, precision), precision
+
+
+@pytest.mark.parametrize("m,precision", [(2, 40), (3, 0), (3, 41), (4, 30),
+                                         (5, 17), (6, 36), (7, 20), (12, 25),
+                                         (30, 31)])
+def test_definition_expands_one_product_per_proper_divisor(
+        monkeypatch, m, precision):
+    calls = []
+
+    def counted(p, j, *args, _real=genfun._mul_packed_pair):
+        calls.append(j)
+        return _real(p, j, *args)
+    monkeypatch.setattr(genfun, "_mul_packed_pair", counted)
+    epsilon(m, precision, "definition")
+    divisors = [d for d in range(1, m) if m % d == 0]
+    assert len(calls) == len(divisors) * precision
+    assert sorted(set(calls)) == (divisors if precision else [])
 
 
 _SLOT_GRID = sorted({(m, n) for m in (*range(2, 10), 12, 20)

@@ -164,6 +164,21 @@ def test_ring_axioms_on_random_triples(m):
         assert a + CycInt.zero(m) == a
 
 
+@pytest.mark.parametrize("m", range(2, 13))
+def test_int_scaling_matches_constant_product(m):
+    # a plain int scales the coordinates; the full product by the constant
+    # CycInt is the reference
+    rng = random.Random(4321 + m)
+    phi = euler_phi(m)
+    ks = [0, 1, -1, 2, -7, 10 ** 30, -(10 ** 30)]
+    for k in ks + rng.sample(range(-999, 999), 5):
+        a = CycInt(m, tuple(rng.randint(-(10 ** 20), 10 ** 20)
+                            for _ in range(phi)))
+        expected = a * CycInt.from_int(m, k)
+        assert a * k == expected
+        assert k * a == expected
+
+
 def test_immutable():
     a = CycInt.one(3)
     with pytest.raises(AttributeError):
