@@ -170,7 +170,7 @@ def count(family, m, j, n_max, fmt, out):
         raise click.UsageError(str(exc))
     fh = _open_out(out)
     table = count_table(spec, n_max)
-    rows = [(n, str(c)) for n, c in enumerate(table.counts)]
+    values = [str(c) for c in table.counts]
     if fmt == "json":
         payload = {
             "command": "count",
@@ -178,16 +178,16 @@ def count(family, m, j, n_max, fmt, out):
             "m": m,
             "j": j,
             "n_max": n_max,
-            "counts": [str(c) for c in table.counts],
+            "counts": values,
         }
         _emit(json.dumps(payload, indent=2), fh)
     elif fmt == "csv":
-        _emit(_csv_rows(("n", "value"), rows), fh)
+        _emit(_csv_rows(("n", "value"), enumerate(values)), fh)
     else:
-        width = max(len(r[1]) for r in rows)
+        width = max(map(len, values))
         lines = [f"{family}_{m}" + (f"^({j})" if j is not None else "") +
                  f" counts for n = 0..{n_max}"]
-        lines += [f"{n:>6}  {v:>{width}}" for n, v in rows]
+        lines += [f"{n:>6}  {v:>{width}}" for n, v in enumerate(values)]
         _emit("\n".join(lines), fh)
 
 
@@ -227,7 +227,7 @@ def expand(series_name, m, precision, n_sum, route, fmt, out):
             s = p_polynomial(m)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    rows = [(n, str(c)) for n, c in enumerate(s.coeffs)]
+    values = [str(c) for c in s.coeffs]
     if fmt == "json":
         payload = {
             "command": "expand",
@@ -235,15 +235,15 @@ def expand(series_name, m, precision, n_sum, route, fmt, out):
             "m": m,
             "precision": s.precision,
             "route": route if series_name == "epsilon" else None,
-            "coefficients": [str(c) for c in s.coeffs],
+            "coefficients": values,
         }
         _emit(json.dumps(payload, indent=2), fh)
     elif fmt == "csv":
-        _emit(_csv_rows(("n", "value"), rows), fh)
+        _emit(_csv_rows(("n", "value"), enumerate(values)), fh)
     else:
-        width = max(len(r[1]) for r in rows)
+        width = max(map(len, values))
         lines = [f"{series_name} (m = {m}) to q^{s.precision}"]
-        lines += [f"{n:>6}  {v:>{width}}" for n, v in rows]
+        lines += [f"{n:>6}  {v:>{width}}" for n, v in enumerate(values)]
         _emit("\n".join(lines), fh)
 
 

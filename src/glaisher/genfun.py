@@ -4,12 +4,17 @@ Every series the verifier compares is constructed here, by deliberately
 different routes:
 
 * ``gf_regular`` expands the two classical product forms whose equality is
-  Glaisher's theorem (bounded-multiplicity form and no-multiple form).
+  Glaisher's theorem: the bounded-multiplicity form as
+  (q^m; q^m)_inf / (q; q)_inf, the partition numbers of Euler's pentagonal
+  recurrence times one shifted add per pentagonal exponent (O(N^1.5)), and
+  the no-multiple form as one division per factor, largest factor first.
 * ``gf_C`` / ``gf_D`` expand the largest-part-multiple and
   smallest-part-exactly-m families directly from their product/sum forms,
   each block kept only to the coefficients it can still land; gf_D starts
-  from the partition numbers of Euler's pentagonal recurrence.
-* ``gf_Bj_lhs`` expands the finite and infinite largest-part-residue sums.
+  from the bounded-multiplicity product of gf_regular.
+* ``gf_Bj_lhs`` expands the finite and infinite largest-part-residue sums
+  by Horner's rule over the part sizes: every denominator is a prefix of
+  prod_(m not| k) (1 - q^k), so the sum takes one division per part size.
 * ``epsilon`` computes the correction series linking m*C and D by five
   independent routes: a cyclotomic product definition (one product per
   proper divisor d of m, expanded over Z[x]/(x^m - 1) with each residue
@@ -79,22 +84,21 @@ def gf_regular(m: int, which: str, precision: int) -> Series:
     """The generating function of m-regular partition counts, as either the
     bounded-multiplicity product (A_product: factors
     1 + q^i + ... + q^((m-1)i)) or the no-multiple product (B_product:
-    1 / prod_{m not| k} (1 - q^k))."""
+    1 / prod_{m not| k} (1 - q^k)).
+
+    A_product is (q^m; q^m)_inf / (q; q)_inf, built by `_bounded_product`
+    in O(N^1.5).  B_product divides by its factors from k = N down to 1, so
+    the early lists are mostly zeros, which the kernel skips."""
     _check_m(m)
     if which not in GF_REGULAR_FORMS:
         raise ValueError(f"which must be one of {GF_REGULAR_FORMS}")
     _check_precision(precision)
+    if which == "A_product":
+        return Series._wrap(_bounded_product(m, precision))
     c = [1] + [0] * precision
-    if which == "B_product":
-        for k in range(1, precision + 1):
-            if k % m:
-                kernels.div_one_minus_uqk(c, 1, k)
-    else:
-        for i in range(1, precision + 1):
-            # (1 - q^(m i)) / (1 - q^i), expanded exactly
-            kernels.div_one_minus_uqk(c, 1, i)
-            if m * i <= precision:
-                kernels.mul_one_minus_uqk(c, 1, m * i)
+    for k in range(precision, 0, -1):
+        if k % m:
+            kernels.div_one_minus_uqk(c, 1, k)
     return Series._wrap(c)
 
 
@@ -142,29 +146,39 @@ def _euler_inverse(precision: int) -> list[int]:
     generalized pentagonal numbers g with sign s_g: O(N^1.5)."""
     p = [1] + [0] * precision
     pent = _pentagonal(precision)
-    odd = [g for g, sign in pent if sign < 0]  # k odd: p(n - g) adds
-    even = [g for g, sign in pent if sign > 0]
+    odd, even = [], []  # the exponents g <= n; k odd: p(n - g) adds
+    live = 0
     for n in range(1, precision + 1):
-        p[n] = (sum(p[n - g] for g in odd if g <= n)
-                - sum(p[n - g] for g in even if g <= n))
+        if live < len(pent) and pent[live][0] == n:  # distinct, increasing
+            g, sign = pent[live]
+            (odd if sign < 0 else even).append(g)
+            live += 1
+        p[n] = sum([p[n - g] for g in odd]) - sum([p[n - g] for g in even])
     return p
+
+
+def _bounded_product(m: int, precision: int) -> list[int]:
+    """The coefficients of prod_i (1 - q^(m i))/(1 - q^i) =
+    (q^m; q^m)_inf / (q; q)_inf: the partition numbers from Euler's
+    pentagonal recurrence, times the sparse (q^m; q^m)_inf, one shifted add
+    per pentagonal exponent."""
+    partitions = _euler_inverse(precision)
+    out = list(partitions)
+    for g, sign in _pentagonal(precision // m):
+        kernels.add_scaled_shifted(out, partitions, m * g, sign)
+    return out
 
 
 def gf_D(m: int, precision: int) -> Series:
     """Smallest-part-exactly-m family: sum over the smallest part j >= 0 of
     q^(m j) * prod_{i > j} (1 + q^i + ... + q^((m-1)i)).
 
-    The j = 0 product prod_i (1 - q^(m i))/(1 - q^i) is built as
-    (q^m; q^m)_inf / (q; q)_inf: the partition numbers from Euler's
-    pentagonal recurrence, times the sparse (q^m; q^m)_inf, one shifted add
-    per pentagonal exponent.  Each later product is kept to the
-    precision - m j cells it can still land."""
+    The j = 0 product is `_bounded_product`, the A_product of `gf_regular`.
+    Each later product is kept to the precision - m j cells it can still
+    land."""
     _check_m(m)
     _check_precision(precision)
-    partitions = _euler_inverse(precision)
-    inner = list(partitions)
-    for g, sign in _pentagonal(precision // m):
-        kernels.add_scaled_shifted(inner, partitions, m * g, sign)
+    inner = _bounded_product(m, precision)
     acc = list(inner)  # j = 0
     j = 1
     while m * j <= precision:
@@ -185,34 +199,26 @@ def gf_Bj_lhs(m: int, n_sum: int | None, precision: int) -> Series:
     n_sum bounds the outer sum; None means sum until the leading exponent
     m n - j clears the precision.
 
-    Each block lands its working series at a higher shift than the one
-    before, so the series is kept only to the coefficients the next block
-    can still land: exact, since dividing by (1 - q^k) never moves a
-    coefficient down."""
+    The (n, j) denominator is exactly prod (1 - q^k) over k <= m n - j with
+    m not| k: residue r runs through r, r + m, ..., up to the last value
+    <= m n - j.  As (n, j) ranges, L = m n - j runs once through every
+    non-multiple of m, so the sum is
+    1 + sum_(L <= top, m not| L) q^L prod_(k <= L, m not| k) 1/(1 - q^k),
+    with top = N, or min(N, m n_sum - 1) when n_sum is given.  It is
+    evaluated by Horner's rule from k = top down: h <- (h + q^k)/(1 - q^k)
+    over the non-multiples k, then 1 + h.  One division per part size."""
     _check_m(m)
     if n_sum is not None and n_sum < 0:
         raise ValueError("n_sum must be non-negative or None")
     _check_precision(precision)
-    acc = [0] * (precision + 1)
-    acc[0] = 1
-    for j in range(max(1, m - precision), m):  # residues that land at all
-        shift = m - j
-        v = [1] + [0] * (precision - shift)
-        for r in range(1, m - j + 1):
-            kernels.div_one_minus_uqk(v, 1, r)
-        n = 1
-        while (n_sum is None or n <= n_sum) and shift <= precision:
-            kernels.add_scaled_shifted(acc, v, shift, 1)
-            n += 1
-            shift += m
-            if (n_sum is not None and n > n_sum) or shift > precision:
-                break
-            del v[precision - shift + 1:]
-            for r in range(1, m - j + 1):
-                kernels.div_one_minus_uqk(v, 1, r + m * (n - 1))
-            for r in range(m - j + 1, m):
-                kernels.div_one_minus_uqk(v, 1, r + m * (n - 2))
-    return Series._wrap(acc)
+    top = precision if n_sum is None else min(precision, m * n_sum - 1)
+    h = [0] * (precision + 1)
+    for k in range(top, 0, -1):
+        if k % m:
+            h[k] += 1
+            kernels.div_one_minus_uqk(h, 1, k)
+    h[0] += 1
+    return Series._wrap(h)
 
 
 def p_polynomial(m: int) -> Series:

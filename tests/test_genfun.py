@@ -86,6 +86,43 @@ def test_gf_regular_rejects_unknown_form():
         gf_regular(3, "C_product", 5)
 
 
+def _gf_regular_A_interleaved(m, precision):
+    """The bounded-multiplicity product factor by factor: divide by
+    (1 - q^i) and multiply back (1 - q^(m i)) for each i in turn."""
+    c = [1] + [0] * precision
+    for i in range(1, precision + 1):
+        kernels.div_one_minus_uqk(c, 1, i)
+        if m * i <= precision:
+            kernels.mul_one_minus_uqk(c, 1, m * i)
+    return c
+
+
+def _gf_regular_B_ascending(m, precision):
+    """The no-multiple product, dividing by its factors smallest first."""
+    c = [1] + [0] * precision
+    for k in range(1, precision + 1):
+        if k % m:
+            kernels.div_one_minus_uqk(c, 1, k)
+    return c
+
+
+_M_GRID = [*range(2, 10), 12, 30]
+
+
+def _precision_grid(m, rng):
+    return sorted({0, 1, m - 1, m, m + 1, rng.randint(0, 400),
+                   rng.randint(0, 400)})
+
+
+@pytest.mark.parametrize("m", _M_GRID)
+def test_gf_regular_matches_factor_loops(m):
+    for precision in _precision_grid(m, random.Random(90 + m)):
+        assert list(gf_regular(m, "A_product", precision).coeffs) == \
+            _gf_regular_A_interleaved(m, precision), precision
+        assert list(gf_regular(m, "B_product", precision).coeffs) == \
+            _gf_regular_B_ascending(m, precision), precision
+
+
 def test_gf_C_examples():
     assert gf_C(3, 6).coeffs == (1, 0, 0, 1, 1, 2, 3)
     for m in range(2, 7):
@@ -116,11 +153,7 @@ def _gf_C_full_width(m, precision):
 def _gf_D_full_width(m, precision):
     """The smallest-part-exactly-m sum with the starting product built
     factor by factor and every product kept to the full precision."""
-    inner = [1] + [0] * precision
-    for i in range(1, precision + 1):
-        kernels.div_one_minus_uqk(inner, 1, i)
-        if m * i <= precision:
-            kernels.mul_one_minus_uqk(inner, 1, m * i)
+    inner = _gf_regular_A_interleaved(m, precision)
     acc = list(inner)
     j = 1
     while m * j <= precision:
@@ -585,13 +618,47 @@ def _gf_Bj_lhs_full_width(m, n_sum, precision):
     return acc
 
 
-@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("m", _M_GRID)
 def test_gf_Bj_lhs_truncated_blocks_match_full_width(m):
+    # the Horner evaluation against the sum over blocks and residues
     rng = random.Random(40 + m)
-    for n_sum in (None, 1, 2, 3, 4, 5, 6):
-        for precision in (0, 1, m - 1, m, rng.randint(0, 300), rng.randint(0, 300)):
+    for precision in _precision_grid(m, rng):
+        for n_sum in (None, 0, 1, 2, 3, 4, 5, 6, 7, rng.randint(0, 60)):
             assert list(gf_Bj_lhs(m, n_sum, precision).coeffs) == \
                 _gf_Bj_lhs_full_width(m, n_sum, precision), (n_sum, precision)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = {}
+    for name in ("mul_one_minus_uqk", "div_one_minus_uqk", "add_scaled_shifted"):
+        def counted(*args, _name=name, _real=getattr(kernels, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", _M_GRID)
+def test_gf_Bj_lhs_divides_once_per_part_size(monkeypatch, m):
+    calls = _count_kernel_calls(monkeypatch)
+    rng = random.Random(60 + m)
+    for precision in _precision_grid(m, rng):
+        for n_sum in (None, 0, 1, 2, 3, 7, rng.randint(0, 60)):
+            calls.clear()
+            gf_Bj_lhs(m, n_sum, precision)
+            top = precision if n_sum is None else min(precision, m * n_sum - 1)
+            parts = sum(1 for k in range(1, top + 1) if k % m)
+            expected = {"div_one_minus_uqk": parts} if parts else {}
+            assert calls == expected, (precision, n_sum)
+
+
+@pytest.mark.parametrize("m", _M_GRID)
+def test_gf_regular_A_product_neither_divides_nor_multiplies(monkeypatch, m):
+    calls = _count_kernel_calls(monkeypatch)
+    for precision in _precision_grid(m, random.Random(80 + m)):
+        calls.clear()
+        gf_regular(m, "A_product", precision)
+        assert set(calls) <= {"add_scaled_shifted"}, precision
 
 
 # -- loops bounded by the precision, not by m ---------------------------------
@@ -635,7 +702,7 @@ def test_kernel_calls_stop_growing_with_m(monkeypatch, route, precision):
 @pytest.mark.parametrize("precision", [0, 1, 5, 40, 58, 59, 60, 61])
 def test_m_bounded_loops_match_uncapped_loops(precision):
     m = 60
-    for n_sum in (None, 1, 2):
+    for n_sum in (None, 0, 1, 2, 3, 7):
         assert list(gf_Bj_lhs(m, n_sum, precision).coeffs) == \
             _gf_Bj_lhs_full_width(m, n_sum, precision)
     for n_sum in (1, 2):
