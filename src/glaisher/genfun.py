@@ -146,14 +146,11 @@ def _euler_inverse(precision: int) -> list[int]:
     generalized pentagonal numbers g with sign s_g: O(N^1.5)."""
     p = [1] + [0] * precision
     pent = _pentagonal(precision)
-    odd, even = [], []  # the exponents g <= n; k odd: p(n - g) adds
-    live = 0
+    odd = [g for g, sign in pent if sign < 0]  # k odd: p(n - g) adds
+    even = [g for g, sign in pent if sign > 0]
     for n in range(1, precision + 1):
-        if live < len(pent) and pent[live][0] == n:  # distinct, increasing
-            g, sign = pent[live]
-            (odd if sign < 0 else even).append(g)
-            live += 1
-        p[n] = sum([p[n - g] for g in odd]) - sum([p[n - g] for g in even])
+        p[n] = (sum(p[n - g] for g in odd if g <= n)
+                - sum(p[n - g] for g in even if g <= n))
     return p
 
 

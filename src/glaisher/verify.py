@@ -261,9 +261,13 @@ def _verify_T19(m: int, n_sum: int, precision: int, t0) -> IdentityReport:
 
 
 def _verify_C110(m: int, precision: int, t0) -> IdentityReport:
+    # The product side is A_product, not B_product: B_product divides by
+    # (1 - q^k) for the same k as the sum's Horner pass, so the two lists
+    # would differ by 1 after every step and a faulty division would cancel.
+    # A_product (Euler's recurrence) makes no division; T1.2 ties it to B.
     def check():
         _first_mismatch(range(precision + 1), gf_Bj_lhs(m, None, precision).coeffs,
-                        gf_regular(m, "B_product", precision).coeffs,
+                        gf_regular(m, "A_product", precision).coeffs,
                         "[q^{}] sum".format, "[q^{}] product".format)
 
     return _finish("C1.10", m, (0, precision), ["sum", "product"], t0, check)

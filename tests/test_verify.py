@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from glaisher import partitions
+from glaisher import kernels, partitions
 from glaisher.series import Series
 from glaisher.verify import THEOREMS, density_report, verify
 
@@ -181,6 +181,22 @@ def test_T19_requires_n_sum():
 @pytest.mark.parametrize("m", range(2, 5))
 def test_C110_passes(m):
     assert verify("C1.10", m, precision=100).passed
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_C110_catches_a_faulty_division(monkeypatch, m):
+    """The sum divides by (1 - q^k) once per part size; the product side
+    must not divide the same way, or the fault would cancel."""
+    real = kernels.div_one_minus_uqk
+
+    def faulty(coeffs, u, k):
+        real(coeffs, u, k)
+        if k == m + 1 and len(coeffs) > 30:
+            coeffs[30] += 1
+    monkeypatch.setattr(kernels, "div_one_minus_uqk", faulty)
+    report = verify("C1.10", m, precision=60)
+    assert report.status == "fail"
+    assert report.first_failure[0] == 30
 
 
 def test_verify_validation():
