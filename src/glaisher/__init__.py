@@ -6,10 +6,10 @@ series over Z (`series`), combinatorial counters with a brute-force oracle
 (`genfun`), and theorem checking / density scans (`verify`), fronted by the
 `glaisher` CLI.  Z[zeta_m] appears only as scalars (`CycInt`) and, at
 the end of the cyclotomic `definition` route, as one coefficient list that
-`map_ring` checks down to an integer `Series`; that route expands one
-product per proper divisor of m over Z[x]/(x^m - 1), each residue list
-packed into one int, and reads every root's share off it by a Galois
-permutation of residues.
+`map_ring` checks down to an integer `Series`; that route expands the
+root-1 product alone over Z[x]/(x^m - 1), each residue list packed into
+one int, and reads every root j's share off it by the residue map
+r -> j r mod m of x -> x^j.
 """
 
 from .ring import (

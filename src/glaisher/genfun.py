@@ -16,11 +16,11 @@ different routes:
   by Horner's rule over the part sizes: every denominator is a prefix of
   prod_(m not| k) (1 - q^k), so the sum takes one division per part size.
 * ``epsilon`` computes the correction series linking m*C and D by five
-  independent routes: a cyclotomic product definition (one product per
-  proper divisor d of m, expanded over Z[x]/(x^m - 1) with each residue
-  list packed into one int, carried to every root of order m/d by a
-  Galois permutation of residues, and reduced to Z[zeta_m] once at the
-  end), a triangular-number sum, a Gaussian-binomial rearrangement of that
+  independent routes: a cyclotomic product definition (the product for
+  root 1 alone, expanded over Z[x]/(x^m - 1) with each residue list
+  packed into one int, read off for every root j by the residue map
+  r -> j r mod m of x -> x^j, and reduced to Z[zeta_m] once at the end),
+  a triangular-number sum, a Gaussian-binomial rearrangement of that
   sum, the raw difference m*gf_C - gf_D, and (for m = 3 only) a closed
   form supported on shifted triangular numbers.
 * ``triangular_stream`` yields the nonzero coefficients of the triangular
@@ -36,20 +36,25 @@ The `definition` route holds each residue list W_r (cells 0..N) as one int:
 cell t is the w-bit slot at bits w*t, and the arithmetic runs mod
 2^(w(N+1)).  That is Z[q]/(q^(N+1)) evaluated at q = 2^w, a ring map, so
 multiplying by q^i is a left shift by w*i bits with the cells pushed past
-N masked off, and a factor (1 - q^i)(1 - x^j q^i) is a few whole-list
+N masked off, and a factor (1 - q^i)(1 - x q^i) is a few whole-list
 shift-subtracts.  Cells are signed: a decode adds 2^(w-1) to every slot,
 after which each slot is the plain base-2^w digit c + 2^(w-1), so every
 cell with |c| < 2^(w-1) reads back exactly.
 
-No slot ever wraps.  Replace every sign and every x by 1: each cell of a
-partial product, at q^t, is then at most [q^t] prod_{i>=1} (1 + q^i)^2.
-That coefficient is at most e^(ut) prod_{i>=1} (1 + e^(-ui))^2 for every
-u > 0, and with sum_{i>=1} log(1 + e^(-ui)) <= pi^2/(12u) the best u
-bounds it by exp(pi*sqrt(2t/3)) <= exp(pi*sqrt(2N/3)).  The product for
-root j is the product for the divisor d = gcd(j, m) with its residues
-permuted, so a final accumulator cell still sums at most
-(m-1)(floor(N/m) + 1) such cells, one per root and block, and a
-divisor's accumulator fewer.  w holds the bits of that product, one sign
+No slot ever wraps.  Replace every sign and every x by 1: every monomial
+of a partial root-1 product lands on one residue with coefficient +-1, so
+the sum over the m residues of |cell t| is at most
+[q^t] prod_{i>=1} (1 + q^i)^2.  That coefficient is at most
+e^(ut) prod_{i>=1} (1 + e^(-ui))^2 for every u > 0, and with
+sum_{i>=1} log(1 + e^(-ui)) <= pi^2/(12u) the best u bounds it by
+exp(pi*sqrt(2t/3)) <= exp(pi*sqrt(2N/3)).  The accumulator adds
+floor(N/m) + 1 blocks of the product.  The root-j share is its image
+under x -> x^j, the residue map r -> j r mod m, which adds the residues
+that land on one place and so cannot raise the sum of |cells| over
+residues.  So a final cell of `total` is at most
+(m-1)(floor(N/m) + 1) exp(pi*sqrt(2N/3)) in absolute value, the same
+bound as for an accumulator that expands every root's product, which
+`total` equals cell for cell.  w holds the bits of that bound, one sign
 bit and two guard bits against float rounding, rounded up to whole bytes
 (`_definition_slot_bits`).  Since the arithmetic is exact mod
 2^(w(N+1)), only the decoded accumulators need the bound; every product
@@ -280,79 +285,59 @@ def _unpack_signed(x: int, w: int, precision: int) -> list[int]:
             for k in range(0, len(raw), size)]
 
 
-def _mul_packed_pair(p: list[int], j: int, s: int, keep: int, keep2: int,
+def _mul_packed_pair(p: list[int], s: int, keep: int, keep2: int,
                      mask: int) -> None:
     """In place, multiply p = sum_r x^r P_r(q) in Z[x]/(x^m - 1)[[q]] by
-    (1 - q^i)(1 - x^j q^i) = 1 - (1 + x^j) q^i + x^j q^(2i), each P_r packed
+    (1 - q^i)(1 - x q^i) = 1 - (1 + x) q^i + x q^(2i), each P_r packed
     with s = w*i; keep and keep2 = mask >> s and mask >> 2s are the cells
-    that q^i and q^(2i) do not push past the precision.  x^j moves
-    residue r - j (mod m) to r."""
+    that q^i and q^(2i) do not push past the precision.  x moves residue
+    r - 1 (mod m) to r."""
     old = p[:]
     for r, x in enumerate(old):
-        y = old[r - j]
+        y = old[r - 1]
         if x or y:
             p[r] = (x + ((y & keep2) << 2 * s) - (((x + y) & keep) << s)) & mask
-
-
-def _galois_images(m: int) -> dict[int, list[list[int]]]:
-    """For each proper divisor d of m, the residue permutations r -> u r
-    (mod m) that carry the root-d product to the root-j one, one per root j
-    with gcd(j, m) = d: u is the first unit with u d = j (mod m)."""
-    units = [u for u in range(1, m) if math.gcd(u, m) == 1]
-    images = {d: [] for d in range(1, m) if m % d == 0}
-    for j in range(1, m):
-        d = math.gcd(j, m)
-        u = next(u for u in units if u * d % m == j)
-        images[d].append([u * r % m for r in range(m)])
-    return images
 
 
 def _epsilon_definition(m: int, precision: int) -> Series:
     """Cyclotomic route: sum over n >= 0 of q^(m n) (q^(n+1); q)_inf times
     the sum over j of (zeta_m^j q^(n+1); q)_inf.
 
-    With x standing for zeta_m, the product for root j has factors
-    (1 - x^j q^i) and is held as m residue lists W_0..W_(m-1) of
+    With x standing for zeta_m, the product for root 1 has factors
+    (1 - x q^i) and is held as m residue lists W_0..W_(m-1) of
     Z[x]/(x^m - 1), each packed into one int (see the module docstring).
-    For gcd(u, m) = 1, x -> x^u is a ring automorphism of Z[x]/(x^m - 1)
-    that sends the root-d product to the root-(u d mod m) one, and on the
-    residue lists it is the permutation r -> u r mod m.  So only one
-    product is expanded per proper divisor d of m, each with its own
-    accumulator; after the last block every accumulator is added, permuted,
-    into each root j with gcd(j, m) = d.  Only at the end is each
-    accumulated residue decoded and x^r sent to zeta_m^r, once per residue,
-    and the coefficients over Z[zeta_m] (CycInt) checked down to Z by
-    `map_ring`.
+    For every j, x -> x^j is a ring endomorphism of Z[x]/(x^m - 1) that
+    sends the root-1 product to the root-j one, and on the residue lists
+    it is the map r -> j r mod m: residues that land on the same place
+    add.  So only the root-1 product and its accumulator are expanded;
+    after the last block the accumulator is added into every root
+    j = 1..m-1 through that map.  Only at the end is each accumulated
+    residue decoded and x^r sent to zeta_m^r, once per residue, and the
+    coefficients over Z[zeta_m] (CycInt) checked down to Z by `map_ring`.
 
     Worked from the top block downward so each step multiplies two linear
     factors instead of rebuilding the infinite products."""
     w = _definition_slot_bits(m, precision)
     mask = (1 << w * (precision + 1)) - 1
-    images = _galois_images(m)
-    prods = {d: [1] + [0] * (m - 1) for d in images}
-    accs = {d: [0] * m for d in images}
+    p = [1] + [0] * (m - 1)
+    acc = [0] * m
     top = precision
     for n in range(precision // m, -1, -1):
         for i in range(top, n, -1):  # the factors i > n, not yet applied
             s = w * i
             keep = mask >> s
-            keep2 = keep >> s
-            for d, p in prods.items():
-                _mul_packed_pair(p, d, s, keep, keep2, mask)
+            _mul_packed_pair(p, s, keep, keep >> s, mask)
         top = n
         s = w * m * n
         keep = mask >> s
-        for d, p in prods.items():
-            acc = accs[d]
-            for r, x in enumerate(p):
-                if x:
-                    acc[r] += (x & keep) << s
+        for r, x in enumerate(p):
+            if x:
+                acc[r] += (x & keep) << s
+    live = [(r, a) for r, a in enumerate(acc) if a]
     total = [0] * m
-    for d, acc in accs.items():
-        for perm in images[d]:
-            for r, a in enumerate(acc):
-                if a:
-                    total[perm[r]] += a
+    for j in range(1, m):
+        for r, a in live:
+            total[j * r % m] += a
     out = [CycInt.zero(m)] * (precision + 1)
     for r, a in enumerate(total):
         kernels.add_scaled_shifted(out, _unpack_signed(a, w, precision), 0,

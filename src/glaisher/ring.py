@@ -213,6 +213,9 @@ class CycInt:
         return NotImplemented
 
     def __hash__(self):
+        # a rational element equals its int, so it must hash like it
+        if not any(self.coords[1:]):
+            return hash(self.coords[0])
         return hash((self.m, self.coords))
 
     def __repr__(self):

@@ -399,6 +399,16 @@ def _epsilon_definition_lists(m, precision, peaks=None):
     return map_ring(out)
 
 
+def _mul_packed_pair_root(p, j, s, keep, keep2, mask):
+    """The packed pair step for root j: multiply the residue lists by
+    (1 - q^i)(1 - x^j q^i), with x^j moving residue r - j (mod m) to r."""
+    old = p[:]
+    for r, x in enumerate(old):
+        y = old[r - j]
+        if x or y:
+            p[r] = (x + ((y & keep2) << 2 * s) - (((x + y) & keep) << s)) & mask
+
+
 def _epsilon_definition_per_root(m, precision):
     """The packed definition route with one product per root j = 1..m-1,
     each multiplied by (1 - q^i)(1 - x^j q^i) and all summed into one
@@ -414,7 +424,7 @@ def _epsilon_definition_per_root(m, precision):
             keep = mask >> s
             keep2 = keep >> s
             for j, p in enumerate(prods, 1):
-                genfun._mul_packed_pair(p, j, s, keep, keep2, mask)
+                _mul_packed_pair_root(p, j, s, keep, keep2, mask)
         top = n
         s = w * m * n
         keep = mask >> s
@@ -427,10 +437,12 @@ def _epsilon_definition_per_root(m, precision):
     return map_ring(out)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 9, 12, 30])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 18, 24,
+                               30, 60])
 def test_definition_per_divisor_matches_per_root(m):
-    # composite m: the roots with gcd(j, m) = d > 1 are Galois images of
-    # the root-d product, not of the root-1 one
+    # every root j is read off the root-1 product by r -> j r mod m; at
+    # composite m that map is not injective for gcd(j, m) > 1, and the
+    # residues that land on one place must add
     for precision in sorted({0, 1, m - 1, m, m + 1, 150}):
         assert epsilon(m, precision, "definition") == \
             _epsilon_definition_per_root(m, precision), precision
@@ -441,16 +453,18 @@ def test_definition_per_divisor_matches_per_root(m):
                                          (30, 31)])
 def test_definition_expands_one_product_per_proper_divisor(
         monkeypatch, m, precision):
+    # one product for every m, composite or not: the root-1 product, one
+    # pair step per factor index i = 1..precision
     calls = []
 
-    def counted(p, j, *args, _real=genfun._mul_packed_pair):
-        calls.append(j)
-        return _real(p, j, *args)
+    def counted(*args, _real=genfun._mul_packed_pair):
+        calls.append(args)
+        return _real(*args)
     monkeypatch.setattr(genfun, "_mul_packed_pair", counted)
     epsilon(m, precision, "definition")
-    divisors = [d for d in range(1, m) if m % d == 0]
-    assert len(calls) == len(divisors) * precision
-    assert sorted(set(calls)) == (divisors if precision else [])
+    assert len(calls) == precision
+    w = genfun._definition_slot_bits(m, precision)
+    assert sorted(s // w for _, s, *_ in calls) == list(range(1, precision + 1))
 
 
 _SLOT_GRID = sorted({(m, n) for m in (*range(2, 10), 12, 20)
@@ -520,7 +534,7 @@ def test_definition_route_keeps_the_integer_check(monkeypatch):
 
 
 @settings(deadline=None, database=None, max_examples=40)
-@given(st.integers(2, 10), st.integers(0, 120))
+@given(st.integers(2, 30), st.integers(0, 120))
 def test_definition_equals_triangular(m, precision):
     assert epsilon(m, precision, "definition") == \
         epsilon(m, precision, "triangular")

@@ -179,6 +179,20 @@ def test_int_scaling_matches_constant_product(m):
         assert k * a == expected
 
 
+@pytest.mark.parametrize("m", range(2, 13))
+def test_rational_element_hashes_like_its_int(m):
+    # equal objects must hash equal, so a rational CycInt finds its int
+    # in a set or dict and the int finds it
+    rng = random.Random(2468 + m)
+    ks = [0, 1, -1, 10 ** 30, -(10 ** 30)]
+    for k in ks + [rng.randint(-(10 ** 12), 10 ** 12) for _ in range(5)]:
+        a = CycInt.from_int(m, k)
+        assert a == k and hash(a) == hash(k)
+        assert k in {a} and a in {k}
+        assert {k: "int"}.get(a) == "int"
+        assert {a: "cyc"}.get(k) == "cyc"
+
+
 def test_immutable():
     a = CycInt.one(3)
     with pytest.raises(AttributeError):
