@@ -123,8 +123,10 @@ def _csv_rows(header, rows) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _styled(text: str, ok: bool) -> str:
-    if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
+def _styled(text: str, ok: bool, fh) -> str:
+    """Colour a verdict only for a terminal: text bound for --out (fh) stays
+    plain."""
+    if fh is not None or os.environ.get("NO_COLOR") or not sys.stdout.isatty():
         return text
     return click.style(text, fg="green" if ok else "red")
 
@@ -308,7 +310,7 @@ def verify_cmd(theorem, m, n_max, precision, n_sum, fmt, out):
         lines = [
             f"{report.theorem} (m = {report.m}) over "
             f"[{report.range[0]}, {report.range[1]}]: "
-            + _styled(report.status.upper(), report.passed),
+            + _styled(report.status.upper(), report.passed, fh),
             f"routes: {', '.join(report.routes)}   "
             f"elapsed: {report.elapsed_ms} ms",
         ]

@@ -20,14 +20,15 @@ different routes:
   root 1 alone, expanded over Z[x]/(x^m - 1) with each residue list
   packed into one int, read off for every root j by the residue map
   r -> j r mod m of x -> x^j, and reduced to Z[zeta_m] once at the end),
-  a triangular-number sum, a Gaussian-binomial rearrangement of that
-  sum, the raw difference m*gf_C - gf_D, and (for m = 3 only) a closed
-  form supported on shifted triangular numbers.
-* ``triangular_stream`` yields the nonzero coefficients of the triangular
-  sum below x one at a time, each term held as a sparse dict (or, while
-  it is narrow, a dense list) and flushed from a window of about m*sqrt(x)
-  exponents: the density census runs in O(sqrt(x)) terms and never holds
-  a dense series.
+  a triangular-number sum (a dense list filled from
+  ``triangular_stream``), a Gaussian-binomial rearrangement of that sum,
+  the raw difference m*gf_C - gf_D, and (for m = 3 only) a closed form
+  supported on shifted triangular numbers.
+* ``triangular_stream``, the one expansion of the triangular sum, yields
+  its nonzero coefficients below x one at a time, each term held as a
+  sparse dict (or, while it is narrow, a dense list) and flushed from a
+  window of about m*sqrt(x) exponents: the density census runs in
+  O(sqrt(x)) terms and never holds a dense series.
 
 Route cross-agreement is the package's strongest internal check: the routes
 share no intermediate algebra, only the kernel primitives.
@@ -347,20 +348,11 @@ def _epsilon_definition(m: int, precision: int) -> Series:
 
 def _epsilon_triangular(m: int, precision: int) -> Series:
     """Triangular route: sum over k >= 0 of
-    (-1)^k chi_m(k) q^(T_k) (q^(k+1); q)_(m-1).
-
-    Each term is a polynomial of degree (m-1)(k+1) + T_(m-2), so it is
-    expanded only to that degree (or to the precision, if lower)."""
+    (-1)^k chi_m(k) q^(T_k) (q^(k+1); q)_(m-1), as a dense list filled
+    from the nonzero coefficients of `triangular_stream`."""
     acc = [0] * (precision + 1)
-    k = 0
-    while _tri(k) <= precision:
-        width = min(precision - _tri(k), (m - 1) * (k + 1) + _tri(m - 2))
-        poly = [1] + [0] * width
-        for i in range(min(m - 1, width - k)):  # factors beyond width are 1
-            kernels.mul_one_minus_uqk(poly, 1, k + 1 + i)
-        scale = (-1 if k & 1 else 1) * chi(m, k)
-        kernels.add_scaled_shifted(acc, poly, _tri(k), scale)
-        k += 1
+    for n, c in triangular_stream(m, precision + 1):
+        acc[n] = c
     return Series._wrap(acc)
 
 
@@ -405,7 +397,7 @@ def triangular_stream(m: int, x: int) -> Iterator[tuple[int, int]]:
             poly = [1]
             for a in factors:
                 poly += [0] * (min(len(poly) + a, limit) - len(poly))
-                poly[a:] = [c - d for c, d in zip(poly[a:], poly)]
+                kernels.mul_one_minus_uqk(poly, 1, a)
             monomials = enumerate(poly)
         scale = (-1 if k & 1 else 1) * chi(m, k)
         for e, c in monomials:

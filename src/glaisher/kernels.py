@@ -10,7 +10,15 @@ Coefficients are opaque ring elements: only `+`, `-`, `*`, `bool` and
 In the package every list is of ints, with one exception: CycInt enters
 `add_scaled_shifted`, as the accumulator and the scale, in the final
 reduction of the cyclotomic `definition` route to Z[zeta_m].
+
+With u = 1 the multiply by (1 - q^k) is one slice pass: every new c[t]
+reads only the old c[t - k], so both slices are taken before the
+assignment.  The divide stays an element loop, because its stride-k
+recurrence reads values it has just written: as slices it takes one
+slice per block of k cells, which is slow for small k.
 """
+
+from operator import sub
 
 
 def conv_truncated(a, b, nmax, zero):
@@ -38,10 +46,7 @@ def mul_one_minus_uqk(c, u, k):
     if k > n:
         return
     if u == 1:
-        for t in range(n, k - 1, -1):
-            s = c[t - k]
-            if s:
-                c[t] = c[t] - s
+        c[k:] = map(sub, c[k:], c[:n - k + 1])
     else:
         for t in range(n, k - 1, -1):
             s = c[t - k]

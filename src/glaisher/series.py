@@ -226,34 +226,23 @@ def inv_pochhammer(
     return Series._wrap(c)
 
 
-def _poly_mul_one_minus(poly: list[int], k: int) -> list[int]:
-    """Exact polynomial multiply by (1 - q^k)."""
-    n = len(poly) + k
-    return [
-        (poly[t] if t < len(poly) else 0) - (poly[t - k] if 0 <= t - k else 0)
-        for t in range(n)
-    ]
-
-
-def _poly_divexact_one_minus(poly: list[int], k: int) -> list[int]:
-    """Exact polynomial division by (1 - q^k); the remainder must vanish."""
-    g = list(poly)
-    for t in range(k, len(g)):
-        g[t] += g[t - k]
-    if any(g[len(g) - k:]):
-        raise ArithmeticError(f"division by (1 - q^{k}) left a remainder")
-    return g[: len(g) - k]
-
-
 def qbinomial_poly(a: int, b: int) -> list[int]:
     """The Gaussian binomial [a+b, b]_q as an exact coefficient list
-    (degree a*b); zero polynomial for negative arguments."""
+    (degree a*b); zero polynomial for negative arguments.
+
+    Built as prod_(i <= b) (1 - q^(a+i)) / (1 - q^i): each step pads the
+    list by a + i cells, so the multiply drops nothing, then divides
+    exactly and trims the i cells of the remainder, which must vanish."""
     if a < 0 or b < 0:
         return [0]
     poly = [1]
     for i in range(1, b + 1):
-        poly = _poly_mul_one_minus(poly, a + i)
-        poly = _poly_divexact_one_minus(poly, i)
+        poly += [0] * (a + i)
+        kernels.mul_one_minus_uqk(poly, 1, a + i)
+        kernels.div_one_minus_uqk(poly, 1, i)
+        if any(poly[-i:]):
+            raise ArithmeticError(f"division by (1 - q^{i}) left a remainder")
+        del poly[-i:]
     return poly
 
 

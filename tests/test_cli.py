@@ -3,13 +3,17 @@ contract (0 pass / 1 mismatch / 2 usage / 3 internal error), and JSON
 round-tripping."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glaisher
 from glaisher.cli import main
 from glaisher.verify import THEOREMS
 
@@ -277,6 +281,44 @@ def test_out_holds_the_report_of_a_mismatch(runner, tmp_path):
     assert result.exit_code == 1
     assert result.output == ""
     assert json.loads(target.read_text())["status"] == "fail"
+
+
+def _run_on_a_tty(args):
+    """Run the CLI in a fresh process whose stdout is a pseudo-terminal;
+    return what it printed there."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(glaisher.__file__).resolve().parents[1]))
+    env.pop("NO_COLOR", None)
+    master, slave = os.openpty()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "glaisher", *args],
+                              stdout=slave, env=env, timeout=120)
+    finally:
+        os.close(slave)
+    chunks = []
+    while True:
+        try:
+            chunk = os.read(master, 4096)
+        except OSError:  # EIO: the terminal's last writer has closed it
+            break
+        if not chunk:
+            break
+        chunks.append(chunk)
+    os.close(master)
+    assert proc.returncode == 0
+    return b"".join(chunks).decode()
+
+
+@pytest.mark.skipif(not hasattr(os, "openpty"), reason="needs a pty")
+def test_text_verdict_is_coloured_only_on_the_terminal(tmp_path):
+    target = tmp_path / "report.txt"
+    args = ["verify", "--theorem", "T1.3", "--m", "4", "--n-max", "10",
+            "--format", "text"]
+    assert _run_on_a_tty(args + ["--out", str(target)]) == ""
+    report = target.read_text()
+    assert "\x1b" not in report
+    assert report.startswith("T1.3 (m = 4) over [0, 10]: PASS\n")
+    assert "\x1b[32mPASS\x1b[0m" in _run_on_a_tty(args)
 
 
 def test_deterministic_output(runner):

@@ -169,6 +169,13 @@ def test_qbinomial_symmetry(a, b):
     assert qbinomial_poly(a, b) == qbinomial_poly(b, a)
 
 
+def test_qbinomial_raises_on_a_division_remainder(monkeypatch):
+    # a divide that does nothing leaves (1 - q^2) undivided by (1 - q)
+    monkeypatch.setattr(kernels, "div_one_minus_uqk", lambda c, u, k: None)
+    with pytest.raises(ArithmeticError):
+        qbinomial_poly(1, 1)
+
+
 def test_qbinomial_specializes_to_binomial():
     for a in range(7):
         for b in range(7):
@@ -276,6 +283,9 @@ def test_add_scaled_shifted_truncates():
 def test_factor_kernels_mul_then_div_restores_int(base, u, k):
     c = list(base)
     kernels.mul_one_minus_uqk(c, u, k)
+    # every new c[t] is read off the old values: c[t] - u*c[t - k]
+    assert c == [b - u * base[t - k] if t >= k else b
+                 for t, b in enumerate(base)]
     if u and k < len(base) and any(base[:len(base) - k]):
         assert c != base
     kernels.div_one_minus_uqk(c, u, k)
