@@ -1,6 +1,11 @@
 """Command-line front end: counting, series expansion, identity verification,
 and density scans, with json / csv / text output.
 
+The grammar is stdlib `argparse`, with abbreviations off on every parser,
+so an option parses only under its full name.  Every call is a fresh
+process, so the module imports nothing beyond the stdlib modules it uses
+and the package itself.
+
 Exit codes: 0 all checks pass, 1 a mathematical mismatch was found (a
 failed identity, or a density census above its window bound), 2 usage or
 configuration error, 3 internal error (any other exception, reported in
@@ -9,13 +14,12 @@ one line on stderr).
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import os
 import sys
-
-import click
 
 from . import __version__
 from .genfun import (
@@ -34,38 +38,24 @@ DEFAULT_RANGE = 200
 FORMATS = ("json", "csv", "text")
 SERIES_CHOICES = ("A", "B", "Bj-lhs", "C", "D", "epsilon", "P")
 
+EXAMPLES = """\
+Exact partition counting and q-series identity verification.
 
-class ConfigError(click.ClickException):
-    """A bad environment setting: a usage error (exit 2), reported in one
-    line with no usage text."""
-
-    exit_code = 2
-
-
-class InternalError(click.ClickException):
-    """An unexpected exception inside a command: exit 3, one line on
-    stderr, so that exit 1 keeps meaning a mathematical mismatch."""
-
-    exit_code = 3
+Examples:
+    glaisher count --family C --m 3 --n-max 6 --format csv
+    glaisher expand --series epsilon --m 3 --precision 12 --route triangular
+    glaisher verify --theorem T1.3 --m 4 --n-max 150
+    glaisher density --m 3 --x 1000
+"""
 
 
-class _Group(click.Group):
-    """Maps any exception that click does not handle itself to
-    InternalError.  Exit and Abort subclass RuntimeError, so they are let
-    through by name along with ClickException; SystemExit is not an
-    Exception and passes on its own."""
+class UsageError(Exception):
+    """A bad argument value: exit 2, reported under the command's usage."""
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
-        except Exception as exc:
-            detail = " ".join(str(exc).split())
-            raise InternalError(
-                f"internal error: {type(exc).__name__}"
-                + (f": {detail}" if detail else "")
-            ) from exc
+
+class ConfigError(Exception):
+    """A bad environment setting or --out path: a usage error (exit 2),
+    reported in one line with no usage text."""
 
 
 def _ceiling() -> int:
@@ -83,34 +73,34 @@ def _ceiling() -> int:
 
 def _check_bound(value: int, name: str):
     if value < 0:
-        raise click.UsageError(f"{name} must be non-negative")
+        raise UsageError(f"{name} must be non-negative")
     if value > _ceiling():
-        raise click.UsageError(
+        raise UsageError(
             f"{name} = {value} exceeds the ceiling {_ceiling()} "
             f"(override with GLAISHER_CEILING)"
         )
 
 
-def _open_out(out: str | None):
+def _open_out(opts):
     """Open the --out file before any work is done, so a path that cannot be
-    written is a one-line configuration error (exit 2), not an internal
-    error after the computation.  Like a shell redirection, this creates or
-    truncates the file first.  The file closes with the command."""
-    if out is None:
+    written (a missing directory, a directory itself) is a one-line
+    configuration error (exit 2), not an internal error after the
+    computation.  Like a shell redirection, this creates or truncates the
+    file first.  `main` closes it when the command ends."""
+    if opts.out is None:
         return None
     try:
-        fh = open(out, "w", encoding="utf-8")
+        opts.fh = open(opts.out, "w", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(
-            f"cannot write --out {out!r}: {exc.strerror or exc}"
+            f"cannot write --out {opts.out!r}: {exc.strerror or exc}"
         ) from None
-    click.get_current_context().call_on_close(fh.close)
-    return fh
+    return opts.fh
 
 
 def _emit(text: str, fh):
     if fh is None:
-        click.echo(text)
+        print(text, flush=True)
     else:
         fh.write(text + "\n")
 
@@ -128,7 +118,7 @@ def _styled(text: str, ok: bool, fh) -> str:
     plain."""
     if fh is not None or os.environ.get("NO_COLOR") or not sys.stdout.isatty():
         return text
-    return click.style(text, fg="green" if ok else "red")
+    return f"\x1b[{32 if ok else 31}m{text}\x1b[0m"
 
 
 def _ratio_decimal(num: int, den: int, places: int = 6) -> str:
@@ -137,40 +127,15 @@ def _ratio_decimal(num: int, den: int, places: int = 6) -> str:
     return f"{whole}.{frac:0{places}d}"
 
 
-@click.group(cls=_Group)
-@click.version_option(version=__version__)
-def main():
-    """Exact partition counting and q-series identity verification.
-
-    \b
-    Examples:
-        glaisher count --family C --m 3 --n-max 6 --format csv
-        glaisher expand --series epsilon --m 3 --precision 12 --route triangular
-        glaisher verify --theorem T1.3 --m 4 --n-max 150
-        glaisher density --m 3 --x 1000
-    """
-
-
-@main.command()
-@click.option("--family", type=click.Choice(["A", "B", "Bj", "C", "D"]),
-              required=True, help="Counting family.")
-@click.option("--m", type=int, required=True, help="Modulus m >= 2.")
-@click.option("--j", type=int, default=None,
-              help="Residue branch for family Bj (1 <= j <= m-1).")
-@click.option("--n-max", "n_max", type=int, default=DEFAULT_RANGE,
-              show_default=True, help="Largest n to count.")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="text",
-              show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write to a file instead of stdout.")
-def count(family, m, j, n_max, fmt, out):
+def count(opts) -> int:
     """Tabulate exact counts (n, value) for one family."""
+    family, m, j, n_max, fmt = opts.family, opts.m, opts.j, opts.n_max, opts.fmt
     _check_bound(n_max, "--n-max")
     try:
         spec = FamilySpec(family, m, j)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
-    fh = _open_out(out)
+        raise UsageError(str(exc))
+    fh = _open_out(opts)
     table = count_table(spec, n_max)
     values = [str(c) for c in table.counts]
     if fmt == "json":
@@ -191,34 +156,24 @@ def count(family, m, j, n_max, fmt, out):
                  f" counts for n = 0..{n_max}"]
         lines += [f"{n:>6}  {v:>{width}}" for n, v in enumerate(values)]
         _emit("\n".join(lines), fh)
+    return 0
 
 
-@main.command()
-@click.option("--series", "series_name", type=click.Choice(SERIES_CHOICES),
-              required=True, help="Series to expand.")
-@click.option("--m", type=int, required=True, help="Modulus m >= 2.")
-@click.option("--precision", type=int, default=DEFAULT_RANGE, show_default=True,
-              help="Truncation precision N.")
-@click.option("--N-sum", "n_sum", type=int, default=None,
-              help="Block count for Bj-lhs (omit for the infinite sum).")
-@click.option("--route", type=click.Choice(EPSILON_ROUTES), default="triangular",
-              show_default=True, help="Route for the epsilon series.")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="text",
-              show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def expand(series_name, m, precision, n_sum, route, fmt, out):
+def expand(opts) -> int:
     """Expand a generating function to (exponent, coefficient) rows."""
+    series_name, m, precision, route, fmt = (
+        opts.series_name, opts.m, opts.precision, opts.route, opts.fmt)
     _check_bound(precision, "--precision")
     if m < 2:
-        raise click.UsageError("m must be >= 2")
-    fh = _open_out(out)
+        raise UsageError("m must be >= 2")
+    fh = _open_out(opts)
     try:
         if series_name == "A":
             s = gf_regular(m, "A_product", precision)
         elif series_name == "B":
             s = gf_regular(m, "B_product", precision)
         elif series_name == "Bj-lhs":
-            s = gf_Bj_lhs(m, n_sum, precision)
+            s = gf_Bj_lhs(m, opts.n_sum, precision)
         elif series_name == "C":
             s = gf_C(m, precision)
         elif series_name == "D":
@@ -228,7 +183,7 @@ def expand(series_name, m, precision, n_sum, route, fmt, out):
         else:  # the finite polynomial prefix, at its natural degree
             s = p_polynomial(m)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     values = [str(c) for c in s.coeffs]
     if fmt == "json":
         payload = {
@@ -247,6 +202,7 @@ def expand(series_name, m, precision, n_sum, route, fmt, out):
         lines = [f"{series_name} (m = {m}) to q^{s.precision}"]
         lines += [f"{n:>6}  {v:>{width}}" for n, v in enumerate(values)]
         _emit("\n".join(lines), fh)
+    return 0
 
 
 def _report_payload(report) -> dict:
@@ -265,37 +221,26 @@ def _report_payload(report) -> dict:
     }
 
 
-@main.command(name="verify")
-@click.option("--theorem", type=click.Choice(THEOREMS), required=True,
-              help="Identity to check.")
-@click.option("--m", type=int, default=None, help="Modulus m >= 2.")
-@click.option("--n-max", "n_max", type=int, default=None,
-              help="Largest n to check (count-level identities).")
-@click.option("--precision", type=int, default=None,
-              help="Series precision (series-level identities).")
-@click.option("--N-sum", "n_sum", type=int, default=None,
-              help="Block count for T1.9.")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="text",
-              show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def verify_cmd(theorem, m, n_max, precision, n_sum, fmt, out):
+def verify_cmd(opts) -> int:
     """Check one identity and report the first mismatch, if any.
 
     Exits 0 on pass, 1 on a mathematical mismatch, 2 on usage errors,
     3 on an internal error.
     """
+    n_max, precision, n_sum, fmt = (opts.n_max, opts.precision, opts.n_sum,
+                                    opts.fmt)
     if n_max is None and precision is None:
         n_max = precision = DEFAULT_RANGE
     for val, name in ((n_max, "--n-max"), (precision, "--precision"),
                       (n_sum, "--N-sum")):
         if val is not None:
             _check_bound(val, name)
-    fh = _open_out(out)
+    fh = _open_out(opts)
     try:
-        report = verify(theorem, m=m, n_max=n_max, precision=precision,
-                        n_sum=n_sum)
+        report = verify(opts.theorem, m=opts.m, n_max=n_max,
+                        precision=precision, n_sum=n_sum)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     if fmt == "json":
         _emit(json.dumps(_report_payload(report), indent=2), fh)
     elif fmt == "csv":
@@ -320,28 +265,22 @@ def verify_cmd(theorem, m, n_max, precision, n_sum, fmt, out):
         for key, val in report.notes.items():
             lines.append(f"note [{key}]: {val}")
         _emit("\n".join(lines), fh)
-    if not report.passed:
-        sys.exit(1)
+    return 0 if report.passed else 1
 
 
-@main.command()
-@click.option("--m", type=int, required=True, help="Modulus m >= 2.")
-@click.option("--x", type=int, required=True, help="Scan bound (n < x).")
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="text",
-              show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def density(m, x, fmt, out):
+def density(opts) -> int:
     """Count vanishing correction coefficients below x and check the
     window sparsity bound.
 
     Exits 0 when the census is within the bound, 1 when it breaks it.
     """
-    _check_bound(x, "--x")
-    fh = _open_out(out)
+    fmt = opts.fmt
+    _check_bound(opts.x, "--x")
+    fh = _open_out(opts)
     try:
-        stats = density_report(m, x)
+        stats = density_report(opts.m, opts.x)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     fraction = f"{stats.N_x}/{stats.x}"
     decimal = _ratio_decimal(stats.N_x, stats.x)
     if fmt == "json":
@@ -373,8 +312,130 @@ def density(m, x, fmt, out):
             f"window bound: {stats.window_bound} "
             f"(satisfied: {stats.bound_satisfied})",
         ]), fh)
-    if not stats.bound_satisfied:
-        sys.exit(1)
+    return 0 if stats.bound_satisfied else 1
+
+
+# ---------------------------------------------------------------------------
+# grammar
+# ---------------------------------------------------------------------------
+
+
+class _HelpFormatter(argparse.RawDescriptionHelpFormatter):
+    """Help text as written, under a capitalised "Usage:" line."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+
+_PARSER_OPTIONS = {"allow_abbrev": False, "add_help": False,
+                   "formatter_class": _HelpFormatter}
+
+
+def _add_help(parser) -> None:
+    parser.add_argument("--help", action="help",
+                        help="Show this message and exit.")
+
+
+def _command(subparsers, name: str, run):
+    """The parser of one subcommand, described by its function's docstring."""
+    doc = "\n".join(line.strip() for line in run.__doc__.splitlines())
+    parser = subparsers.add_parser(name, help=doc.split("\n\n")[0],
+                                   description=doc, **_PARSER_OPTIONS)
+    parser.set_defaults(run=run, parser=parser)
+    return parser
+
+
+def _add_output(parser, out_help=None) -> None:
+    """The options every command ends with: --format, --out and --help."""
+    parser.add_argument("--format", dest="fmt", choices=FORMATS,
+                        default="text", help="(default: %(default)s)")
+    parser.add_argument("--out", default=None, help=out_help)
+    _add_help(parser)
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    root = argparse.ArgumentParser(prog=prog, description=EXAMPLES,
+                                   **_PARSER_OPTIONS)
+    root.add_argument("--version", action="version",
+                      version=f"%(prog)s, version {__version__}",
+                      help="Show the version and exit.")
+    _add_help(root)
+    root.set_defaults(fh=None)
+    subs = root.add_subparsers(title="Commands", metavar="COMMAND",
+                               dest="command", required=True)
+
+    p = _command(subs, "count", count)
+    p.add_argument("--family", choices=("A", "B", "Bj", "C", "D"),
+                   required=True, help="Counting family.")
+    p.add_argument("--m", type=int, required=True, help="Modulus m >= 2.")
+    p.add_argument("--j", type=int, default=None,
+                   help="Residue branch for family Bj (1 <= j <= m-1).")
+    p.add_argument("--n-max", dest="n_max", type=int, default=DEFAULT_RANGE,
+                   help="Largest n to count.  (default: %(default)s)")
+    _add_output(p, "Write to a file instead of stdout.")
+
+    p = _command(subs, "expand", expand)
+    p.add_argument("--series", dest="series_name", choices=SERIES_CHOICES,
+                   required=True, help="Series to expand.")
+    p.add_argument("--m", type=int, required=True, help="Modulus m >= 2.")
+    p.add_argument("--precision", type=int, default=DEFAULT_RANGE,
+                   help="Truncation precision N.  (default: %(default)s)")
+    p.add_argument("--N-sum", dest="n_sum", type=int, default=None,
+                   help="Block count for Bj-lhs (omit for the infinite sum).")
+    p.add_argument("--route", choices=EPSILON_ROUTES, default="triangular",
+                   help="Route for the epsilon series.  "
+                        "(default: %(default)s)")
+    _add_output(p)
+
+    p = _command(subs, "verify", verify_cmd)
+    p.add_argument("--theorem", choices=THEOREMS, required=True,
+                   help="Identity to check.")
+    p.add_argument("--m", type=int, default=None, help="Modulus m >= 2.")
+    p.add_argument("--n-max", dest="n_max", type=int, default=None,
+                   help="Largest n to check (count-level identities).")
+    p.add_argument("--precision", type=int, default=None,
+                   help="Series precision (series-level identities).")
+    p.add_argument("--N-sum", dest="n_sum", type=int, default=None,
+                   help="Block count for T1.9.")
+    _add_output(p)
+
+    p = _command(subs, "density", density)
+    p.add_argument("--m", type=int, required=True, help="Modulus m >= 2.")
+    p.add_argument("--x", type=int, required=True, help="Scan bound (n < x).")
+    _add_output(p)
+    return root
+
+
+def _prog_name() -> str:
+    name = os.path.basename(sys.argv[0])
+    return "python -m glaisher" if name == "__main__.py" else name
+
+
+def _fail(message: str, code: int) -> int:
+    print(f"Error: {message}", file=sys.stderr)
+    return code
+
+
+def main(args=None, prog_name=None):
+    """Run one command from `args` (default: the process arguments) and
+    exit through SystemExit with its code.  Any exception the command does
+    not turn into an exit code itself becomes exit 3, so that exit 1 keeps
+    meaning a mathematical mismatch."""
+    opts = _parser(prog_name or _prog_name()).parse_args(args)
+    try:
+        code = opts.run(opts)
+    except UsageError as exc:
+        opts.parser.error(str(exc))
+    except ConfigError as exc:
+        code = _fail(str(exc), 2)
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        code = _fail(f"internal error: {type(exc).__name__}"
+                     + (f": {detail}" if detail else ""), 3)
+    finally:
+        if opts.fh is not None:
+            opts.fh.close()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import struct
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 
 FAMILIES = ("A", "B", "Bj", "C", "D")
@@ -41,34 +41,30 @@ FAMILIES = ("A", "B", "Bj", "C", "D")
 BRUTE_FORCE_LIMIT = 40
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "family m j")):
     """Selects one counting family at a fixed modulus m (and branch j for Bj)."""
 
-    family: str
-    m: int
-    j: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected {FAMILIES}")
-        if self.m < 2:
+    def __new__(cls, family: str, m: int, j: int | None = None):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}, expected {FAMILIES}")
+        if m < 2:
             raise ValueError("m must be >= 2")
-        if self.family == "Bj":
-            if self.j is None:
+        if family == "Bj":
+            if j is None:
                 raise ValueError("family Bj requires j")
-            if not 1 <= self.j <= self.m - 1:
-                raise ValueError(f"j must lie in [1, {self.m - 1}]")
-        elif self.j is not None:
-            raise ValueError(f"family {self.family} takes no j")
+            if not 1 <= j <= m - 1:
+                raise ValueError(f"j must lie in [1, {m - 1}]")
+        elif j is not None:
+            raise ValueError(f"family {family} takes no j")
+        return super().__new__(cls, family, m, j)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(namedtuple("CountTable", "spec counts")):
     """Exact counts for one family, indexed 0..n_max."""
 
-    spec: FamilySpec
-    counts: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def n_max(self) -> int:

@@ -10,17 +10,15 @@ constant-time check on the coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import add, neg, sub
 
 
-@dataclass(frozen=True)
-class CycPoly:
+class CycPoly(namedtuple("CycPoly", "m coefficients")):
     """The m-th cyclotomic polynomial, coefficients in ascending degree."""
 
-    m: int
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:

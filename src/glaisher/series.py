@@ -13,7 +13,7 @@ and exactness is the point.  The inner loops live in `glaisher.kernels`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import kernels
 from .ring import CycInt, cyc_as_integer
@@ -169,24 +169,22 @@ class Series:
         return f"Series(N={self.precision}; [{shown}])"
 
 
-@dataclass(frozen=True)
-class PochSpec:
+class PochSpec(namedtuple("PochSpec", "unit offset step count")):
     """One rising product: factors (1 - unit*q^(offset + step*i)).
 
     count=None means the infinite product; factors whose exponent exceeds the
     working precision are dropped since they cannot touch stored coefficients.
     """
 
-    unit: int = 1
-    offset: int = 1
-    step: int = 1
-    count: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.offset < 1 or self.step < 1:
+    def __new__(cls, unit: int = 1, offset: int = 1, step: int = 1,
+                count: int | None = None):
+        if offset < 1 or step < 1:
             raise ValueError("offset and step must be >= 1 (unit constant term)")
-        if self.count is not None and self.count < 0:
+        if count is not None and count < 0:
             raise ValueError("count must be non-negative or None (infinite)")
+        return super().__new__(cls, unit, offset, step, count)
 
 
 def pochhammer(spec: PochSpec, precision: int) -> Series:

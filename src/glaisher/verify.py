@@ -15,7 +15,6 @@ worth seeing rather than asserting blindly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -28,37 +27,67 @@ from .series import PochSpec, Series, pochhammer
 THEOREMS = ("T1.2", "E1.4", "T1.3", "T1.4", "T1.5", "T1.6", "T1.8", "T1.9", "C1.10")
 
 
-@dataclass
-class IdentityReport:
-    """Machine-readable verdict of one identity check over a range."""
+class _Record:
+    """A mutable record whose fields are its __slots__, compared and shown
+    field by field."""
 
-    theorem: str
-    m: int
-    range: tuple[int, int]
-    status: str  # "pass" | "fail"
-    first_failure: tuple[int, str, str] | None
-    elapsed_ms: int
-    routes: list[str]
-    notes: dict = field(default_factory=dict)
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class IdentityReport(_Record):
+    """Machine-readable verdict of one identity check over a range:
+    status is "pass" or "fail", first_failure (n, lhs, rhs) or None."""
+
+    __slots__ = ("theorem", "m", "range", "status", "first_failure",
+                 "elapsed_ms", "routes", "notes")
+
+    def __init__(self, theorem: str, m: int, range: tuple[int, int],
+                 status: str, first_failure: tuple[int, str, str] | None,
+                 elapsed_ms: int, routes: list[str], notes: dict | None = None):
+        self.theorem = theorem
+        self.m = m
+        self.range = range
+        self.status = status
+        self.first_failure = first_failure
+        self.elapsed_ms = elapsed_ms
+        self.routes = routes
+        self.notes = {} if notes is None else notes
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass
-class DensityStats:
+class DensityStats(_Record):
     """Zero/nonzero census of the correction series below x, with the
-    window sparsity bound it must respect."""
+    window sparsity bound it must respect: N_x counts the n < x with a
+    vanishing correction coefficient, ratio is N_x / x, and p_support the
+    nonzero coefficients of the finite polynomial prefix."""
 
-    m: int
-    x: int
-    nonzero_count: int
-    N_x: int  # number of n < x with a vanishing correction coefficient
-    ratio: Fraction  # N_x / x
-    window_bound: int
-    bound_satisfied: bool
-    p_support: int  # nonzero coefficients of the finite polynomial prefix
+    __slots__ = ("m", "x", "nonzero_count", "N_x", "ratio", "window_bound",
+                 "bound_satisfied", "p_support")
+
+    def __init__(self, m: int, x: int, nonzero_count: int, N_x: int,
+                 ratio: Fraction, window_bound: int, bound_satisfied: bool,
+                 p_support: int):
+        self.m = m
+        self.x = x
+        self.nonzero_count = nonzero_count
+        self.N_x = N_x
+        self.ratio = ratio
+        self.window_bound = window_bound
+        self.bound_satisfied = bound_satisfied
+        self.p_support = p_support
 
 
 class _Failure(Exception):
@@ -125,20 +154,30 @@ def _verify_T13(m: int, n_max: int, t0) -> IdentityReport:
     return _finish("T1.3", m, (0, n_max), ["counts"], t0, check)
 
 
+_T14_PROBE = 64  # the prefix T1.4 expands before it commits to n_max
+
+
 def _verify_T14(m: int, n_max: int, t0) -> IdentityReport:
     routes = ["definition", "triangular", "qbinomial", "identity"]
     if m == 3:
         routes.append("closed3")
-    series = {r: epsilon(m, n_max, r).coeffs for r in routes
-              if r != "definition"}
-    ref = series["triangular"]
     # The walk stops at the first n != 1 where a series leaves the
     # triangular one, so the definition route, C and D are read only that
-    # far, and at least to the n = 1 note.  A truncated expansion is a
-    # prefix of the full one; a definition mismatch below `stop` is still
-    # the walk's first failure.
-    stop = next((n for n in range(n_max + 1) if n != 1 and
-                 any(s[n] != ref[n] for s in series.values())), n_max)
+    # far, and at least to the n = 1 note.  The cheap routes are expanded
+    # to a short prefix first (at m >= 4 they part at n = 2), and to n_max
+    # only when that prefix holds no such n.  A truncated expansion is a
+    # prefix of the full one, so the report is the same either way; a
+    # definition mismatch below `stop` is still the walk's first failure.
+    for top in dict.fromkeys((min(n_max, _T14_PROBE), n_max)):
+        series = {r: epsilon(m, top, r).coeffs for r in routes
+                  if r != "definition"}
+        ref = series["triangular"]
+        stop = next((n for n in range(top + 1) if n != 1 and
+                     any(s[n] != ref[n] for s in series.values())), None)
+        if stop is not None:
+            break
+    else:
+        stop = n_max
     top = max(stop, min(n_max, 1))
     series["definition"] = epsilon(m, top, "definition").coeffs
     C, D = _counts("C", m, top), _counts("D", m, top)

@@ -2,6 +2,7 @@
 contract (0 pass / 1 mismatch / 2 usage / 3 internal error), and JSON
 round-tripping."""
 
+import io
 import json
 import os
 import subprocess
@@ -9,13 +10,63 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glaisher
 from glaisher.cli import main
 from glaisher.verify import THEOREMS
+
+
+class _Stream(io.StringIO):
+    """A captured stream that also copies what it is given into `mixed`."""
+
+    def __init__(self, mixed):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, text):
+        self.mixed.write(text)
+        return super().write(text)
+
+
+class Result:
+    def __init__(self, exit_code, stdout, stderr, output):
+        self.exit_code = exit_code
+        self.stdout = stdout
+        self.stderr = stderr
+        self.output = output  # stdout and stderr, interleaved as written
+
+
+class CliRunner:
+    """Runs the CLI in this process with stdout and stderr captured, and
+    with `env` set in os.environ for the call; the exit code is the one
+    main's SystemExit carries."""
+
+    def __init__(self, env=None):
+        self.env = env or {}
+
+    def invoke(self, cli, args):
+        mixed = io.StringIO()
+        out, err = _Stream(mixed), _Stream(mixed)
+        saved = {key: os.environ.get(key) for key in self.env}
+        old_streams = sys.stdout, sys.stderr
+        os.environ.update(self.env)
+        sys.stdout, sys.stderr = out, err
+        try:
+            cli(args=args, prog_name="glaisher")
+            code = 0
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else \
+                (0 if exc.code is None else 1)
+        finally:
+            sys.stdout, sys.stderr = old_streams
+            for key, value in saved.items():
+                if value is None:
+                    os.environ.pop(key, None)
+                else:
+                    os.environ[key] = value
+        return Result(code, out.getvalue(), err.getvalue(), mixed.getvalue())
 
 
 @pytest.fixture()
@@ -273,6 +324,21 @@ def test_out_in_a_missing_directory_is_a_one_line_usage_error(
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("work", sorted(_OUT_COMMANDS))
+def test_out_naming_a_directory_is_a_one_line_usage_error(
+        monkeypatch, runner, tmp_path, work):
+    calls = []
+    monkeypatch.setattr(f"glaisher.cli.{work}",
+                        lambda *args, **kwargs: calls.append(args))
+    result = runner.invoke(main, _OUT_COMMANDS[work] + ["--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"Error: cannot write --out {str(tmp_path)!r}: ")
+    assert calls == []
+
+
 def test_out_holds_the_report_of_a_mismatch(runner, tmp_path):
     target = tmp_path / "report.json"
     result = runner.invoke(main, ["verify", "--theorem", "T1.4", "--m", "4",
@@ -343,6 +409,51 @@ def test_negative_range_rejected(runner):
     result = runner.invoke(main, ["count", "--family", "A", "--m", "2",
                                   "--n-max", "-3"])
     assert result.exit_code == 2
+
+
+def test_start_up_imports_neither_click_nor_dataclasses_nor_inspect():
+    # without site-packages, so a third-party import fails outright
+    src = str(Path(glaisher.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import glaisher.cli; "
+            "loaded = {'click', 'dataclasses', 'inspect'} & set(sys.modules); "
+            "assert not loaded, loaded; glaisher.cli.main(['--help'])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("Usage: ")
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["count", "--family", "A", "--m", "3", "--bogus", "1"],
+                 id="unknown-option"),
+    pytest.param(["count", "--fam", "A", "--m", "3"], id="abbreviated-option"),
+    pytest.param(["expand", "--series", "Q", "--m", "3"], id="bad-choice"),
+    pytest.param(["density", "--m", "3"], id="missing-required"),
+    pytest.param(["verify", "--theorem", "T1.2", "--m", "three"],
+                 id="non-integer"),
+    pytest.param(["tally", "--m", "3"], id="unknown-command"),
+    pytest.param([], id="no-command"),
+])
+def test_grammar_errors_exit_two_with_empty_stdout(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr
+
+
+@pytest.mark.parametrize("command", [[], ["count"], ["expand"], ["verify"],
+                                     ["density"]])
+def test_help_exits_zero(runner, command):
+    result = runner.invoke(main, command + ["--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith("Usage: glaisher")
+    assert result.stderr == ""
+
+
+def test_version_line(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert result.stdout == "glaisher, version 0.1.0\n"
 
 
 def test_version_needs_no_installed_metadata(runner):

@@ -148,8 +148,10 @@ def test_T14_reads_counts_only_as_far_as_its_walk(monkeypatch, m):
                                          (4, 0, 0), (3, _N, _N)])
 def test_T14_expands_definition_only_as_far_as_its_walk(monkeypatch, m, n_max,
                                                         top):
-    # the other routes find where the walk stops (n = 2 at m >= 4); the
-    # cyclotomic route is expanded only that far, and at least to n = 1
+    # the other routes find where the walk stops (n = 2 at m >= 4), first
+    # on a 64-term prefix and to n_max only when that prefix agrees (m = 3);
+    # the cyclotomic route is expanded only as far as the walk, and at
+    # least to n = 1
     module = sys.modules["glaisher.verify"]
     real, asked = module.epsilon, {}
 
@@ -159,8 +161,29 @@ def test_T14_expands_definition_only_as_far_as_its_walk(monkeypatch, m, n_max,
     monkeypatch.setattr(module, "epsilon", expand)
     report = verify("T1.4", m, n_max=n_max)
     assert asked.pop("definition") == [top]
-    assert all(v == [n_max] for v in asked.values())
+    cheap = [64, n_max] if m == 3 else [min(n_max, 64)]
+    assert all(v == cheap for v in asked.values())
     assert report.passed == (m == 3 or n_max < 2)
+
+
+def test_T14_at_m4_expands_no_route_past_its_probe(monkeypatch):
+    # the routes part at n = 2, inside the 64-term prefix, so nothing is
+    # expanded to n_max, and the report is the one the full walk gives
+    module = sys.modules["glaisher.verify"]
+    real, asked = module.epsilon, []
+
+    def expand(m, precision, route):
+        asked.append(precision)
+        return real(m, precision, route)
+    monkeypatch.setattr(module, "epsilon", expand)
+    report = verify("T1.4", 4, n_max=3000)
+    assert asked and max(asked) <= 64
+    assert (report.theorem, report.m, report.range, report.status,
+            report.first_failure, report.routes, report.notes) == (
+        "T1.4", 4, (0, 3000), "fail",
+        (2, "triangular E(2)=-3", "identity m*C(2)-D(2)=-2"),
+        ["definition", "triangular", "qbinomial", "identity"],
+        {"n=1": "m*C(1)=0 vs D(1)+E(1)=-1; reported, not asserted"})
 
 
 def test_T19_documented_case():
