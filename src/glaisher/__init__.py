@@ -4,12 +4,12 @@ Five layers: cyclotomic scalar arithmetic (`ring`), truncated exact power
 series over Z (`series`), combinatorial counters with a brute-force oracle
 (`partitions`), generating functions and the correction-series routes
 (`genfun`), and theorem checking / density scans (`verify`), fronted by the
-`glaisher` CLI.  Z[zeta_m] appears only as scalars (`CycInt`) and, at
-the end of the cyclotomic `definition` route, as one coefficient list that
-`map_ring` checks down to an integer `Series`; that route expands the
-root-1 product alone over Z[x]/(x^m - 1), each residue list packed into
-one int, and reads every root j's share off it by the residue map
-r -> j r mod m of x -> x^j.
+`glaisher` CLI.  Z[zeta_m] appears only as scalars (`CycInt`).  The
+cyclotomic `definition` route expands the root-1 product alone over
+Z[x]/(x^m - 1), each residue list packed into one int, reads every root
+j's share off it by the residue map r -> j r mod m of x -> x^j, and
+reduces to Z[zeta_m] by a linear map on those ints; only a coefficient
+that is not in Z becomes a `CycInt` list for `map_ring` to reject.
 """
 
 from .ring import (

@@ -19,7 +19,8 @@ different routes:
   independent routes: a cyclotomic product definition (the product for
   root 1 alone, expanded over Z[x]/(x^m - 1) with each residue list
   packed into one int, read off for every root j by the residue map
-  r -> j r mod m of x -> x^j, and reduced to Z[zeta_m] once at the end),
+  r -> j r mod m of x -> x^j, and reduced to Z[zeta_m] once at the end
+  as a linear map on those ints),
   a triangular-number sum (a dense list filled from
   ``triangular_stream``), a Gaussian-binomial rearrangement of that sum,
   the raw difference m*gf_C - gf_D, and (for m = 3 only) a closed form
@@ -55,11 +56,20 @@ that land on one place and so cannot raise the sum of |cells| over
 residues.  So a final cell of `total` is at most
 (m-1)(floor(N/m) + 1) exp(pi*sqrt(2N/3)) in absolute value, the same
 bound as for an accumulator that expands every root's product, which
-`total` equals cell for cell.  w holds the bits of that bound, one sign
-bit and two guard bits against float rounding, rounded up to whole bytes
+`total` equals cell for cell.
+
+The reduction sends x^r to zeta_m^r, whose power-basis coordinates are
+R[r] = `cyc_root_power(m, r).coords`, so coordinate k of a cell is
+sum_r R[r][k] c_r, with c_r the cell of residue r.  That is one linear
+combination of the packed residue ints per k, and its absolute value is
+at most max|R| * sum_r |c_r|, the bound above times max|R|.  Checked for
+m <= 400, max|R| is 1 for m <= 104, 2 at m = 105, 165, 195, 210, ... and
+3 at m = 385.  w holds the bits of the bound above, plus those of
+max|R| - 1 (max|R| <= 2^b for b those bits), one sign bit and two guard
+bits against float rounding, rounded up to whole bytes
 (`_definition_slot_bits`).  Since the arithmetic is exact mod
-2^(w(N+1)), only the decoded accumulators need the bound; every product
-cell meets it too.
+2^(w(N+1)), only the decoded coordinates need the bound; every product
+and accumulator cell meets it too.
 """
 
 from __future__ import annotations
@@ -266,10 +276,13 @@ def _definition_slot_bits(m: int, precision: int) -> int:
     is below 2^(w - 1) in absolute value (see the module docstring).
 
     The bits of exp(pi*sqrt(2N/3)), rounded up, plus those of the number of
-    products an accumulator cell sums, one sign bit and two bits against
+    products an accumulator cell sums, those of the largest power-basis
+    coordinate of a zeta_m^r less one, one sign bit and two bits against
     float rounding, rounded up to whole bytes."""
     bits = int(math.pi * math.sqrt(2 * precision / 3) / math.log(2)) + 1
     bits += ((m - 1) * (precision // m + 1)).bit_length()
+    peak = max(abs(c) for r in range(m) for c in cyc_root_power(m, r).coords)
+    bits += (peak - 1).bit_length()
     return (bits + 3 + 7) // 8 * 8
 
 
@@ -312,9 +325,12 @@ def _epsilon_definition(m: int, precision: int) -> Series:
     it is the map r -> j r mod m: residues that land on the same place
     add.  So only the root-1 product and its accumulator are expanded;
     after the last block the accumulator is added into every root
-    j = 1..m-1 through that map.  Only at the end is each accumulated
-    residue decoded and x^r sent to zeta_m^r, once per residue, and the
-    coefficients over Z[zeta_m] (CycInt) checked down to Z by `map_ring`.
+    j = 1..m-1 through that map.  At the end x^r is sent to zeta_m^r on
+    the packed ints: each power-basis coordinate is a linear combination
+    of the residues, and coordinate 0 is decoded as the series.  When a
+    coordinate k >= 1 is nonzero, every coordinate is decoded and the
+    coefficients over Z[zeta_m] (CycInt) go to `map_ring`, which raises
+    NotIntegerCoefficientError at the first that is not in Z.
 
     Worked from the top block downward so each step multiplies two linear
     factors instead of rebuilding the infinite products."""
@@ -339,11 +355,13 @@ def _epsilon_definition(m: int, precision: int) -> Series:
     for j in range(1, m):
         for r, a in live:
             total[j * r % m] += a
-    out = [CycInt.zero(m)] * (precision + 1)
-    for r, a in enumerate(total):
-        kernels.add_scaled_shifted(out, _unpack_signed(a, w, precision), 0,
-                                   cyc_root_power(m, r))
-    return map_ring(out)
+    roots = [cyc_root_power(m, r).coords for r in range(m)]
+    coords = [sum(row[k] * a for row, a in zip(roots, total) if row[k] and a)
+              & mask for k in range(len(roots[0]))]
+    if any(coords[1:]):
+        cells = [_unpack_signed(c, w, precision) for c in coords]
+        return map_ring([CycInt(m, c) for c in zip(*cells)])
+    return Series._wrap(_unpack_signed(coords[0], w, precision))
 
 
 def _epsilon_triangular(m: int, precision: int) -> Series:

@@ -7,9 +7,8 @@ benchmark's spans do) sees every call.
 
 Coefficients are opaque ring elements: only `+`, `-`, `*`, `bool` and
 `== 1` are used, so int and CycInt lists go through the same code paths.
-In the package every list is of ints, with one exception: CycInt enters
-`add_scaled_shifted`, as the accumulator and the scale, in the final
-reduction of the cyclotomic `definition` route to Z[zeta_m].
+In the package every list is of ints; the tests' Z[zeta_m] references
+pass CycInt lists.
 
 With u = 1 the multiply by (1 - q^k) is one slice pass: every new c[t]
 reads only the old c[t - k], so both slices are taken before the

@@ -5,7 +5,8 @@ arithmetic is exact below the truncation point and anything above it is
 discarded, never wrapped.  Coefficients are plain ints; anything else,
 bool and CycInt included, is a TypeError.  A coefficient list over
 Z[zeta_m] (CycInt) enters only through `map_ring`, which checks each
-coefficient down to Z.
+coefficient down to Z; the `definition` route calls it only to name a
+coefficient that is not in Z.
 
 Products are naive O(N^2) convolutions on purpose: coefficients are bignums
 and exactness is the point.  The inner loops live in `glaisher.kernels`.

@@ -15,7 +15,6 @@ worth seeing rather than asserting blindly.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from math import isqrt
 
 from . import kernels
@@ -370,6 +369,8 @@ def density_report(m: int, x: int) -> DensityStats:
 
     A census above the bound is a finding, reported as
     bound_satisfied=False (the CLI maps it to exit code 1)."""
+    from fractions import Fraction  # here, so that no other command loads it
+
     if m < 2:
         raise ValueError("m must be >= 2")
     if x < 1:

@@ -412,10 +412,12 @@ def test_negative_range_rejected(runner):
 
 
 def test_start_up_imports_neither_click_nor_dataclasses_nor_inspect():
-    # without site-packages, so a third-party import fails outright
+    # without site-packages, so a third-party import fails outright;
+    # fractions (and the decimal it pulls in) loads only for density_report
     src = str(Path(glaisher.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import glaisher.cli; "
-            "loaded = {'click', 'dataclasses', 'inspect'} & set(sys.modules); "
+            "loaded = {'click', 'dataclasses', 'inspect', 'fractions', "
+            "'decimal'} & set(sys.modules); "
             "assert not loaded, loaded; glaisher.cli.main(['--help'])")
     proc = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=120)

@@ -13,7 +13,7 @@ families, locked in by regression below).
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glaisher import genfun, kernels
@@ -354,12 +354,14 @@ def _epsilon_definition_cycint(m, precision):
     return map_ring(acc)
 
 
-def _epsilon_definition_lists(m, precision, peaks=None):
-    """The definition route with each residue of Z[x]/(x^m - 1) an int list,
-    multiplied by (1 - q^i)(1 - x^j q^i) through the kernels.  If `peaks` is
-    a list, the largest |cell| of every product after each factor pair and
-    of every accumulator after each block is appended to it: the values the
-    packed route holds."""
+def _definition_residues(m, precision, peaks=None):
+    """The definition route's accumulator before its reduction to
+    Z[zeta_m]: one int list per residue of Z[x]/(x^m - 1), the sum over
+    the roots j = 1..m-1 of the products multiplied by
+    (1 - q^i)(1 - x^j q^i) through the kernels.  If `peaks` is a list, the
+    largest |cell| of every product after each factor pair and of every
+    accumulator after each block is appended to it: the values the packed
+    route holds."""
     def peak(lists):
         if peaks is not None:
             peaks.append(max(max(max(c), -min(c)) for c in lists))
@@ -394,9 +396,19 @@ def _epsilon_definition_lists(m, precision, peaks=None):
         for j, w in enumerate(prods, 1):
             mul_factor_pair(w, j, n)
         n -= 1
+    return acc
+
+
+def _epsilon_definition_lists(m, precision, peaks=None):
+    """The definition route on int lists (`_definition_residues`), each
+    residue r sent to zeta_m^r in a CycInt list that `map_ring` checks down
+    to Z.  With `peaks`, the largest |coordinate| of the reduced
+    coefficients is appended too: the packed route holds those as well."""
     out = [CycInt.zero(m)] * (precision + 1)
-    for r, a in enumerate(acc):
+    for r, a in enumerate(_definition_residues(m, precision, peaks)):
         kernels.add_scaled_shifted(out, a, 0, cyc_root_power(m, r))
+    if peaks is not None:
+        peaks.append(max(abs(x) for c in out for x in c.coords))
     return map_ring(out)
 
 
@@ -469,12 +481,15 @@ def test_definition_expands_one_product_per_proper_divisor(
 
 
 _SLOT_GRID = sorted({(m, n) for m in (*range(2, 10), 12, 20)
-                     for n in (0, 1, m - 1, m, 150, 600)} | {(3, 2000)})
+                     for n in (0, 1, m - 1, m, 150, 600)}
+                    | {(3, 2000), (105, 20), (385, 10)})
 
 
 @pytest.mark.parametrize("m,precision", _SLOT_GRID)
 def test_definition_slot_width_holds(m, precision):
-    # every cell of every product and accumulator fits a signed slot
+    # every cell of every product and accumulator, and every coordinate of
+    # the reduced coefficients, fits a signed slot; a power-basis coordinate
+    # of some zeta_m^r is 2 at m = 105 and 3 at m = 385
     peaks = []
     expected = _epsilon_definition_lists(m, precision, peaks)
     w = genfun._definition_slot_bits(m, precision)
@@ -502,41 +517,62 @@ def test_definition_residue_lists_match_cycint_loop(m):
                                          (6, 40), (9, 40)])
 def test_definition_route_does_integer_work_until_one_reduction(
         monkeypatch, m, precision):
-    # Z[zeta_m] enters only in the final reduction: one add_scaled_shifted
-    # into a CycInt accumulator per residue of Z[x]/(x^m - 1), then map_ring.
-    # The products are packed ints, so no int list goes through a kernel.
+    # the reduction to Z[zeta_m] is a linear map on the packed residue ints:
+    # a passing run calls no kernel, builds no CycInt and never calls map_ring
+    expected = epsilon(m, precision, "triangular")
     calls = []
-    for name in ("mul_one_minus_uqk", "div_one_minus_uqk", "add_scaled_shifted"):
+    for name in ("conv_truncated", "mul_one_minus_uqk", "div_one_minus_uqk",
+                 "add_scaled_shifted"):
         def recorded(*args, _name=name, _real=getattr(kernels, name)):
-            calls.append((_name, any(isinstance(c, CycInt) for c in args[0])))
+            calls.append(_name)
             return _real(*args)
         monkeypatch.setattr(kernels, name, recorded)
-    mapped = []
+
+    class Built(CycInt):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            calls.append("CycInt")
+            super().__init__(*args)
+    monkeypatch.setattr(genfun, "CycInt", Built)
+
+    def wrapped(cls, *args, _real=CycInt._wrap.__func__):
+        calls.append("CycInt._wrap")
+        return _real(cls, *args)
+    monkeypatch.setattr(CycInt, "_wrap", classmethod(wrapped))
 
     def recorded_map_ring(coeffs, _real=genfun.map_ring):
-        mapped.append(list(coeffs))
+        calls.append("map_ring")
         return _real(coeffs)
     monkeypatch.setattr(genfun, "map_ring", recorded_map_ring)
-    epsilon(m, precision, "definition")
-    assert not [c for c in calls if c[0] != "add_scaled_shifted"]
-    assert calls == [("add_scaled_shifted", True)] * m
-    assert len(mapped) == 1 and len(mapped[0]) == precision + 1
-    assert all(isinstance(c, CycInt) for c in mapped[0])
+    assert epsilon(m, precision, "definition") == expected
+    assert calls == []
 
 
 def test_definition_route_keeps_the_integer_check(monkeypatch):
     # send every x^r with r > 0 to zeta itself: the sum over roots is then no
-    # longer Galois-stable, and map_ring must name the first bad exponent
+    # longer Galois-stable, and map_ring must name the first bad exponent and
+    # the coefficient there, sum_r W_r[n] zeta^(1 if r else 0); at composite
+    # m = 6 the residue maps r -> j r mod m are not all injective
     monkeypatch.setattr(genfun, "cyc_root_power",
                         lambda m, e: cyc_root_power(m, 1 if e else 0))
-    with pytest.raises(NotIntegerCoefficientError) as info:
-        epsilon(3, 20, "definition")
-    assert info.value.exponent == 1
+    for m in (3, 6):
+        with pytest.raises(NotIntegerCoefficientError) as info:
+            epsilon(m, 20, "definition")
+        assert info.value.exponent == 1
+        value = CycInt.zero(m)
+        for r, cells in enumerate(_definition_residues(m, 20)):
+            value += cells[1] * cyc_root_power(m, 1 if r else 0)
+        assert info.value.value == value
 
 
 @settings(deadline=None, database=None, max_examples=40)
 @given(st.integers(2, 30), st.integers(0, 120))
+@example(105, 400)
+@example(210, 300)
+@example(385, 300)
 def test_definition_equals_triangular(m, precision):
+    # the large-m examples widen the slot (a coordinate of 2 or 3)
     assert epsilon(m, precision, "definition") == \
         epsilon(m, precision, "triangular")
 
