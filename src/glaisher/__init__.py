@@ -10,51 +10,25 @@ Z[x]/(x^m - 1), each residue list packed into one int, reads every root
 j's share off it by the residue map r -> j r mod m of x -> x^j, and
 reduces to Z[zeta_m] by a linear map on those ints; only a coefficient
 that is not in Z becomes a `CycInt` list for `map_ring` to reject.
+
+Every CLI call is a fresh process, and a process that runs one layer
+should not compile the others.  So importing the package loads only
+`__version__`, the CLI grammar's constants (`EPSILON_ROUTES` here,
+`THEOREMS` in `verify`) and the `verify` layer, which imports the layers
+it reads only when a checker runs.  Every other public name, the
+submodules included, is loaded on first use (PEP 562).  In the CLI,
+`--help` and `--version` load none of `ring`, `series`, `kernels`,
+`partitions` or `genfun`; `count` loads `partitions` alone; `expand` and
+`density` load `genfun` with the `series`, `ring` and `kernels` it is
+built on, and no `partitions`; `verify` loads what its theorem checks.
 """
 
-from .ring import (
-    CycInt,
-    CycPoly,
-    chi,
-    cyc_as_integer,
-    cyc_root_power,
-    cyclotomic_polynomial,
-    euler_phi,
-)
-from .series import (
-    CoefficientRangeError,
-    NotIntegerCoefficientError,
-    PochSpec,
-    PrecisionMismatchError,
-    Series,
-    inv_pochhammer,
-    map_ring,
-    pochhammer,
-    qbinomial,
-    qbinomial_poly,
-)
-from .partitions import (
-    BRUTE_FORCE_LIMIT,
-    CountTable,
-    FamilySpec,
-    brute_force_count,
-    count_A,
-    count_B,
-    count_Bj,
-    count_C,
-    count_D,
-    count_bounded_mult,
-    count_table,
-)
-from .genfun import (
-    EPSILON_ROUTES,
-    epsilon,
-    gf_Bj_lhs,
-    gf_C,
-    gf_D,
-    gf_regular,
-    p_polynomial,
-)
+__version__ = "0.1.0"
+
+# The choices of `expand --route`; `genfun` reads them from here, so that
+# building the CLI grammar loads no series code.
+EPSILON_ROUTES = ("definition", "triangular", "qbinomial", "identity", "closed3")
+
 from .verify import (
     DensityStats,
     IdentityReport,
@@ -63,4 +37,41 @@ from .verify import (
     verify,
 )
 
-__version__ = "0.1.0"
+_SUBMODULES = ("genfun", "kernels", "partitions", "ring", "series")
+
+# Each lazily loaded public name, by the submodule that defines it.
+_LAZY = {
+    "ring": ("CycInt", "CycPoly", "chi", "cyc_as_integer", "cyc_root_power",
+             "cyclotomic_polynomial", "euler_phi"),
+    "series": ("CoefficientRangeError", "NotIntegerCoefficientError",
+               "PochSpec", "PrecisionMismatchError", "Series",
+               "inv_pochhammer", "map_ring", "pochhammer", "qbinomial",
+               "qbinomial_poly"),
+    "partitions": ("BRUTE_FORCE_LIMIT", "CountTable", "FamilySpec",
+                   "brute_force_count", "count_A", "count_B", "count_Bj",
+                   "count_C", "count_D", "count_bounded_mult", "count_table"),
+    "genfun": ("epsilon", "gf_Bj_lhs", "gf_C", "gf_D", "gf_regular",
+               "p_polynomial"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted([
+    "EPSILON_ROUTES", "DensityStats", "IdentityReport", "THEOREMS",
+    "density_report", "verify", *_SUBMODULES, *_HOME,
+])
+
+
+def __getattr__(name):
+    module = name if name in _SUBMODULES else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = import_module(f"{__name__}.{module}")
+    if module != name:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

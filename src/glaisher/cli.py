@@ -3,8 +3,11 @@ and density scans, with json / csv / text output.
 
 The grammar is stdlib `argparse`, with abbreviations off on every parser,
 so an option parses only under its full name.  Every call is a fresh
-process, so the module imports nothing beyond the stdlib modules it uses
-and the package itself.
+process, so the module loads at start-up only the stdlib modules the
+grammar needs, the package constants and the `verify` layer (which the
+package loads anyway).  Each command imports the layer it runs when it
+runs: `count` loads `partitions` and `expand` loads `genfun`; `json` and
+`csv` load only for their `--format`.
 
 Exit codes: 0 all checks pass, 1 a mathematical mismatch was found (a
 failed identity, or a density census above its window bound), 2 usage or
@@ -15,23 +18,10 @@ one line on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 
-from . import __version__
-from .genfun import (
-    EPSILON_ROUTES,
-    epsilon,
-    gf_Bj_lhs,
-    gf_C,
-    gf_D,
-    gf_regular,
-    p_polynomial,
-)
-from .partitions import FamilySpec, count_table
+from . import EPSILON_ROUTES, __version__
 from .verify import THEOREMS, density_report, verify
 
 DEFAULT_RANGE = 200
@@ -105,7 +95,16 @@ def _emit(text: str, fh):
         fh.write(text + "\n")
 
 
+def _json_text(payload) -> str:
+    import json
+
+    return json.dumps(payload, indent=2)
+
+
 def _csv_rows(header, rows) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -129,6 +128,8 @@ def _ratio_decimal(num: int, den: int, places: int = 6) -> str:
 
 def count(opts) -> int:
     """Tabulate exact counts (n, value) for one family."""
+    from .partitions import FamilySpec, count_table
+
     family, m, j, n_max, fmt = opts.family, opts.m, opts.j, opts.n_max, opts.fmt
     _check_bound(n_max, "--n-max")
     try:
@@ -147,7 +148,7 @@ def count(opts) -> int:
             "n_max": n_max,
             "counts": values,
         }
-        _emit(json.dumps(payload, indent=2), fh)
+        _emit(_json_text(payload), fh)
     elif fmt == "csv":
         _emit(_csv_rows(("n", "value"), enumerate(values)), fh)
     else:
@@ -161,6 +162,8 @@ def count(opts) -> int:
 
 def expand(opts) -> int:
     """Expand a generating function to (exponent, coefficient) rows."""
+    from .genfun import epsilon, gf_Bj_lhs, gf_C, gf_D, gf_regular, p_polynomial
+
     series_name, m, precision, route, fmt = (
         opts.series_name, opts.m, opts.precision, opts.route, opts.fmt)
     _check_bound(precision, "--precision")
@@ -194,7 +197,7 @@ def expand(opts) -> int:
             "route": route if series_name == "epsilon" else None,
             "coefficients": values,
         }
-        _emit(json.dumps(payload, indent=2), fh)
+        _emit(_json_text(payload), fh)
     elif fmt == "csv":
         _emit(_csv_rows(("n", "value"), enumerate(values)), fh)
     else:
@@ -242,7 +245,7 @@ def verify_cmd(opts) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     if fmt == "json":
-        _emit(json.dumps(_report_payload(report), indent=2), fh)
+        _emit(_json_text(_report_payload(report)), fh)
     elif fmt == "csv":
         n, lhs, rhs = report.first_failure or ("", "", "")
         _emit(_csv_rows(
@@ -295,7 +298,7 @@ def density(opts) -> int:
             "window_bound": stats.window_bound,
             "bound_satisfied": stats.bound_satisfied,
         }
-        _emit(json.dumps(payload, indent=2), fh)
+        _emit(_json_text(payload), fh)
     elif fmt == "csv":
         _emit(_csv_rows(
             ("m", "x", "nonzero_count", "N_x", "ratio", "ratio_decimal",

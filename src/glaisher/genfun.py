@@ -78,11 +78,9 @@ import math
 from collections.abc import Iterator
 from operator import add, sub
 
-from . import kernels
+from . import EPSILON_ROUTES, kernels
 from .ring import CycInt, chi, cyc_root_power
 from .series import Series, _check_precision, map_ring, qbinomial_poly
-
-EPSILON_ROUTES = ("definition", "triangular", "qbinomial", "identity", "closed3")
 
 GF_REGULAR_FORMS = ("A_product", "B_product")
 

@@ -10,18 +10,17 @@ The m*C = D + correction identity is checked on n = 0 and n >= 2; both
 sides at n = 1 are evaluated and attached to the report notes instead of
 deciding the status, since the n = 1 behaviour differs across m and is
 worth seeing rather than asserting blindly.
+
+The package imports this module on every start, so it imports no other
+layer at module level: each checker imports what it reads when it runs,
+from the module that defines it (`genfun`, `partitions`, `series`), and
+reads whatever that module holds under the name at the time.
 """
 
 from __future__ import annotations
 
 import time
 from math import isqrt
-
-from . import kernels
-from .genfun import (epsilon, gf_Bj_lhs, gf_C, gf_D, gf_regular, p_polynomial,
-                     triangular_stream)
-from .partitions import FamilySpec, count_table
-from .series import PochSpec, Series, pochhammer
 
 THEOREMS = ("T1.2", "E1.4", "T1.3", "T1.4", "T1.5", "T1.6", "T1.8", "T1.9", "C1.10")
 
@@ -108,6 +107,8 @@ def _finish(theorem, m, rng, routes, t0, check, notes=None) -> IdentityReport:
 
 
 def _counts(family: str, m: int, n_max: int, j: int | None = None) -> tuple:
+    from .partitions import FamilySpec, count_table
+
     return count_table(FamilySpec(family, m, j), n_max).counts
 
 
@@ -121,6 +122,8 @@ def _first_mismatch(ns, lhs, rhs, lhs_label, rhs_label) -> None:
 
 
 def _verify_T12(m: int, n_max: int, t0) -> IdentityReport:
+    from .genfun import gf_regular
+
     def check():
         ns = range(n_max + 1)
         _first_mismatch(ns, _counts("A", m, n_max), _counts("B", m, n_max),
@@ -157,6 +160,8 @@ _T14_PROBE = 64  # the prefix T1.4 expands before it commits to n_max
 
 
 def _verify_T14(m: int, n_max: int, t0) -> IdentityReport:
+    from .genfun import epsilon
+
     routes = ["definition", "triangular", "qbinomial", "identity"]
     if m == 3:
         routes.append("closed3")
@@ -213,6 +218,8 @@ def _verify_T14(m: int, n_max: int, t0) -> IdentityReport:
 
 
 def _verify_T15(n_max: int, t0) -> IdentityReport:
+    from .genfun import epsilon
+
     def check():
         _first_mismatch(range(n_max + 1), epsilon(3, n_max, "definition").coeffs,
                         epsilon(3, n_max, "closed3").coeffs,
@@ -250,6 +257,8 @@ def _verify_T16(n_max: int, t0) -> IdentityReport:
 
 
 def _verify_T18(m: int, n_max: int, t0) -> IdentityReport:
+    from .genfun import epsilon
+
     eps = epsilon(m, n_max + 1, "triangular").coeffs
 
     def check():
@@ -278,6 +287,9 @@ def _verify_T18(m: int, n_max: int, t0) -> IdentityReport:
 
 def _rhs_T19(m: int, n_sum: int, precision: int) -> Series:
     """(q^m; q^m)_(n_sum) / (q; q)_(m n_sum), truncated."""
+    from . import kernels
+    from .series import PochSpec, Series, pochhammer
+
     c = list(pochhammer(PochSpec(1, m, m, n_sum), precision).coeffs)
     for k in range(1, min(m * n_sum, precision) + 1):
         kernels.div_one_minus_uqk(c, 1, k)
@@ -287,6 +299,8 @@ def _rhs_T19(m: int, n_sum: int, precision: int) -> Series:
 def _verify_T19(m: int, n_sum: int, precision: int, t0) -> IdentityReport:
     if n_sum is None or n_sum < 1:
         raise ValueError("T1.9 requires a positive block count (N_sum)")
+
+    from .genfun import gf_Bj_lhs
 
     def check():
         _first_mismatch(range(precision + 1),
@@ -303,6 +317,8 @@ def _verify_C110(m: int, precision: int, t0) -> IdentityReport:
     # (1 - q^k) for the same k as the sum's Horner pass, so the two lists
     # would differ by 1 after every step and a faulty division would cancel.
     # A_product (Euler's recurrence) makes no division; T1.2 ties it to B.
+    from .genfun import gf_Bj_lhs, gf_regular
+
     def check():
         _first_mismatch(range(precision + 1), gf_Bj_lhs(m, None, precision).coeffs,
                         gf_regular(m, "A_product", precision).coeffs,
@@ -370,6 +386,8 @@ def density_report(m: int, x: int) -> DensityStats:
     A census above the bound is a finding, reported as
     bound_satisfied=False (the CLI maps it to exit code 1)."""
     from fractions import Fraction  # here, so that no other command loads it
+
+    from .genfun import p_polynomial, triangular_stream
 
     if m < 2:
         raise ValueError("m must be >= 2")

@@ -298,23 +298,40 @@ def test_out_writes_file(runner, tmp_path):
                                                "2,1", "3,2"]
 
 
+# each command's work, by the name the command reads it under, and the
+# command; `count` and `expand` import their layer when they run
 _OUT_COMMANDS = {
-    "count_table": ["count", "--family", "A", "--m", "3"],
-    "epsilon": ["expand", "--series", "epsilon", "--m", "3"],
-    "verify": ["verify", "--theorem", "T1.2", "--m", "3"],
-    "density_report": ["density", "--m", "3", "--x", "100"],
+    "count_table": ("glaisher.partitions.count_table",
+                    ["count", "--family", "A", "--m", "3"]),
+    "epsilon": ("glaisher.genfun.epsilon",
+                ["expand", "--series", "epsilon", "--m", "3"]),
+    "verify": ("glaisher.cli.verify",
+               ["verify", "--theorem", "T1.2", "--m", "3"]),
+    "density_report": ("glaisher.cli.density_report",
+                       ["density", "--m", "3", "--x", "100"]),
 }
+
+
+def _stub_work(monkeypatch, runner, tmp_path, work) -> list:
+    """Replace the command's work by a stub that records its calls, and
+    check that the stub is the one the command reaches: with a writable
+    --out it is called once."""
+    target, args = _OUT_COMMANDS[work]
+    calls = []
+    monkeypatch.setattr(target, lambda *args, **kwargs: calls.append(args))
+    runner.invoke(main, args + ["--out", str(tmp_path / "reached.out")])
+    assert len(calls) == 1
+    calls.clear()
+    return calls
 
 
 @pytest.mark.parametrize("work", sorted(_OUT_COMMANDS))
 def test_out_in_a_missing_directory_is_a_one_line_usage_error(
         monkeypatch, runner, tmp_path, work):
     # reported before any work is done, with the path and the OS reason
-    calls = []
-    monkeypatch.setattr(f"glaisher.cli.{work}",
-                        lambda *args, **kwargs: calls.append(args))
+    calls = _stub_work(monkeypatch, runner, tmp_path, work)
     target = tmp_path / "missing" / "x.json"
-    result = runner.invoke(main, _OUT_COMMANDS[work] + ["--out", str(target)])
+    result = runner.invoke(main, _OUT_COMMANDS[work][1] + ["--out", str(target)])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
@@ -327,10 +344,8 @@ def test_out_in_a_missing_directory_is_a_one_line_usage_error(
 @pytest.mark.parametrize("work", sorted(_OUT_COMMANDS))
 def test_out_naming_a_directory_is_a_one_line_usage_error(
         monkeypatch, runner, tmp_path, work):
-    calls = []
-    monkeypatch.setattr(f"glaisher.cli.{work}",
-                        lambda *args, **kwargs: calls.append(args))
-    result = runner.invoke(main, _OUT_COMMANDS[work] + ["--out", str(tmp_path)])
+    calls = _stub_work(monkeypatch, runner, tmp_path, work)
+    result = runner.invoke(main, _OUT_COMMANDS[work][1] + ["--out", str(tmp_path)])
     assert result.exit_code == 2
     assert result.stdout == ""
     lines = result.stderr.splitlines()
@@ -425,6 +440,48 @@ def test_start_up_imports_neither_click_nor_dataclasses_nor_inspect():
     assert proc.stdout.startswith("Usage: ")
 
 
+_ENGINE = {"glaisher.genfun", "glaisher.series", "glaisher.ring",
+           "glaisher.kernels"}
+
+
+@pytest.mark.parametrize("args,loads", [
+    pytest.param(["--help"], set(), id="help"),
+    pytest.param(["--version"], set(), id="version"),
+    pytest.param(["count", "--family", "C", "--m", "3", "--n-max", "20"],
+                 {"glaisher.partitions"}, id="count"),
+    pytest.param(["count", "--family", "C", "--m", "3", "--n-max", "20",
+                  "--format", "csv"], {"glaisher.partitions", "csv"},
+                 id="count-csv"),
+    pytest.param(["expand", "--series", "epsilon", "--m", "3", "--precision",
+                  "20", "--route", "definition", "--format", "json"],
+                 _ENGINE | {"json"}, id="expand"),
+    pytest.param(["expand", "--series", "D", "--m", "3", "--precision", "20"],
+                 _ENGINE, id="expand-D"),
+    pytest.param(["density", "--m", "3", "--x", "200", "--format", "json"],
+                 _ENGINE | {"json"}, id="density"),
+])
+def test_each_command_loads_only_the_layers_it_runs(args, loads):
+    # `import glaisher.cli` loads no layer but `verify`, and neither json
+    # nor csv; the command then adds exactly the modules in `loads`
+    src = str(Path(glaisher.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import glaisher.cli\n"
+            "def ours(names):\n"
+            "    return {n for n in names if n.startswith('glaisher.') or "
+            "n in ('json', 'csv')}\n"
+            "before = ours(sys.modules)\n"
+            "try:\n"
+            "    glaisher.cli.main(sys.argv[2:])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(sorted(before), file=sys.stderr)\n"
+            "print(sorted(ours(sys.modules) - before), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src, *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        repr(["glaisher.cli", "glaisher.verify"]), repr(sorted(loads))]
+
+
 @pytest.mark.parametrize("args", [
     pytest.param(["count", "--family", "A", "--m", "3", "--bogus", "1"],
                  id="unknown-option"),
@@ -477,8 +534,7 @@ def test_bad_ceiling_is_a_one_line_usage_error(ceiling):
 
 
 def test_density_bound_violation_exits_one_with_report(monkeypatch, runner):
-    module = sys.modules["glaisher.verify"]
-    monkeypatch.setattr(module, "triangular_stream", lambda m, x:
+    monkeypatch.setattr("glaisher.genfun.triangular_stream", lambda m, x:
                         ((n, 1) for n in range(x)))
     result = runner.invoke(main, ["density", "--m", "3", "--x", "1000",
                                   "--format", "json"])
@@ -493,7 +549,7 @@ def test_unexpected_exception_is_a_one_line_internal_error(monkeypatch, runner):
     def broken(spec, n_max):
         raise RuntimeError("table store\nunavailable")
 
-    monkeypatch.setattr("glaisher.cli.count_table", broken)
+    monkeypatch.setattr("glaisher.partitions.count_table", broken)
     result = runner.invoke(main, ["count", "--family", "A", "--m", "3",
                                   "--n-max", "5"])
     assert result.exit_code == 3

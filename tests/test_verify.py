@@ -1,12 +1,11 @@
 """The identity checkers: pass verdicts where the identities hold, honest
 fail verdicts with witnesses where they do not, and the density census."""
 
-import sys
 from fractions import Fraction
 
 import pytest
 
-from glaisher import kernels, partitions
+from glaisher import genfun, kernels, partitions
 from glaisher.series import Series
 from glaisher.verify import THEOREMS, density_report, verify
 
@@ -152,13 +151,12 @@ def test_T14_expands_definition_only_as_far_as_its_walk(monkeypatch, m, n_max,
     # on a 64-term prefix and to n_max only when that prefix agrees (m = 3);
     # the cyclotomic route is expanded only as far as the walk, and at
     # least to n = 1
-    module = sys.modules["glaisher.verify"]
-    real, asked = module.epsilon, {}
+    real, asked = genfun.epsilon, {}
 
     def expand(m, precision, route):
         asked.setdefault(route, []).append(precision)
         return real(m, precision, route)
-    monkeypatch.setattr(module, "epsilon", expand)
+    monkeypatch.setattr(genfun, "epsilon", expand)
     report = verify("T1.4", m, n_max=n_max)
     assert asked.pop("definition") == [top]
     cheap = [64, n_max] if m == 3 else [min(n_max, 64)]
@@ -169,13 +167,12 @@ def test_T14_expands_definition_only_as_far_as_its_walk(monkeypatch, m, n_max,
 def test_T14_at_m4_expands_no_route_past_its_probe(monkeypatch):
     # the routes part at n = 2, inside the 64-term prefix, so nothing is
     # expanded to n_max, and the report is the one the full walk gives
-    module = sys.modules["glaisher.verify"]
-    real, asked = module.epsilon, []
+    real, asked = genfun.epsilon, []
 
     def expand(m, precision, route):
         asked.append(precision)
         return real(m, precision, route)
-    monkeypatch.setattr(module, "epsilon", expand)
+    monkeypatch.setattr(genfun, "epsilon", expand)
     report = verify("T1.4", 4, n_max=3000)
     assert asked and max(asked) <= 64
     assert (report.theorem, report.m, report.range, report.status,
@@ -280,8 +277,7 @@ def test_density_validation():
 
 def test_density_bound_violation_is_reported(monkeypatch):
     # a census with every coefficient nonzero breaks any window bound
-    module = sys.modules["glaisher.verify"]
-    monkeypatch.setattr(module, "triangular_stream", lambda m, x:
+    monkeypatch.setattr(genfun, "triangular_stream", lambda m, x:
                         ((n, 1) for n in range(x)))
     stats = density_report(3, 1000)
     assert not stats.bound_satisfied
@@ -292,7 +288,7 @@ def test_density_bound_violation_is_reported(monkeypatch):
 
 # Each checker, fed one wrong input, reports that input's first mismatch in
 # exact words.  A DP table entry is changed through a wrapped builder, a
-# series through the name `verify` imports it under.
+# series in `genfun`, where each checker reads it when it runs.
 
 def _bump_table(monkeypatch, builder, n, delta=1, j=None):
     real = getattr(partitions, builder)
@@ -306,8 +302,7 @@ def _bump_table(monkeypatch, builder, n, delta=1, j=None):
 
 
 def _bump_series(monkeypatch, name, n, only=None):
-    module = sys.modules["glaisher.verify"]
-    real = getattr(module, name)
+    real = getattr(genfun, name)
 
     def expand(*args):
         s = real(*args)
@@ -316,7 +311,7 @@ def _bump_series(monkeypatch, name, n, only=None):
         coeffs = list(s.coeffs)
         coeffs[n] += 1
         return Series(coeffs)
-    monkeypatch.setattr(module, name, expand)
+    monkeypatch.setattr(genfun, name, expand)
 
 
 @pytest.mark.parametrize("bump,args,kwargs,first", [
