@@ -13,14 +13,36 @@ a right shift by w*k bits, which drops exactly the cells pushed past
 n_max.  So a DP step is a few whole-table shift-and-adds, and a table is
 decoded into a list once per build.
 
+Two steps do all the work, both built on one primitive, `_window` (z times
+1 + q^d + ... + q^((c-1)d), by binary powering).  `_allow_part` allows one
+part k: a window of x at shift w*k.  `_allow_large_parts` allows every
+part of a range above n_max / 3 at once: at most two of them fit in a
+partition of t <= n_max, so modulo q^(n_max+1) their factors multiply to
+1 + U + (U^2 +- U(q^2)) / 2, U the sum of their q^k, and x*U, x*U^2 and
+x*U(q^2) are a few windows of short shifted tables.  A, B and D step their
+parts up to about n_max / 3 one at a time and the rest in one such step.
+Bj and C step parts up to n_max / 2 only: what a larger part feeds into
+their output is read off the cells below n_max / 2, which no later part
+changes, so all of it is one stride-m window.
+
 This is exact because no slot ever carries into the next.  Every cell a
-builder holds, intermediate ones included, counts restricted partitions of
-some t <= n_max.  So it is at most p(n_max) < exp(pi*sqrt(2*n_max/3))
-(Apostol, Introduction to Analytic Number Theory, ch. 14), and w has a bit
-to spare above that.  Each int is then the plain base-2^w digit string of
-its table: adds do not carry, a right shift drops whole cells, and C's cap
-step, the one subtraction, takes from each cell at most what it holds (its
-result is again a table of counts), so it does not borrow.
+builder holds counts restricted partitions of some t <= n_max, so it is at
+most p(t), except the pair sums of the large-part step: x*U^2 and
+x*(U^2 +- U(q^2)) count each pair of large parts at most twice (two
+distinct parts once in each order), so those cells are at most 2*p(t).
+p(n_max) < exp(pi*sqrt(2*n_max/3)) (Apostol, Introduction to Analytic
+Number Theory, ch. 14), and w has a bit to spare above p(n_max)
+(test_slot_width_holds_every_count_up_to_the_ceiling pins w >=
+p(n).bit_length() + 1), so 2*p(t) fits a slot.  Each int is then the plain
+base-2^w digit string of its table: adds do not carry, and a right shift
+by whole slots drops whole cells.  The halving `>> 1` is exact: every cell
+of x*(U^2 +- U(q^2)) is even, so the int is twice the packed table of the
+halved cells.  No subtraction borrows, because each takes from every cell
+at most what it holds: C's cap (its result is again a table of counts),
+B's U, the window over all large parts minus the stride-m window over
+their multiples of m (each term it takes away is a term of the first), and
+the m = 2 pair term U^2 - U(q^2) (each term of U(q^2) is the k = l term of
+U^2).
 
 Family conventions at n = 0: the bounded-multiplicity family (A) and the
 no-multiple family (B) count the empty partition (1); the largest-part
@@ -78,8 +100,9 @@ class CountTable(namedtuple("CountTable", "spec counts")):
 
 def _slot_bits(n_max: int) -> int:
     """The slot width for tables 0..n_max: the bits of exp(pi*sqrt(2*n_max/3))
-    > p(n_max), a spare bit and two more against float rounding, rounded up
-    to whole bytes."""
+    > p(n_max), a spare bit for the pair sums of `_allow_large_parts` (at
+    most 2*p(n_max)) and two more against float rounding, rounded up to
+    whole bytes."""
     bits = int(math.pi * math.sqrt(2 * n_max / 3) / math.log(2))
     return (bits + 10) // 8 * 8
 
@@ -91,26 +114,64 @@ def _unpack(x: int, w: int, n_max: int) -> list[int]:
     return list(map(int.from_bytes, cells, repeat("big")))
 
 
-def _allow_part(x: int, k: int, m: int | None, w: int, n_max: int) -> int:
-    """One DP step on a packed table: allow part k with multiplicity below m
-    (None for no bound), i.e. multiply by S_m = 1 + q^k + ... + q^((m-1)k).
+def _window(z: int, shift: int, count: int) -> int:
+    """z * (1 + q^d + ... + q^((count-1)d)) on a packed table, count >= 1,
+    where q^d is a right shift by `shift` bits.
 
-    Copies past n_max // k fall off, so an m above that (or None) becomes
-    the power of two just above it.  S_m is built by binary powering, from
-    S_1 = 1 over the bits of m after the leading one: S_2a = S_a * (1 +
-    q^(ak)) and S_(a+1) = 1 + q^k * S_a, one shift-add each.  Every cell
-    along the way is a sum of at most min(m, n_max // k + 1) cells of x."""
-    reach = n_max // k
-    c = m if m is not None and m <= reach else 1 << reach.bit_length()
-    shift = w * k
-    y, copies = x, 1
-    for bit in bin(c)[3:]:
+    Built by binary powering, from S_1 = 1 over the bits of count after the
+    leading one: S_2a = S_a * (1 + q^(ad)) and S_(a+1) = 1 + q^d * S_a, one
+    shift-add each.  Every cell along the way is a sum of at most count
+    cells of z, all of them terms of the final window."""
+    y, copies = z, 1
+    for bit in bin(count)[3:]:
         y += y >> shift * copies
         copies *= 2
         if bit == "1":
-            y = x + (y >> shift)
+            y = z + (y >> shift)
             copies += 1
     return y
+
+
+def _over(z: int, parts: range, w: int, s: int = 1) -> int:
+    """z * (sum of q^(s*k) over k in parts), one window for the range."""
+    if not parts:
+        return 0
+    return _window(z >> w * s * parts.start, w * s * parts.step, len(parts))
+
+
+def _allow_part(x: int, k: int, m: int | None, w: int, n_max: int) -> int:
+    """One DP step on a packed table: allow part k with multiplicity below m
+    (None for no bound), i.e. multiply by 1 + q^k + ... + q^((m-1)k), the
+    window of m copies of x at shift w*k.  Copies past n_max // k fall off,
+    so an m above that (or None) becomes the power of two just above it."""
+    reach = n_max // k
+    c = m if m is not None and m <= reach else 1 << reach.bit_length()
+    return _window(x, w * k, c)
+
+
+def _allow_large_parts(x: int, parts: range, repeat: bool, w: int,
+                       skip: range = range(0)) -> int:
+    """Allow every part in `parts` but those in `skip` (a subset of parts),
+    all above n_max / 3, in one step: each may occur twice if repeat, else
+    once.
+
+    No partition of t <= n_max holds three such parts, so modulo
+    q^(n_max+1) their factors multiply to 1 + U + (U^2 +- U(q^2)) / 2, with
+    U the sum of q^k over the allowed parts (the cycle index of S_2; "+"
+    when a part may repeat).  x*U, x*U^2 and x*U(q^2) are windows, or for a
+    skip the difference of two windows, which does not borrow: every term
+    it takes away is a term of the first.  Each cell of x*(U^2 +- U(q^2))
+    is twice a count of pairs of parts, so `>> 1` halves every slot."""
+    def times_u(z: int, s: int = 1) -> int:
+        return _over(z, parts, w, s) - _over(z, skip, w, s)
+
+    v = times_u(x)
+    pairs = times_u(v)
+    if repeat:
+        pairs += times_u(x, 2)
+    else:
+        pairs -= times_u(x, 2)
+    return x + v + (pairs >> 1)
 
 
 def _build_bounded_mult(m: int, min_part: int, max_part: int | None,
@@ -120,17 +181,24 @@ def _build_bounded_mult(m: int, min_part: int, max_part: int | None,
     w = _slot_bits(n_max)
     x = 1 << w * n_max
     top = n_max if max_part is None else min(max_part, n_max)
-    for k in range(min_part, top + 1):
+    third = n_max // 3
+    for k in range(min_part, min(top, third) + 1):
         x = _allow_part(x, k, m, w, n_max)
+    x = _allow_large_parts(x, range(max(min_part, third + 1), top + 1),
+                           m > 2, w)
     return _unpack(x, w, n_max)
 
 
 def _build_B(m: int, n_max: int) -> list[int]:
     w = _slot_bits(n_max)
     x = 1 << w * n_max
-    for k in range(1, n_max + 1):
+    third = n_max // 3
+    for k in range(1, third + 1):
         if k % m:
             x = _allow_part(x, k, None, w, n_max)
+    lo = third + 1
+    x = _allow_large_parts(x, range(lo, n_max + 1), True, w,
+                           skip=range(lo + -lo % m, n_max + 1, m))
     return _unpack(x, w, n_max)
 
 
@@ -139,11 +207,18 @@ def _build_Bj(m: int, n_max: int) -> list[list[int]]:
     w = _slot_bits(n_max)
     x = 1 << w * n_max
     tabs = [0] * (m - 1)
-    for largest in range(1, n_max + 1):
+    half = n_max // 2
+    for largest in range(1, half + 1):
         if largest % m == 0:
             continue
         x = _allow_part(x, largest, None, w, n_max)
         tabs[largest % m - 1] += x >> w * largest
+    # x >> w*L for a largest part L above n_max / 2 reads only cells t <=
+    # n_max - L < n_max / 2 of x, which no part from L on changes: one
+    # window per residue adds every such L
+    for r in range(1, m):
+        tabs[r - 1] += _over(x, range(half + 1 + (r - half - 1) % m,
+                                      n_max + 1, m), w)
     return [_unpack(tab, w, n_max) for tab in tabs]
 
 
@@ -152,7 +227,9 @@ def _build_C(m: int, n_max: int) -> list[int]:
     parts in (j, m*j] unrestricted (extra copies of m*j allowed)."""
     w = _slot_bits(n_max)
     x = out = 1 << w * n_max
-    for j in range(1, n_max // m + 1):
+    # step j until every part up to n_max / 2 is in
+    steps = min(-(-(n_max // 2) // m), n_max // m)
+    for j in range(1, steps + 1):
         # newly reachable parts (m*(j-1), m*j], unrestricted multiplicity
         for k in range(m * (j - 1) + 1, m * j + 1):
             x = _allow_part(x, k, None, w, n_max)
@@ -160,6 +237,10 @@ def _build_C(m: int, n_max: int) -> list[int]:
         x -= x >> w * m * j
         # one mandatory copy of the largest part m*j
         out += x >> w * m * j
+    # x >> w*m*j for a later j (m*j > n_max / 2) reads only cells t <=
+    # n_max - m*j < n_max / 2 of x, which neither the parts above m*steps
+    # nor the caps at m*j change: one window adds every such j
+    out += _over(x, range(m * (steps + 1), n_max + 1, m), w)
     return _unpack(out, w, n_max)
 
 
@@ -167,14 +248,19 @@ def _build_D(m: int, n_max: int) -> list[int]:
     """Smallest part s occurring exactly m times (s = 0 allowed), every other
     part above s repeating < m times."""
     w = _slot_bits(n_max)
-    x, out = 1 << w * n_max, 0
-    for p in range(n_max, 0, -1):
+    # parts p above both n_max // m + 1 (so m copies of s = p - 1 overshoot
+    # n_max) and n_max / 3 read no `out`: allow them first, in one step.
+    # The loop always reaches p = 1, whose s = 0 is the block of m zero
+    # parts, so D(0) = 1 needs no case of its own.
+    low = max(n_max // m + 1, n_max // 3)
+    x = _allow_large_parts(1 << w * n_max, range(low + 1, n_max + 1), m > 2,
+                           w)
+    out = 0
+    for p in range(low, 0, -1):
         x = _allow_part(x, p, m, w, n_max)
         s = p - 1
         if m * s <= n_max:
             out += x >> w * m * s
-    if n_max == 0:  # no part to allow, but the m zero parts still count
-        out = 1
     return _unpack(out, w, n_max)
 
 

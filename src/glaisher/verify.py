@@ -72,20 +72,25 @@ class DensityStats(_Record):
     vanishing correction coefficient, ratio is N_x / x, and p_support the
     nonzero coefficients of the finite polynomial prefix."""
 
-    __slots__ = ("m", "x", "nonzero_count", "N_x", "ratio", "window_bound",
+    __slots__ = ("m", "x", "nonzero_count", "N_x", "window_bound",
                  "bound_satisfied", "p_support")
 
     def __init__(self, m: int, x: int, nonzero_count: int, N_x: int,
-                 ratio: Fraction, window_bound: int, bound_satisfied: bool,
-                 p_support: int):
+                 window_bound: int, bound_satisfied: bool, p_support: int):
         self.m = m
         self.x = x
         self.nonzero_count = nonzero_count
         self.N_x = N_x
-        self.ratio = ratio
         self.window_bound = window_bound
         self.bound_satisfied = bound_satisfied
         self.p_support = p_support
+
+    @property
+    def ratio(self) -> Fraction:
+        """N_x / x, built when read, so that a census loads no `fractions`."""
+        from fractions import Fraction
+
+        return Fraction(self.N_x, self.x)
 
 
 class _Failure(Exception):
@@ -385,8 +390,6 @@ def density_report(m: int, x: int) -> DensityStats:
 
     A census above the bound is a finding, reported as
     bound_satisfied=False (the CLI maps it to exit code 1)."""
-    from fractions import Fraction  # here, so that no other command loads it
-
     from .genfun import p_polynomial, triangular_stream
 
     if m < 2:
@@ -398,7 +401,6 @@ def density_report(m: int, x: int) -> DensityStats:
     p_support = sum(1 for c in p_polynomial(m).coeffs if c)
     window_bound = (2 ** (m - 1) - m) * (isqrt(2 * x) + 1) + p_support
     return DensityStats(
-        m=m, x=x, nonzero_count=nonzero, N_x=zeros,
-        ratio=Fraction(zeros, x), window_bound=window_bound,
+        m=m, x=x, nonzero_count=nonzero, N_x=zeros, window_bound=window_bound,
         bound_satisfied=nonzero <= window_bound, p_support=p_support,
     )

@@ -462,12 +462,13 @@ _ENGINE = {"glaisher.genfun", "glaisher.series", "glaisher.ring",
 ])
 def test_each_command_loads_only_the_layers_it_runs(args, loads):
     # `import glaisher.cli` loads no layer but `verify`, and neither json
-    # nor csv; the command then adds exactly the modules in `loads`
+    # nor csv; the command then adds exactly the modules in `loads`, so no
+    # command loads fractions or decimal (`density` prints N_x/x itself)
     src = str(Path(glaisher.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import glaisher.cli\n"
             "def ours(names):\n"
             "    return {n for n in names if n.startswith('glaisher.') or "
-            "n in ('json', 'csv')}\n"
+            "n in ('json', 'csv', 'fractions', 'decimal')}\n"
             "before = ours(sys.modules)\n"
             "try:\n"
             "    glaisher.cli.main(sys.argv[2:])\n"

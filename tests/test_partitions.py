@@ -403,19 +403,47 @@ def _assert_builders_match(m, n):
         assert packed(m, n) == reference(m, n), (family, m, n)
 
 
+# n_max // 3 and n_max // 2 take every residue here, so the last part a
+# builder steps and the first part of its large-part step or window move
+_NEAR_THIRDS_AND_HALVES = sorted({
+    n for t in (40, 200)
+    for n in (*range(3 * t - 1, 3 * t + 3), *range(2 * t - 1, 2 * t + 2))})
+
+
 @pytest.mark.parametrize("m", range(2, 10))
 def test_packed_builders_match_list_loops(m):
-    for n in [*range(81), 150, 513, 1000]:
+    for n in sorted({*range(81), *_NEAR_THIRDS_AND_HALVES, 150, 513, 1000}):
         _assert_builders_match(m, n)
 
 
 @pytest.mark.parametrize("m", [20, 60, 200])
 def test_packed_builders_match_list_loops_at_large_m(m):
-    _assert_builders_match(m, 600)
+    for n in (*_NEAR_THIRDS_AND_HALVES, 600):
+        _assert_builders_match(m, n)
 
 
-@pytest.mark.parametrize("min_part", [1, 2, 5])
-@pytest.mark.parametrize("max_part", [None, 3, 40])
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_builders_step_no_part_above_a_third_or_a_half(m, monkeypatch):
+    # A, B and D at m >= 3 add every part above n/3 in the large-part step,
+    # and every builder adds the parts above n/2 without stepping them
+    n, stepped = 600, []
+    real = partitions._allow_part
+
+    def allow_part(x, k, *rest):
+        stepped[-1].add(k)
+        return real(x, k, *rest)
+
+    monkeypatch.setattr(partitions, "_allow_part", allow_part)
+    for family, (packed, _) in _BUILDERS.items():
+        stepped.append(set())
+        packed(m, n)
+        top = n // 3 + 1 if family in ("A", "B", "D") and m >= 3 else n // 2 + 1
+        assert stepped[-1] and max(stepped[-1]) <= top, (family, m)
+
+
+# at n = 300, part windows that start or stop on either side of n/3 and n/2
+@pytest.mark.parametrize("min_part", [1, 2, 5, 99, 100, 101, 151])
+@pytest.mark.parametrize("max_part", [None, 3, 40, 100, 150, 151])
 def test_packed_bounded_mult_matches_list_loop(min_part, max_part):
     for m in (2, 3, 7, 20):
         for n in (0, 1, 2, 7, 50, 300):
@@ -461,6 +489,24 @@ def test_sliding_window_update_matches_direct_sum():
         assert got == _mult_choice_update_direct(dp, k, m), (m, n, k)
         bounded.add(m <= n // k)
     assert bounded == {True, False}  # powering over m, and doubling alone
+
+
+def test_window_matches_direct_sum():
+    # z times 1 + q^d + ... + q^((c-1)d) on cells below 2^(w-2); at most
+    # four copies land in a cell (c <= 4, or d above n/3), so every sum fits
+    # a slot
+    rng = random.Random(18)
+    for _ in range(400):
+        n = rng.randint(0, 80)
+        c = rng.randint(1, 40)
+        d = rng.randint(1, 90) if c <= 4 else rng.randint(n // 3 + 1, 90)
+        w = partitions._slot_bits(n)
+        dp = [rng.randrange(2 ** (w - 2)) for _ in range(n + 1)]
+        z = sum(cell << w * (n - t) for t, cell in enumerate(dp))
+        got = partitions._unpack(partitions._window(z, w * d, c), w, n)
+        direct = [sum(dp[t - i * d] for i in range(c) if i * d <= t)
+                  for t in range(n + 1)]
+        assert got == direct, (n, d, c)
 
 
 def _partition_numbers(n_max):
