@@ -4,12 +4,12 @@ Five layers: cyclotomic scalar arithmetic (`ring`), truncated exact power
 series over Z (`series`), combinatorial counters with a brute-force oracle
 (`partitions`), generating functions and the correction-series routes
 (`genfun`), and theorem checking / density scans (`verify`), fronted by the
-`glaisher` CLI.  Z[zeta_m] appears only as scalars (`CycInt`).  The
-cyclotomic `definition` route expands the root-1 product alone over
-Z[x]/(x^m - 1), each residue list packed into one int, reads every root
-j's share off it by the residue map r -> j r mod m of x -> x^j, and
-reduces to Z[zeta_m] by a linear map on those ints; only a coefficient
-that is not in Z becomes a `CycInt` list for `map_ring` to reject.
+`glaisher` CLI.  Z[zeta_m] appears only as scalars (`CycInt`), and no
+route builds one.  The cyclotomic `definition` route expands the root-1
+product alone over Z[x]/(x^m - 1), each residue list packed into one
+int, and sums it over the roots j = 1..m-1 by the character sum
+sum_j zeta_m^(j r) = m [r = 0] - 1: the series is the integer
+combination m W_0 - sum_r W_r of the residue ints.
 
 Every CLI call is a fresh process, and a process that runs one layer
 should not compile the others.  So importing the package loads only

@@ -18,9 +18,9 @@ different routes:
 * ``epsilon`` computes the correction series linking m*C and D by five
   independent routes: a cyclotomic product definition (the product for
   root 1 alone, expanded over Z[x]/(x^m - 1) with each residue list
-  packed into one int, read off for every root j by the residue map
-  r -> j r mod m of x -> x^j, and reduced to Z[zeta_m] once at the end
-  as a linear map on those ints),
+  packed into one int, and summed over the roots by the character sum
+  sum_(j=1..m-1) zeta_m^(j r) = m [r = 0] - 1, one integer combination
+  of those ints),
   a triangular-number sum (a dense list filled from
   ``triangular_stream``), a Gaussian-binomial rearrangement of that sum,
   the raw difference m*gf_C - gf_D, and (for m = 3 only) a closed form
@@ -50,26 +50,13 @@ the sum over the m residues of |cell t| is at most
 e^(ut) prod_{i>=1} (1 + e^(-ui))^2 for every u > 0, and with
 sum_{i>=1} log(1 + e^(-ui)) <= pi^2/(12u) the best u bounds it by
 exp(pi*sqrt(2t/3)) <= exp(pi*sqrt(2N/3)).  The accumulator adds
-floor(N/m) + 1 blocks of the product.  The root-j share is its image
-under x -> x^j, the residue map r -> j r mod m, which adds the residues
-that land on one place and so cannot raise the sum of |cells| over
-residues.  So a final cell of `total` is at most
-(m-1)(floor(N/m) + 1) exp(pi*sqrt(2N/3)) in absolute value, the same
-bound as for an accumulator that expands every root's product, which
-`total` equals cell for cell.
-
-The reduction sends x^r to zeta_m^r, whose power-basis coordinates are
-R[r] = `cyc_root_power(m, r).coords`, so coordinate k of a cell is
-sum_r R[r][k] c_r, with c_r the cell of residue r.  That is one linear
-combination of the packed residue ints per k, and its absolute value is
-at most max|R| * sum_r |c_r|, the bound above times max|R|.  Checked for
-m <= 400, max|R| is 1 for m <= 104, 2 at m = 105, 165, 195, 210, ... and
-3 at m = 385.  w holds the bits of the bound above, plus those of
-max|R| - 1 (max|R| <= 2^b for b those bits), one sign bit and two guard
-bits against float rounding, rounded up to whole bytes
-(`_definition_slot_bits`).  Since the arithmetic is exact mod
-2^(w(N+1)), only the decoded coordinates need the bound; every product
-and accumulator cell meets it too.
+floor(N/m) + 1 blocks of the product, and the decoded cell
+m W_0 - sum_r W_r is at most (m-1) sum_r |W_r| in absolute value, so at
+most (m-1)(floor(N/m) + 1) exp(pi*sqrt(2N/3)).  w holds the bits of that
+bound, one sign bit and two guard bits against float rounding, rounded
+up to whole bytes (`_definition_slot_bits`).  Since the arithmetic is
+exact mod 2^(w(N+1)), only the decoded cells need the bound; every
+product and accumulator cell meets it too.
 """
 
 from __future__ import annotations
@@ -79,8 +66,8 @@ from collections.abc import Iterator
 from operator import add, sub
 
 from . import EPSILON_ROUTES, kernels
-from .ring import CycInt, chi, cyc_root_power
-from .series import Series, _check_precision, map_ring, qbinomial_poly
+from .ring import chi
+from .series import Series, _check_precision, qbinomial_poly
 
 GF_REGULAR_FORMS = ("A_product", "B_product")
 
@@ -273,14 +260,12 @@ def _definition_slot_bits(m: int, precision: int) -> int:
     """The slot width of the packed `definition` route: every cell it holds
     is below 2^(w - 1) in absolute value (see the module docstring).
 
-    The bits of exp(pi*sqrt(2N/3)), rounded up, plus those of the number of
-    products an accumulator cell sums, those of the largest power-basis
-    coordinate of a zeta_m^r less one, one sign bit and two bits against
-    float rounding, rounded up to whole bytes."""
+    The bits of exp(pi*sqrt(2N/3)), rounded up, plus those of
+    (m - 1)(floor(N/m) + 1), the most a decoded cell can exceed a product
+    cell by, one sign bit and two bits against float rounding, rounded up
+    to whole bytes."""
     bits = int(math.pi * math.sqrt(2 * precision / 3) / math.log(2)) + 1
     bits += ((m - 1) * (precision // m + 1)).bit_length()
-    peak = max(abs(c) for r in range(m) for c in cyc_root_power(m, r).coords)
-    bits += (peak - 1).bit_length()
     return (bits + 3 + 7) // 8 * 8
 
 
@@ -313,22 +298,16 @@ def _mul_packed_pair(p: list[int], s: int, keep: int, keep2: int,
 
 def _epsilon_definition(m: int, precision: int) -> Series:
     """Cyclotomic route: sum over n >= 0 of q^(m n) (q^(n+1); q)_inf times
-    the sum over j of (zeta_m^j q^(n+1); q)_inf.
+    the sum over j = 1..m-1 of (zeta_m^j q^(n+1); q)_inf.
 
     With x standing for zeta_m, the product for root 1 has factors
     (1 - x q^i) and is held as m residue lists W_0..W_(m-1) of
     Z[x]/(x^m - 1), each packed into one int (see the module docstring).
-    For every j, x -> x^j is a ring endomorphism of Z[x]/(x^m - 1) that
-    sends the root-1 product to the root-j one, and on the residue lists
-    it is the map r -> j r mod m: residues that land on the same place
-    add.  So only the root-1 product and its accumulator are expanded;
-    after the last block the accumulator is added into every root
-    j = 1..m-1 through that map.  At the end x^r is sent to zeta_m^r on
-    the packed ints: each power-basis coordinate is a linear combination
-    of the residues, and coordinate 0 is decoded as the series.  When a
-    coordinate k >= 1 is nonzero, every coordinate is decoded and the
-    coefficients over Z[zeta_m] (CycInt) go to `map_ring`, which raises
-    NotIntegerCoefficientError at the first that is not in Z.
+    Root j's product is its image under x -> x^j, sum_r W_r zeta_m^(j r),
+    and sum_(j=1..m-1) zeta_m^(j r) is m - 1 at r = 0 and -1 elsewhere.
+    So only the root-1 product and its accumulator are expanded, and the
+    series is the integer combination m W_0 - sum_r W_r of the
+    accumulator's residue ints, decoded once.
 
     Worked from the top block downward so each step multiplies two linear
     factors instead of rebuilding the infinite products."""
@@ -348,18 +327,8 @@ def _epsilon_definition(m: int, precision: int) -> Series:
         for r, x in enumerate(p):
             if x:
                 acc[r] += (x & keep) << s
-    live = [(r, a) for r, a in enumerate(acc) if a]
-    total = [0] * m
-    for j in range(1, m):
-        for r, a in live:
-            total[j * r % m] += a
-    roots = [cyc_root_power(m, r).coords for r in range(m)]
-    coords = [sum(row[k] * a for row, a in zip(roots, total) if row[k] and a)
-              & mask for k in range(len(roots[0]))]
-    if any(coords[1:]):
-        cells = [_unpack_signed(c, w, precision) for c in coords]
-        return map_ring([CycInt(m, c) for c in zip(*cells)])
-    return Series._wrap(_unpack_signed(coords[0], w, precision))
+    return Series._wrap(_unpack_signed((m * acc[0] - sum(acc)) & mask, w,
+                                       precision))
 
 
 def _epsilon_triangular(m: int, precision: int) -> Series:

@@ -230,15 +230,19 @@ def _build_C(m: int, n_max: int) -> list[int]:
     # step j until every part up to n_max / 2 is in
     steps = min(-(-(n_max // 2) // m), n_max // m)
     for j in range(1, steps + 1):
-        # newly reachable parts (m*(j-1), m*j], unrestricted multiplicity
-        for k in range(m * (j - 1) + 1, m * j + 1):
+        # newly reachable parts (m*(j-1), m*j], unrestricted multiplicity;
+        # a part above n_max / 2 lands only on cells above n_max / 2, and no
+        # `out` term from this step on reads those
+        for k in range(m * (j - 1) + 1, min(m * j, n_max // 2) + 1):
             x = _allow_part(x, k, None, w, n_max)
         # part j leaves the unrestricted zone: cap its multiplicity at m-1
+        # (no borrow: m more copies of j turn a partition x counts at
+        # t - m*j into one it counts at t)
         x -= x >> w * m * j
         # one mandatory copy of the largest part m*j
         out += x >> w * m * j
     # x >> w*m*j for a later j (m*j > n_max / 2) reads only cells t <=
-    # n_max - m*j < n_max / 2 of x, which neither the parts above m*steps
+    # n_max - m*j < n_max / 2 of x, which neither the parts above n_max / 2
     # nor the caps at m*j change: one window adds every such j
     out += _over(x, range(m * (steps + 1), n_max + 1, m), w)
     return _unpack(out, w, n_max)

@@ -5,8 +5,8 @@ arithmetic is exact below the truncation point and anything above it is
 discarded, never wrapped.  Coefficients are plain ints; anything else,
 bool and CycInt included, is a TypeError.  A coefficient list over
 Z[zeta_m] (CycInt) enters only through `map_ring`, which checks each
-coefficient down to Z; the `definition` route calls it only to name a
-coefficient that is not in Z.
+coefficient down to Z.  No package path calls it; it is a public helper
+for such lists, which the tests' Z[zeta_m] references build.
 
 Products are naive O(N^2) convolutions on purpose: coefficients are bignums
 and exactness is the point.  The inner loops live in `glaisher.kernels`.
@@ -254,7 +254,8 @@ def qbinomial(a: int, b: int, precision: int) -> Series:
 def map_ring(coeffs: list[CycInt]) -> Series:
     """Check a Z[zeta_m] coefficient list down to Z and return it as a
     Series; raises NotIntegerCoefficientError at the first non-rational
-    coefficient."""
+    coefficient.  No package path calls it: it is a public helper for
+    CycInt coefficient lists, such as the tests' Z[zeta_m] references."""
     out = []
     for n, c in enumerate(coeffs):
         v = cyc_as_integer(c)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glaisher import genfun, kernels
+from glaisher import genfun, kernels, series
 from glaisher.genfun import (
     EPSILON_ROUTES,
     epsilon,
@@ -30,7 +30,6 @@ from glaisher.genfun import (
 from glaisher.partitions import count_A, count_B, count_C, count_D
 from glaisher.ring import CycInt, chi, cyc_root_power
 from glaisher.series import (
-    NotIntegerCoefficientError,
     PochSpec,
     Series,
     inv_pochhammer,
@@ -453,9 +452,9 @@ def _epsilon_definition_per_root(m, precision):
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 18, 24,
                                30, 60])
 def test_definition_per_divisor_matches_per_root(m):
-    # every root j is read off the root-1 product by r -> j r mod m; at
-    # composite m that map is not injective for gcd(j, m) > 1, and the
-    # residues that land on one place must add
+    # the reference expands every root's product; at composite m the roots
+    # with gcd(j, m) > 1 have lower order, and the character sum over the
+    # one root-1 product must count them all the same
     for precision in sorted({0, 1, m - 1, m, m + 1, 150}):
         assert epsilon(m, precision, "definition") == \
             _epsilon_definition_per_root(m, precision), precision
@@ -487,9 +486,11 @@ _SLOT_GRID = sorted({(m, n) for m in (*range(2, 10), 12, 20)
 
 @pytest.mark.parametrize("m,precision", _SLOT_GRID)
 def test_definition_slot_width_holds(m, precision):
-    # every cell of every product and accumulator, and every coordinate of
-    # the reduced coefficients, fits a signed slot; a power-basis coordinate
-    # of some zeta_m^r is 2 at m = 105 and 3 at m = 385
+    # every cell of every product and accumulator, and every decoded
+    # coefficient, fits a signed slot.  The reference reduces through the
+    # power-basis coordinates of zeta_m^r (2 at m = 105, 3 at m = 385), but
+    # its reduced values are rational, so the coordinate peak it records is
+    # the peak of the decoded series
     peaks = []
     expected = _epsilon_definition_lists(m, precision, peaks)
     w = genfun._definition_slot_bits(m, precision)
@@ -517,8 +518,9 @@ def test_definition_residue_lists_match_cycint_loop(m):
                                          (6, 40), (9, 40)])
 def test_definition_route_does_integer_work_until_one_reduction(
         monkeypatch, m, precision):
-    # the reduction to Z[zeta_m] is a linear map on the packed residue ints:
-    # a passing run calls no kernel, builds no CycInt and never calls map_ring
+    # the sum over the roots is one integer combination of the packed
+    # residue ints: a passing run calls no kernel, builds no CycInt and
+    # never calls map_ring
     expected = epsilon(m, precision, "triangular")
     calls = []
     for name in ("conv_truncated", "mul_one_minus_uqk", "div_one_minus_uqk",
@@ -528,42 +530,22 @@ def test_definition_route_does_integer_work_until_one_reduction(
             return _real(*args)
         monkeypatch.setattr(kernels, name, recorded)
 
-    class Built(CycInt):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            calls.append("CycInt")
-            super().__init__(*args)
-    monkeypatch.setattr(genfun, "CycInt", Built)
+    def built(self, *args, _real=CycInt.__init__):
+        calls.append("CycInt")
+        _real(self, *args)
+    monkeypatch.setattr(CycInt, "__init__", built)
 
     def wrapped(cls, *args, _real=CycInt._wrap.__func__):
         calls.append("CycInt._wrap")
         return _real(cls, *args)
     monkeypatch.setattr(CycInt, "_wrap", classmethod(wrapped))
 
-    def recorded_map_ring(coeffs, _real=genfun.map_ring):
+    def recorded_map_ring(coeffs, _real=series.map_ring):
         calls.append("map_ring")
         return _real(coeffs)
-    monkeypatch.setattr(genfun, "map_ring", recorded_map_ring)
+    monkeypatch.setattr(series, "map_ring", recorded_map_ring)
     assert epsilon(m, precision, "definition") == expected
     assert calls == []
-
-
-def test_definition_route_keeps_the_integer_check(monkeypatch):
-    # send every x^r with r > 0 to zeta itself: the sum over roots is then no
-    # longer Galois-stable, and map_ring must name the first bad exponent and
-    # the coefficient there, sum_r W_r[n] zeta^(1 if r else 0); at composite
-    # m = 6 the residue maps r -> j r mod m are not all injective
-    monkeypatch.setattr(genfun, "cyc_root_power",
-                        lambda m, e: cyc_root_power(m, 1 if e else 0))
-    for m in (3, 6):
-        with pytest.raises(NotIntegerCoefficientError) as info:
-            epsilon(m, 20, "definition")
-        assert info.value.exponent == 1
-        value = CycInt.zero(m)
-        for r, cells in enumerate(_definition_residues(m, 20)):
-            value += cells[1] * cyc_root_power(m, 1 if r else 0)
-        assert info.value.value == value
 
 
 @settings(deadline=None, database=None, max_examples=40)
@@ -572,9 +554,18 @@ def test_definition_route_keeps_the_integer_check(monkeypatch):
 @example(210, 300)
 @example(385, 300)
 def test_definition_equals_triangular(m, precision):
-    # the large-m examples widen the slot (a coordinate of 2 or 3)
+    # the large-m examples combine hundreds of residue ints
     assert epsilon(m, precision, "definition") == \
         epsilon(m, precision, "triangular")
+
+
+@pytest.mark.parametrize("m", [500, 1000, 2000])
+def test_definition_at_large_m_and_small_precision(m):
+    # the sum over the roots is O(m) int adds, so this grid takes a few ms;
+    # reading every root off the residues one by one would be O(m^2)
+    for precision in range(4):
+        assert epsilon(m, precision, "definition") == \
+            epsilon(m, precision, "triangular"), precision
 
 
 def _nonzero(series):

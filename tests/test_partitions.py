@@ -422,7 +422,7 @@ def test_packed_builders_match_list_loops_at_large_m(m):
         _assert_builders_match(m, n)
 
 
-@pytest.mark.parametrize("m", [2, 3, 7])
+@pytest.mark.parametrize("m", [2, 3, 7, 20, 200])
 def test_builders_step_no_part_above_a_third_or_a_half(m, monkeypatch):
     # A, B and D at m >= 3 add every part above n/3 in the large-part step,
     # and every builder adds the parts above n/2 without stepping them
