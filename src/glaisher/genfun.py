@@ -62,6 +62,7 @@ product and accumulator cell meets it too.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 from operator import add, sub
 
@@ -89,7 +90,8 @@ def gf_regular(m: int, which: str, precision: int) -> Series:
 
     A_product is (q^m; q^m)_inf / (q; q)_inf, built by `_bounded_product`
     in O(N^1.5).  B_product divides by its factors from k = N down to 1, so
-    the early lists are mostly zeros, which the kernel skips."""
+    the early lists are mostly zeros.  A divide with k^2 > N is at most N/k
+    slices of k cells, so those zeros cost no Python step each."""
     _check_m(m)
     if which not in GF_REGULAR_FORMS:
         raise ValueError(f"which must be one of {GF_REGULAR_FORMS}")
@@ -144,14 +146,15 @@ def _pentagonal(limit: int) -> list[tuple[int, int]]:
 def _euler_inverse(precision: int) -> list[int]:
     """The coefficients of 1/(q; q)_inf, the partition numbers p(0..N), by
     Euler's pentagonal recurrence p(n) = -sum_(g >= 1) s_g p(n - g) over the
-    generalized pentagonal numbers g with sign s_g: O(N^1.5)."""
+    generalized pentagonal numbers g with sign s_g: O(N^1.5).  Both lists
+    of g are increasing, so each n reads the prefix of g <= n."""
     p = [1] + [0] * precision
     pent = _pentagonal(precision)
     odd = [g for g, sign in pent if sign < 0]  # k odd: p(n - g) adds
     even = [g for g, sign in pent if sign > 0]
     for n in range(1, precision + 1):
-        p[n] = (sum(p[n - g] for g in odd if g <= n)
-                - sum(p[n - g] for g in even if g <= n))
+        p[n] = (sum(p[n - g] for g in odd[:bisect_right(odd, n)])
+                - sum(p[n - g] for g in even[:bisect_right(even, n)]))
     return p
 
 

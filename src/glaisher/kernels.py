@@ -10,14 +10,20 @@ Coefficients are opaque ring elements: only `+`, `-`, `*`, `bool` and
 In the package every list is of ints; the tests' Z[zeta_m] references
 pass CycInt lists.
 
-With u = 1 the multiply by (1 - q^k) is one slice pass: every new c[t]
-reads only the old c[t - k], so both slices are taken before the
-assignment.  The divide stays an element loop, because its stride-k
-recurrence reads values it has just written: as slices it takes one
-slice per block of k cells, which is slow for small k.
+Every kernel but `conv_truncated` works in slices, one form for every unit:
+`_times` scales a slice by u, leaving zeros as they are and the slice
+itself when u is 1.  The multiply by (1 - u q^k) is one slice pass, since
+every new c[t] reads only the old c[t - k].  The divide's recurrence
+g[t] = f[t] + u g[t - k] reads cells it has just written, so it takes one
+of two forms.  For k^2 <= n each residue class mod k is one running sum;
+otherwise the list is worked in blocks of k cells, each reading only the
+previous block, which is already final, and a block whose source is all
+zero is skipped.  Either way a divide makes at most about sqrt(n) slice
+calls.
 """
 
-from operator import sub
+from itertools import accumulate
+from operator import add, sub
 
 
 def conv_truncated(a, b, nmax, zero):
@@ -37,20 +43,18 @@ def conv_truncated(a, b, nmax, zero):
     return out
 
 
+def _times(u, xs):
+    """u * x for every x of the slice xs, zeros kept; xs itself if u is 1."""
+    return xs if u == 1 else [u * x if x else x for x in xs]
+
+
 def mul_one_minus_uqk(c, u, k):
     """In place, multiply the coefficient list by (1 - u*q^k)."""
     n = len(c) - 1
     if k < 1:
         raise ValueError("factor exponent must be >= 1")
-    if k > n:
-        return
-    if u == 1:
-        c[k:] = map(sub, c[k:], c[:n - k + 1])
-    else:
-        for t in range(n, k - 1, -1):
-            s = c[t - k]
-            if s:
-                c[t] = c[t] - u * s
+    if k <= n:
+        c[k:] = map(sub, c[k:], _times(u, c[:n - k + 1]))
 
 
 def div_one_minus_uqk(c, u, k):
@@ -63,31 +67,19 @@ def div_one_minus_uqk(c, u, k):
     n = len(c) - 1
     if k < 1:
         raise ValueError("factor exponent must be >= 1")
-    if k > n:
+    if k * k <= n:
+        step = add if u == 1 else lambda g, f: f + u * g if g else f
+        for r in range(k):
+            c[r::k] = accumulate(c[r::k], step)
         return
-    if u == 1:
-        for t in range(k, n + 1):
-            s = c[t - k]
-            if s:
-                c[t] = c[t] + s
-    else:
-        for t in range(k, n + 1):
-            s = c[t - k]
-            if s:
-                c[t] = c[t] + u * s
+    for lo in range(k, n + 1, k):
+        src = c[lo - k:lo]
+        if any(src):
+            c[lo:lo + k] = map(add, c[lo:lo + k], _times(u, src))
 
 
 def add_scaled_shifted(acc, src, shift, scale):
     """In place: acc[shift+i] += scale * src[i], truncating past len(acc)."""
-    n = len(acc) - 1
-    hi = min(n - shift, len(src) - 1)
-    if scale == 1:
-        for i in range(hi + 1):
-            s = src[i]
-            if s:
-                acc[shift + i] = acc[shift + i] + s
-    else:
-        for i in range(hi + 1):
-            s = src[i]
-            if s:
-                acc[shift + i] = acc[shift + i] + scale * s
+    hi = max(min(len(acc) - shift, len(src)), 0)
+    acc[shift:shift + hi] = map(add, acc[shift:shift + hi],
+                                _times(scale, src[:hi]))

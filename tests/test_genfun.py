@@ -353,14 +353,13 @@ def _epsilon_definition_cycint(m, precision):
     return map_ring(acc)
 
 
-def _definition_residues(m, precision, peaks=None):
+def _definition_residues(m, precision, roots, peaks=None):
     """The definition route's accumulator before its reduction to
     Z[zeta_m]: one int list per residue of Z[x]/(x^m - 1), the sum over
-    the roots j = 1..m-1 of the products multiplied by
-    (1 - q^i)(1 - x^j q^i) through the kernels.  If `peaks` is a list, the
-    largest |cell| of every product after each factor pair and of every
-    accumulator after each block is appended to it: the values the packed
-    route holds."""
+    the given roots j of the products multiplied by (1 - q^i)(1 - x^j q^i)
+    through the kernels.  If `peaks` is a list, the largest |cell| of every
+    product after each factor pair and of every accumulator after each
+    block is appended to it."""
     def peak(lists):
         if peaks is not None:
             peaks.append(max(max(max(c), -min(c)) for c in lists))
@@ -378,7 +377,7 @@ def _definition_residues(m, precision, peaks=None):
 
     n_top = precision // m
     prods = []
-    for j in range(1, m):
+    for j in roots:
         w = [[1] + [0] * precision] + [[0] * (precision + 1) for _ in range(m - 1)]
         for i in range(n_top + 1, precision + 1):
             mul_factor_pair(w, j, i)
@@ -392,22 +391,19 @@ def _definition_residues(m, precision, peaks=None):
         peak(acc)
         if n == 0:
             break
-        for j, w in enumerate(prods, 1):
+        for j, w in zip(roots, prods):
             mul_factor_pair(w, j, n)
         n -= 1
     return acc
 
 
-def _epsilon_definition_lists(m, precision, peaks=None):
-    """The definition route on int lists (`_definition_residues`), each
-    residue r sent to zeta_m^r in a CycInt list that `map_ring` checks down
-    to Z.  With `peaks`, the largest |coordinate| of the reduced
-    coefficients is appended too: the packed route holds those as well."""
+def _epsilon_definition_lists(m, precision):
+    """The definition route on int lists, one product per root j = 1..m-1
+    (`_definition_residues`), each residue r sent to zeta_m^r in a CycInt
+    list that `map_ring` checks down to Z."""
     out = [CycInt.zero(m)] * (precision + 1)
-    for r, a in enumerate(_definition_residues(m, precision, peaks)):
+    for r, a in enumerate(_definition_residues(m, precision, range(1, m))):
         kernels.add_scaled_shifted(out, a, 0, cyc_root_power(m, r))
-    if peaks is not None:
-        peaks.append(max(abs(x) for c in out for x in c.coords))
     return map_ring(out)
 
 
@@ -486,16 +482,16 @@ _SLOT_GRID = sorted({(m, n) for m in (*range(2, 10), 12, 20)
 
 @pytest.mark.parametrize("m,precision", _SLOT_GRID)
 def test_definition_slot_width_holds(m, precision):
-    # every cell of every product and accumulator, and every decoded
-    # coefficient, fits a signed slot.  The reference reduces through the
-    # power-basis coordinates of zeta_m^r (2 at m = 105, 3 at m = 385), but
-    # its reduced values are rational, so the coordinate peak it records is
-    # the peak of the decoded series
+    # every value the packed route holds fits a signed slot: the root-1
+    # product after each factor pair, its accumulator after each block, and
+    # the decoded series m*acc_0 - sum_r acc_r
     peaks = []
-    expected = _epsilon_definition_lists(m, precision, peaks)
+    acc = _definition_residues(m, precision, (1,), peaks)
+    expected = [m * a - sum(cell) for a, cell in zip(acc[0], zip(*acc))]
+    peaks.append(max(map(abs, expected)))
     w = genfun._definition_slot_bits(m, precision)
     assert max(peaks) < 1 << (w - 1)
-    assert epsilon(m, precision, "definition") == expected
+    assert list(epsilon(m, precision, "definition").coeffs) == expected
 
 
 @pytest.mark.parametrize("m,precision", [(3, 1000), (5, 600), (7, 400),

@@ -307,6 +307,118 @@ def test_factor_kernels_mul_then_div_restores_cyclotomic():
                 assert c == base
 
 
+def _mul_one_minus_uqk_loop(c, u, k):
+    """The multiply as an element loop, descending so each c[t] reads the
+    old c[t - k]."""
+    for t in range(len(c) - 1, k - 1, -1):
+        s = c[t - k]
+        if s:
+            c[t] = c[t] - u * s
+
+
+def _div_one_minus_uqk_loop(c, u, k):
+    """The divide as an element loop, ascending so each c[t] reads the new
+    c[t - k]."""
+    for t in range(k, len(c)):
+        s = c[t - k]
+        if s:
+            c[t] = c[t] + u * s
+
+
+def _add_scaled_shifted_loop(acc, src, shift, scale):
+    for i in range(min(len(acc) - shift, len(src))):
+        s = src[i]
+        if s:
+            acc[shift + i] = acc[shift + i] + scale * s
+
+
+def _kernel_lists(rng, cell, zero, sizes=(0, 1, 2, 3, 8, 9, 15, 16, 24, 35,
+                                            63, 79)):
+    """Lists of n + 1 cells for each n in sizes: dense, in runs broken by
+    runs of zeros, and zero but for a tail, so that the divide's block form
+    meets blocks whose source is all zero."""
+    out = []
+    for n in sizes:
+        runs = []
+        while len(runs) <= n:
+            width = rng.randint(1, 12)
+            runs += [cell() if rng.random() < 0.5 else zero
+                     for _ in range(width)]
+        tail = n - n // 4
+        out += [[cell() for _ in range(n + 1)], runs[:n + 1],
+                [zero] * tail + [cell() for _ in range(n + 1 - tail)]]
+    return out
+
+
+def _int_cell(rng):
+    return lambda: rng.choice([-2, -1, 1, 3, 10 ** 20])
+
+
+def _cyc_cell(rng, m):
+    return lambda: CycInt(m, [rng.randint(-3, 3) for _ in range(euler_phi(m))])
+
+
+_CYC_SIZES = (0, 3, 9, 35, 79)  # CycInt arithmetic is slow: fewer lists
+
+
+def _unit_cases():
+    """(unit, lists): the int units 1, -1 and 3 on int lists, and 1 and a
+    primitive root on CycInt lists at m = 3, 4 and 5."""
+    rng = random.Random(5)
+    ints = _kernel_lists(rng, _int_cell(rng), 0)
+    cases = [pytest.param(u, ints, id=f"int-{u}") for u in (1, -1, 3)]
+    for m in (3, 4, 5):
+        cyc = _kernel_lists(rng, _cyc_cell(rng, m), CycInt.zero(m), _CYC_SIZES)
+        cases += [pytest.param(1, cyc, id=f"cyc{m}-1"),
+                  pytest.param(cyc_root_power(m, 1), cyc, id=f"cyc{m}-root")]
+    return cases
+
+
+@pytest.mark.parametrize("u,lists", _unit_cases())
+def test_factor_kernels_match_element_loops(u, lists):
+    # every k from 1 to past the end: both divide forms (k^2 <= n and
+    # k^2 > n) and the all-zero blocks the second one skips
+    for base in lists:
+        for k in range(1, len(base) + 1):
+            for kern, loop in ((kernels.mul_one_minus_uqk,
+                                _mul_one_minus_uqk_loop),
+                               (kernels.div_one_minus_uqk,
+                                _div_one_minus_uqk_loop)):
+                got, want = list(base), list(base)
+                kern(got, u, k)
+                loop(want, u, k)
+                assert got == want, (kern.__name__, len(base), k)
+
+
+def _scale_cases():
+    """(scale, acc lists, src lists): int scales on int lists, and a CycInt
+    scale on int and on CycInt sources into CycInt accumulators."""
+    rng = random.Random(9)
+    ints = _kernel_lists(rng, _int_cell(rng), 0)
+    cases = [pytest.param(s, ints, ints, id=f"int{s}") for s in (0, 1, -1, 2)]
+    for m in (3, 5):
+        cyc = _kernel_lists(rng, _cyc_cell(rng, m), CycInt.zero(m), _CYC_SIZES)
+        int_srcs = _kernel_lists(rng, _int_cell(rng), 0, _CYC_SIZES)
+        root = cyc_root_power(m, 2)
+        cases += [pytest.param(root, cyc, int_srcs, id=f"cyc{m}-int-src"),
+                  pytest.param(root, cyc, cyc, id=f"cyc{m}-cyc-src"),
+                  pytest.param(1, cyc, cyc, id=f"cyc{m}-1")]
+    return cases
+
+
+@pytest.mark.parametrize("scale,accs,srcs", _scale_cases())
+def test_add_scaled_shifted_matches_element_loop(scale, accs, srcs):
+    # sources shorter and longer than the accumulator, and shifts up to two
+    # cells past its end
+    for acc in accs[::2]:
+        for src in srcs[1::3]:
+            for shift in range(len(acc) + 3):
+                got, want = list(acc), list(acc)
+                kernels.add_scaled_shifted(got, src, shift, scale)
+                _add_scaled_shifted_loop(want, src, shift, scale)
+                assert got == want, (len(acc), len(src), shift)
+
+
 # -- reference loops for the fast paths -----------------------------------------
 
 
