@@ -14,13 +14,15 @@ combination m W_0 - sum_r W_r of the residue ints.
 Every CLI call is a fresh process, and a process that runs one layer
 should not compile the others.  So importing the package loads only
 `__version__`, the CLI grammar's constants (`EPSILON_ROUTES` here,
-`THEOREMS` in `verify`) and the `verify` layer, which imports the layers
-it reads only when a checker runs.  Every other public name, the
+`THEOREMS` in `verify`) and the `verify` front: its checkers, in
+`_checkers`, load only when a check runs, with the layers they read.
+Every other public name, the
 submodules included, is loaded on first use (PEP 562).  In the CLI,
 `--help` and `--version` load none of `ring`, `series`, `kernels`,
 `partitions` or `genfun`; `count` loads `partitions` alone; `expand` and
 `density` load `genfun` with the `series`, `ring` and `kernels` it is
-built on, and no `partitions`; `verify` loads what its theorem checks.
+built on, and no `partitions`; `verify` loads `_checkers` and what its
+theorem checks.
 """
 
 __version__ = "0.1.0"

@@ -16,33 +16,45 @@ decoded into a list once per build.
 Two steps do all the work, both built on one primitive, `_window` (z times
 1 + q^d + ... + q^((c-1)d), by binary powering).  `_allow_part` allows one
 part k: a window of x at shift w*k.  `_allow_large_parts` allows every
-part of a range above n_max / 3 at once: at most two of them fit in a
-partition of t <= n_max, so modulo q^(n_max+1) their factors multiply to
-1 + U + (U^2 +- U(q^2)) / 2, U the sum of their q^k, and x*U, x*U^2 and
-x*U(q^2) are a few windows of short shifted tables.  A, B and D step their
-parts up to about n_max / 3 one at a time and the rest in one such step.
-Bj and C step parts up to n_max / 2 only: what a larger part feeds into
-their output is read off the cells below n_max / 2, which no later part
-changes, so all of it is one stride-m window.
+part of a range above n_max / r at once: at most fit <= r - 1 of them fit
+in a partition of t <= n_max, so modulo q^(n_max+1) their factors multiply
+to h_0 + h_1 + ... + h_fit, h_j the terms with j of them, and Newton's
+identities give each x*h_j from the earlier ones in j windows, at strides
+1..j, of ever shorter ints.  A, B and D step their parts up to n_max // r
+one at a time and the rest in one such step, with r = `_ratio(n_max)`
+(3 below n_max = 172, 8 at 1800, 11 at 5000; its docstring counts the
+shift-adds it balances).  Bj and C step parts up to n_max / 2 only: what
+a larger part feeds into their output is read off the cells below
+n_max / 2, which no later part changes, so all of it is one stride-m
+window.  From largest part L (Bj) or block j (C) on, they read x only at
+cells t <= n_max - L or n_max - m*j, so x holds just those: each step
+shifts the cells past that live bound off, and every later window, cap
+and add runs on a shorter int.
 
-This is exact because no slot ever carries into the next.  Every cell a
-builder holds counts restricted partitions of some t <= n_max, so it is at
-most p(t), except the pair sums of the large-part step: x*U^2 and
-x*(U^2 +- U(q^2)) count each pair of large parts at most twice (two
-distinct parts once in each order), so those cells are at most 2*p(t).
+This is exact because no slot ever carries into the next.  Every cell of
+a table a builder keeps counts restricted partitions of some t <= n_max,
+so it is at most p(t).  The power-sum step also makes tables of pairs: a
+cell of x*h_(j-i) times the sum of q^(i*k) over the large parts counts
+pairs (k, pi), pi one of x*h_(j-i)'s partitions of t - i*k, and (k, pi) ->
+pi + {k, ..., k} (i copies) meets each partition of t at most j / i times
+(k must be one of its j large parts with i copies), so those cells are at
+most j*p(t) <= fit*p(t), and so is every cell of a window along the way.
+The signed sum of such ints that gives j*x*h_j is plain integer
+arithmetic, so it is the packed table of the cells j*(x*h_j)[t], which
+lie in [0, 2^w), whatever it passes through, and its `// j` is exact slot
+by slot.  B's sum over its large parts, the window over all of them minus
+the stride-m window over their multiples of m, is such a signed sum too.
 p(n_max) < exp(pi*sqrt(2*n_max/3)) (Apostol, Introduction to Analytic
-Number Theory, ch. 14), and w has a bit to spare above p(n_max)
+Number Theory, ch. 14), and `_slot_bits(n_max, fit)` adds the bits of fit
+(at least one spare bit) to that, so fit*p(t) fits a slot
 (test_slot_width_holds_every_count_up_to_the_ceiling pins w >=
-p(n).bit_length() + 1), so 2*p(t) fits a slot.  Each int is then the plain
+(fit*p(n)).bit_length() for every fit up to r - 1, and w >=
+p(n).bit_length() + 1 for every table).  A, B and D widen their slot only
+where fit exceeds 2; Bj and C never do.  Each int is then the plain
 base-2^w digit string of its table: adds do not carry, and a right shift
-by whole slots drops whole cells.  The halving `>> 1` is exact: every cell
-of x*(U^2 +- U(q^2)) is even, so the int is twice the packed table of the
-halved cells.  No subtraction borrows, because each takes from every cell
-at most what it holds: C's cap (its result is again a table of counts),
-B's U, the window over all large parts minus the stride-m window over
-their multiples of m (each term it takes away is a term of the first), and
-the m = 2 pair term U^2 - U(q^2) (each term of U(q^2) is the k = l term of
-U^2).
+by whole slots drops whole cells.  C's cap takes from every cell at most
+what it holds (its result is again a table of counts), so it does not
+borrow either.
 
 Family conventions at n = 0: the bounded-multiplicity family (A) and the
 no-multiple family (B) count the empty partition (1); the largest-part
@@ -98,13 +110,36 @@ class CountTable(namedtuple("CountTable", "spec counts")):
 # ---------------------------------------------------------------------------
 
 
-def _slot_bits(n_max: int) -> int:
-    """The slot width for tables 0..n_max: the bits of exp(pi*sqrt(2*n_max/3))
-    > p(n_max), a spare bit for the pair sums of `_allow_large_parts` (at
-    most 2*p(n_max)) and two more against float rounding, rounded up to
-    whole bytes."""
+def _slot_bits(n_max: int, fit: int = 2) -> int:
+    """The slot width for tables 0..n_max whose cells reach fit*p(n_max):
+    the bits of exp(pi*sqrt(2*n_max/3)) > p(n_max), the bits of fit (at
+    least one spare bit, which every table has), and two more against
+    float rounding, rounded up to whole bytes."""
     bits = int(math.pi * math.sqrt(2 * n_max / 3) / math.log(2))
-    return (bits + 10) // 8 * 8
+    spare = (fit - 1).bit_length() if fit > 2 else 1
+    return (bits + 9 + spare) // 8 * 8
+
+
+def _ratio(n_max: int) -> int:
+    """r: A, B and D step parts up to n_max // r one at a time and add every
+    larger part, at most r - 1 of which fit, in one power-sum step.
+
+    Counted in whole-table shift-adds, raising r by one takes about
+    n_max / r^2 parts out of the loop, at about two shift-adds each, and
+    adds about r windows to the step, at about L = log2(n_max / r)
+    shift-adds each on a table whose cells below j large parts are zero:
+    the step costs about L r^2 / 6 whole tables.  The two balance at
+    r^3 = 6 n_max / L, near n_max / 1.3 at the sizes here.  Timed builds
+    put the best r lower, near r^3 = n_max / 2.5 for A and D and n_max / 5
+    for B (its loop skips the multiples of m, and its power sums take two
+    windows each), since every window also costs an add into its sum and
+    interpreter work that the count leaves out.  r^3 = n_max / 4 lies
+    between them, where both sides' costs are flat: r = 3, the pair step,
+    up to n_max = 171, 8 at 1800 and 11 at 5000."""
+    r = 3
+    while (2 * r + 1) ** 3 <= 2 * n_max:  # r rounds (n_max / 4)^(1/3)
+        r += 1
+    return r
 
 
 def _unpack(x: int, w: int, n_max: int) -> list[int]:
@@ -133,132 +168,157 @@ def _window(z: int, shift: int, count: int) -> int:
 
 
 def _over(z: int, parts: range, w: int, s: int = 1) -> int:
-    """z * (sum of q^(s*k) over k in parts), one window for the range."""
+    """z * (sum of q^(s*k) over k in parts), one window for the range.  A
+    copy shifted past the top bit of z is zero, so the window stops at the
+    last part that still lands on a cell."""
+    d = w * s
+    stop = (z.bit_length() - 1) // d + 1  # z >> d*k is 0 from k = stop on
+    if stop < parts.stop:
+        parts = range(parts.start, stop, parts.step)
     if not parts:
         return 0
-    return _window(z >> w * s * parts.start, w * s * parts.step, len(parts))
+    return _window(z >> d * parts.start, d * parts.step, len(parts))
 
 
 def _allow_part(x: int, k: int, m: int | None, w: int, n_max: int) -> int:
-    """One DP step on a packed table: allow part k with multiplicity below m
-    (None for no bound), i.e. multiply by 1 + q^k + ... + q^((m-1)k), the
-    window of m copies of x at shift w*k.  Copies past n_max // k fall off,
-    so an m above that (or None) becomes the power of two just above it."""
+    """One DP step on a packed table of cells 0..n_max: allow part k with
+    multiplicity below m (None for no bound), i.e. multiply by 1 + q^k +
+    ... + q^((m-1)k), the window of m copies of x at shift w*k.  Copies
+    past n_max // k fall off, so an m above that (or None) becomes the
+    power of two just above it."""
     reach = n_max // k
     c = m if m is not None and m <= reach else 1 << reach.bit_length()
     return _window(x, w * k, c)
 
 
-def _allow_large_parts(x: int, parts: range, repeat: bool, w: int,
-                       skip: range = range(0)) -> int:
-    """Allow every part in `parts` but those in `skip` (a subset of parts),
-    all above n_max / 3, in one step: each may occur twice if repeat, else
-    once.
+def _allow_large_parts(x: int, parts: range, m: int | None, w: int,
+                       n_max: int, skip: range = range(0)) -> int:
+    """Allow every part in `parts` but those in `skip` (a subset of parts)
+    in one step, each with multiplicity below m (None for no bound).
 
-    No partition of t <= n_max holds three such parts, so modulo
-    q^(n_max+1) their factors multiply to 1 + U + (U^2 +- U(q^2)) / 2, with
-    U the sum of q^k over the allowed parts (the cycle index of S_2; "+"
-    when a part may repeat).  x*U, x*U^2 and x*U(q^2) are windows, or for a
-    skip the difference of two windows, which does not borrow: every term
-    it takes away is a term of the first.  Each cell of x*(U^2 +- U(q^2))
-    is twice a count of pairs of parts, so `>> 1` halves every slot."""
-    def times_u(z: int, s: int = 1) -> int:
-        return _over(z, parts, w, s) - _over(z, skip, w, s)
+    No partition of t <= n_max holds more than fit = n_max // parts.start
+    such parts, so modulo q^(n_max+1) their factors multiply to
+    h_0 + h_1 + ... + h_fit, h_j the terms with j of them.  Each factor is
+    (1 - q^(mk)) / (1 - q^k), so the log of the product is the sum over i
+    of c_i p_i / i, p_i the sum of q^(ik) over the allowed parts and c_i =
+    1 - m [m | i] (1 with no bound), and Newton's identities give
+    j h_j = sum_(i=1..j) c_i p_i h_(j-i).  On v_j = x h_j that is
+    j v_j = sum_i c_i U_i(v_(j-i)), where U_i(z) = z p_i is a window at
+    stride i, or for a skip the difference of two windows."""
+    def times_u(z: int, i: int) -> int:
+        u = _over(z, parts, w, i)
+        return u - _over(z, skip, w, i) if skip else u
 
-    v = times_u(x)
-    pairs = times_u(v)
-    if repeat:
-        pairs += times_u(x, 2)
-    else:
-        pairs -= times_u(x, 2)
-    return x + v + (pairs >> 1)
+    if not parts:
+        return x
+    v = [x, times_u(x, 1)]
+    for j in range(2, n_max // parts.start + 1):
+        acc = times_u(v[j - 1], 1)
+        for i in range(2, j + 1):
+            term = times_u(v[j - i], i)
+            acc += term if m is None or i % m else (1 - m) * term
+        v.append(acc // j)
+    return sum(v)
 
 
 def _build_bounded_mult(m: int, min_part: int, max_part: int | None,
                         n_max: int) -> list[int]:
     if min_part < 1:
         raise ValueError("min_part must be >= 1")
-    w = _slot_bits(n_max)
-    x = 1 << w * n_max
     top = n_max if max_part is None else min(max_part, n_max)
-    third = n_max // 3
-    for k in range(min_part, min(top, third) + 1):
+    cut = n_max // _ratio(n_max)
+    large = range(max(min_part, cut + 1), top + 1)
+    w = _slot_bits(n_max, n_max // large.start if large else 0)
+    x = 1 << w * n_max
+    for k in range(min_part, min(top, cut) + 1):
         x = _allow_part(x, k, m, w, n_max)
-    x = _allow_large_parts(x, range(max(min_part, third + 1), top + 1),
-                           m > 2, w)
+    x = _allow_large_parts(x, large, m, w, n_max)
     return _unpack(x, w, n_max)
 
 
 def _build_B(m: int, n_max: int) -> list[int]:
-    w = _slot_bits(n_max)
+    lo = n_max // _ratio(n_max) + 1
+    w = _slot_bits(n_max, n_max // lo)
     x = 1 << w * n_max
-    third = n_max // 3
-    for k in range(1, third + 1):
+    for k in range(1, lo):
         if k % m:
             x = _allow_part(x, k, None, w, n_max)
-    lo = third + 1
-    x = _allow_large_parts(x, range(lo, n_max + 1), True, w,
-                           skip=range(lo + -lo % m, n_max + 1, m))
+    if m == 2:  # the odd parts are one range, with no skip window
+        x = _allow_large_parts(x, range(lo | 1, n_max + 1, 2), None, w, n_max)
+    else:
+        x = _allow_large_parts(x, range(lo, n_max + 1), None, w, n_max,
+                               skip=range(lo + -lo % m, n_max + 1, m))
     return _unpack(x, w, n_max)
 
 
 def _build_Bj(m: int, n_max: int) -> list[list[int]]:
-    """All m-1 largest-part-residue tables in one ascending sweep."""
+    """All m-1 largest-part-residue tables in one ascending sweep.
+
+    From largest part L on, x is read only at its cells t <= n_max - L, so
+    x holds just those: cell t in slot live - t, live = n_max - L.  Then x
+    is also the packed x >> w*L that L adds to its residue's table."""
     w = _slot_bits(n_max)
-    x = 1 << w * n_max
+    x, live = 1 << w * n_max, n_max
     tabs = [0] * (m - 1)
     half = n_max // 2
     for largest in range(1, half + 1):
         if largest % m == 0:
             continue
-        x = _allow_part(x, largest, None, w, n_max)
-        tabs[largest % m - 1] += x >> w * largest
-    # x >> w*L for a largest part L above n_max / 2 reads only cells t <=
-    # n_max - L < n_max / 2 of x, which no part from L on changes: one
-    # window per residue adds every such L
+        x >>= w * (live - n_max + largest)  # shed cells past n_max - largest
+        live = n_max - largest
+        x = _allow_part(x, largest, None, w, live)
+        tabs[largest % m - 1] += x
+    # a largest part L above n_max / 2 reads only cells t <= n_max - L <
+    # n_max / 2 of x, which no part from L on changes: one window per
+    # residue adds every such L
+    x >>= w * (live - n_max + half + 1)
     for r in range(1, m):
-        tabs[r - 1] += _over(x, range(half + 1 + (r - half - 1) % m,
-                                      n_max + 1, m), w)
+        tabs[r - 1] += _over(x, range((r - half - 1) % m, n_max - half, m), w)
     return [_unpack(tab, w, n_max) for tab in tabs]
 
 
 def _build_C(m: int, n_max: int) -> list[int]:
     """Largest part a multiple of m (say m*j), parts <= j repeating < m times,
-    parts in (j, m*j] unrestricted (extra copies of m*j allowed)."""
+    parts in (j, m*j] unrestricted (extra copies of m*j allowed).
+
+    From block j on, x is read only at its cells t <= n_max - m*j, so x
+    holds just those: cell t in slot live - t, live = n_max - m*j.  Then x
+    is also the packed x >> w*m*j that block j adds to `out`."""
     w = _slot_bits(n_max)
     x = out = 1 << w * n_max
     # step j until every part up to n_max / 2 is in
     steps = min(-(-(n_max // 2) // m), n_max // m)
     for j in range(1, steps + 1):
+        x >>= w * m
+        live = n_max - m * j
         # newly reachable parts (m*(j-1), m*j], unrestricted multiplicity;
-        # a part above n_max / 2 lands only on cells above n_max / 2, and no
-        # `out` term from this step on reads those
-        for k in range(m * (j - 1) + 1, min(m * j, n_max // 2) + 1):
-            x = _allow_part(x, k, None, w, n_max)
+        # a part above `live` lands only on cells no later read reaches
+        for k in range(m * (j - 1) + 1, min(m * j, live) + 1):
+            x = _allow_part(x, k, None, w, live)
         # part j leaves the unrestricted zone: cap its multiplicity at m-1
         # (no borrow: m more copies of j turn a partition x counts at
         # t - m*j into one it counts at t)
         x -= x >> w * m * j
         # one mandatory copy of the largest part m*j
-        out += x >> w * m * j
-    # x >> w*m*j for a later j (m*j > n_max / 2) reads only cells t <=
-    # n_max - m*j < n_max / 2 of x, which neither the parts above n_max / 2
-    # nor the caps at m*j change: one window adds every such j
-    out += _over(x, range(m * (steps + 1), n_max + 1, m), w)
+        out += x
+    # block j > steps (m*j > n_max / 2) reads only cells t <= n_max - m*j <
+    # n_max / 2 of x, which neither the parts above n_max / 2 nor the caps
+    # at m*j change: one window adds every such j
+    out += _over(x >> w * m, range(0, n_max - m * (steps + 1) + 1, m), w)
     return _unpack(out, w, n_max)
 
 
 def _build_D(m: int, n_max: int) -> list[int]:
     """Smallest part s occurring exactly m times (s = 0 allowed), every other
     part above s repeating < m times."""
-    w = _slot_bits(n_max)
     # parts p above both n_max // m + 1 (so m copies of s = p - 1 overshoot
-    # n_max) and n_max / 3 read no `out`: allow them first, in one step.
+    # n_max) and n_max / r read no `out`: allow them first, in one step.
     # The loop always reaches p = 1, whose s = 0 is the block of m zero
     # parts, so D(0) = 1 needs no case of its own.
-    low = max(n_max // m + 1, n_max // 3)
-    x = _allow_large_parts(1 << w * n_max, range(low + 1, n_max + 1), m > 2,
-                           w)
+    low = max(n_max // m + 1, n_max // _ratio(n_max))
+    w = _slot_bits(n_max, n_max // (low + 1))
+    x = _allow_large_parts(1 << w * n_max, range(low + 1, n_max + 1), m, w,
+                           n_max)
     out = 0
     for p in range(low, 0, -1):
         x = _allow_part(x, p, m, w, n_max)
@@ -353,15 +413,22 @@ def count_D(m: int, n: int) -> int:
 
 
 def count_table(spec: FamilySpec, n_max: int) -> CountTable:
-    """The full count vector 0..n_max for one family, read through its
-    count_* function (looked up by name, so a rebound one is the one
-    called)."""
+    """The full count vector 0..n_max for one family: one call of its
+    count_* function at n_max (looked up by name, so a rebound one is the
+    one called) builds the table, which is then sliced."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    count = globals()["count_" + spec.family]
-    head = (spec.m,) if spec.j is None else (spec.m, spec.j)
-    count(*head, n_max)  # build the table once at full size; the walk only reads it
-    return CountTable(spec, tuple(count(*head, n) for n in range(n_max + 1)))
+    m = spec.m
+    head = (m,) if spec.j is None else (m, spec.j)
+    globals()["count_" + spec.family](*head, n_max)
+    if spec.family == "A":
+        table = _table(("bm", m, 1, None), n_max, _build_bounded_mult)
+    elif spec.family == "Bj":
+        table = _table(("Bj", m), n_max, _build_Bj)[spec.j - 1]
+    else:
+        table = _table((spec.family, m), n_max,
+                       globals()["_build_" + spec.family])
+    return CountTable(spec, tuple(table[:n_max + 1]))
 
 
 # ---------------------------------------------------------------------------

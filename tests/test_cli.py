@@ -459,6 +459,8 @@ _ENGINE = {"glaisher.genfun", "glaisher.series", "glaisher.ring",
                  _ENGINE, id="expand-D"),
     pytest.param(["density", "--m", "3", "--x", "200", "--format", "json"],
                  _ENGINE | {"json"}, id="density"),
+    pytest.param(["verify", "--theorem", "T1.3", "--m", "3", "--n-max", "20"],
+                 {"glaisher._checkers", "glaisher.partitions"}, id="verify"),
 ])
 def test_each_command_loads_only_the_layers_it_runs(args, loads):
     # `import glaisher.cli` loads no layer but `verify`, and neither json

@@ -38,7 +38,7 @@ from glaisher.series import (
     qbinomial,
     qbinomial_poly,
 )
-from glaisher.verify import _rhs_T19
+from glaisher._checkers import _rhs_T19
 from test_series import _epsilon_triangular_dense
 
 

@@ -2,6 +2,7 @@
 reference builders, plus the small identities that tie the families
 together."""
 
+import math
 import random
 import sys
 import threading
@@ -129,6 +130,26 @@ def test_count_table_builds_its_table_once(monkeypatch):
     table = count_table(FamilySpec("C", 2), 300)
     assert sizes == [300]
     assert table.counts == tuple(real(2, 300))
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("A", 3), FamilySpec("Bj", 5, 2),
+                                  FamilySpec("D", 2)],
+                         ids=["A-3", "Bj-5-2", "D-2"])
+def test_count_table_calls_its_counter_once(spec, monkeypatch):
+    # one call at n_max through the counter found by name (so a rebound
+    # one still builds the table), then a slice of the cached table
+    real, calls = getattr(partitions, "count_" + spec.family), []
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partitions, "_cache", {})
+    monkeypatch.setattr(partitions, "count_" + spec.family, count)
+    table = count_table(spec, 150)
+    head = (spec.m,) if spec.j is None else (spec.m, spec.j)
+    assert calls == [(*head, 150)]
+    assert table.counts == tuple(real(*head, n) for n in range(151))
 
 
 @st.composite
@@ -398,16 +419,34 @@ _BUILDERS = {
 }
 
 
-def _assert_builders_match(m, n):
-    for family, (packed, reference) in _BUILDERS.items():
+def _assert_builders_match(m, n, families=tuple(_BUILDERS)):
+    for family in families:
+        packed, reference = _BUILDERS[family]
         assert packed(m, n) == reference(m, n), (family, m, n)
 
 
 # n_max // 3 and n_max // 2 take every residue here, so the last part a
 # builder steps and the first part of its large-part step or window move
+# (D's cut at m = 3 is n_max // 3 + 1; Bj and C step parts up to n_max / 2)
 _NEAR_THIRDS_AND_HALVES = sorted({
     n for t in (40, 200)
     for n in (*range(3 * t - 1, 3 * t + 3), *range(2 * t - 1, 2 * t + 2))})
+
+# every r the rule yields up to the default ceiling
+_RULE_RS = sorted({partitions._ratio(n) for n in range(5001)})
+
+
+def _near_cuts(r):
+    """n = r*t - 1, r*t and r*t + 1 amid the sizes where the rule picks r:
+    n_max // r moves from t - 1 to t there, so the last part A, B and D step
+    one at a time and the first part of their power-sum step move."""
+    sizes = [n for n in range(5001) if partitions._ratio(n) == r]
+    t = (sizes[0] + sizes[-1]) // (2 * r)
+    return (r * t - 1, r * t, r * t + 1)
+
+
+# m below r, where the power sums' coefficient 1 - m bites, and above it
+_CUT_MS = (2, 3, 4, 5, 11)
 
 
 @pytest.mark.parametrize("m", range(2, 10))
@@ -422,11 +461,41 @@ def test_packed_builders_match_list_loops_at_large_m(m):
         _assert_builders_match(m, n)
 
 
+@pytest.mark.parametrize("r", [r for r in _RULE_RS if r <= 6])
+@pytest.mark.parametrize("m", _CUT_MS)
+def test_packed_builders_match_list_loops_around_n_over_r(m, r):
+    # the sizes where the rule picks r stay below 1100 up to r = 6, where the
+    # list loops are still cheap
+    for n in _near_cuts(r):
+        assert partitions._ratio(n) == r
+        _assert_builders_match(m, n, ("A", "B", "D"))
+
+
+def _power_sum_cases():
+    """(r, n, m) on each side of n // r for every r above 6 the rule
+    yields, with m taking each of _CUT_MS in turn."""
+    sizes = [(r, n) for r in _RULE_RS if r > 6 for n in _near_cuts(r)[:2]]
+    return [(r, n, _CUT_MS[i % len(_CUT_MS)])
+            for i, (r, n) in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("r,n,m", _power_sum_cases())
+def test_power_sum_step_matches_stepping_every_part(r, n, m, monkeypatch):
+    # with r = 1 a builder steps every part one at a time (each step is
+    # pinned against a list loop below) and its power-sum step is empty
+    assert partitions._ratio(n) == r
+    built = {f: _BUILDERS[f][0](m, n) for f in ("A", "B", "D")}
+    monkeypatch.setattr(partitions, "_ratio", lambda n_max: 1)
+    for family, table in built.items():
+        assert table == _BUILDERS[family][0](m, n), (family, m, n)
+
+
 @pytest.mark.parametrize("m", [2, 3, 7, 20, 200])
 def test_builders_step_no_part_above_a_third_or_a_half(m, monkeypatch):
-    # A, B and D at m >= 3 add every part above n/3 in the large-part step,
-    # and every builder adds the parts above n/2 without stepping them
-    n, stepped = 600, []
+    # A and B add every part above n // r in the power-sum step, and D every
+    # part above both n // m + 1 and n // r; Bj and C add the parts above n/2
+    # without stepping them
+    stepped = []
     real = partitions._allow_part
 
     def allow_part(x, k, *rest):
@@ -434,17 +503,46 @@ def test_builders_step_no_part_above_a_third_or_a_half(m, monkeypatch):
         return real(x, k, *rest)
 
     monkeypatch.setattr(partitions, "_allow_part", allow_part)
-    for family, (packed, _) in _BUILDERS.items():
-        stepped.append(set())
-        packed(m, n)
-        top = n // 3 + 1 if family in ("A", "B", "D") and m >= 3 else n // 2 + 1
-        assert stepped[-1] and max(stepped[-1]) <= top, (family, m)
+    for n in (600, 1800):
+        r = partitions._ratio(n)
+        tops = {"A": n // r, "B": n // r, "D": max(n // m + 1, n // r)}
+        for family, (packed, _) in _BUILDERS.items():
+            stepped.append(set())
+            packed(m, n)
+            top = tops.get(family, n // 2)
+            assert stepped[-1] and max(stepped[-1]) <= top, (family, m, n)
 
 
-# at n = 300, part windows that start or stop on either side of n/3 and n/2
-@pytest.mark.parametrize("min_part", [1, 2, 5, 99, 100, 101, 151])
-@pytest.mark.parametrize("max_part", [None, 3, 40, 100, 150, 151])
+@pytest.mark.parametrize("m", [2, 3, 7, 20])
+def test_Bj_and_C_step_on_a_live_window_that_never_grows(m, monkeypatch):
+    # from largest part L (Bj) or block j (C) on, x holds only its cells up
+    # to n - L or n - m*j, the bound each step is given
+    steps = []
+    real = partitions._allow_part
+
+    def allow_part(x, k, mult, w, n_max):
+        steps[-1].append((k, n_max))
+        assert x.bit_length() <= w * (n_max + 1), (k, n_max)
+        return real(x, k, mult, w, n_max)
+
+    monkeypatch.setattr(partitions, "_allow_part", allow_part)
+    n = 600
+    for build in (partitions._build_Bj, partitions._build_C):
+        steps.append([])
+        build(m, n)
+        live = [bound for _, bound in steps[-1]]
+        assert live and live == sorted(live, reverse=True), build
+        assert all(k + bound <= n for k, bound in steps[-1]), build
+    # Bj's bound is n - L exactly
+    assert all(k + bound == n for k, bound in steps[0])
+
+
+# at n = 300, part windows that start or stop on either side of n // r = 75
+# (the power-sum step's first part is 76), n/3 and n/2
+@pytest.mark.parametrize("min_part", [1, 2, 5, 75, 76, 77, 99, 100, 101, 151])
+@pytest.mark.parametrize("max_part", [None, 3, 40, 75, 76, 100, 150, 151])
 def test_packed_bounded_mult_matches_list_loop(min_part, max_part):
+    assert 300 // partitions._ratio(300) == 75
     for m in (2, 3, 7, 20):
         for n in (0, 1, 2, 7, 50, 300):
             assert partitions._build_bounded_mult(m, min_part, max_part, n) \
@@ -509,6 +607,42 @@ def test_window_matches_direct_sum():
         assert got == direct, (n, d, c)
 
 
+def test_power_sum_step_matches_stepping_each_part():
+    # random cells below 2^8, parts above n / r' (stride 1, or 2 as for B at
+    # m = 2), every kind of multiplicity bound, and stride-m skips; the slot
+    # has 16 bits over what the step needs, which holds 2^8 * (n + 1) times
+    # the step's count bound
+    rng = random.Random(22)
+    fits = set()
+    for _ in range(300):
+        n = rng.randint(0, 90)
+        start = n // rng.randint(2, 12) + 1
+        parts = range(start, n + 1, rng.choice([1, 1, 2]))
+        m = rng.choice([None, 2, 3, 4, 5, 7, 11])
+        skip = range(0)
+        if m is None and parts.step == 1 and rng.random() < 0.5:
+            d = rng.randint(2, 5)
+            skip = range(start + -start % d, n + 1, d)
+        w = partitions._slot_bits(n, n // start) + 16
+        dp = [rng.randrange(256) for _ in range(n + 1)]
+        x = sum(cell << w * (n - t) for t, cell in enumerate(dp))
+        got = partitions._unpack(
+            partitions._allow_large_parts(x, parts, m, w, n, skip), w, n)
+        for k in parts:
+            if k not in skip:
+                dp = _mult_choice_update_direct(dp, k, m or n + 1)
+        assert got == dp, (n, parts, m, skip)
+        fits.add(n // start)
+    assert max(fits) >= 10
+
+
+def test_ratio_rounds_the_cube_root_of_a_quarter_of_n():
+    for n in range(5001):
+        assert partitions._ratio(n) == max(3, round((n / 4) ** (1 / 3))), n
+    assert [partitions._ratio(n) for n in (171, 172, 1800, 5000)] == \
+        [3, 4, 8, 11]
+
+
 def _partition_numbers(n_max):
     """p(0..n_max) by Euler's pentagonal-number recurrence."""
     p = [1] + [0] * n_max
@@ -532,8 +666,22 @@ def test_slot_width_holds_every_count_up_to_the_ceiling():
     p = _partition_numbers(5000)
     assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[100] == 190569292
     for n, pn in enumerate(p):
+        # Bj and C: cells up to p(n), and a spare bit
         w = partitions._slot_bits(n)
         assert w % 8 == 0 and w >= pn.bit_length() + 1, n
+        assert partitions._slot_bits(n, 1) == partitions._slot_bits(n, 2) == w
+        # A, B and D: the power-sum step holds cells up to fit * p(n), fit
+        # the most of its parts that fit in n, at most r - 1
+        for fit in range(3, partitions._ratio(n)):
+            w = partitions._slot_bits(n, fit)
+            assert w % 8 == 0 and w >= (fit * pn).bit_length(), (n, fit)
+    # the slot holds fit times the bound p(n) < exp(pi*sqrt(2n/3)) itself, so
+    # the packing stays exact past the ceiling, where p(n) is not computed
+    for n in (*range(0, 5001, 7), 10**4, 10**5, 10**6):
+        for fit in range(1, partitions._ratio(n)):
+            bits = math.log2(max(fit, 2)) + \
+                math.pi * math.sqrt(2 * n / 3) / math.log(2)
+            assert partitions._slot_bits(n, fit) > bits, (n, fit)
 
 
 def test_cache_keeps_at_most_64_tables(monkeypatch):
