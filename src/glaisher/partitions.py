@@ -129,13 +129,18 @@ def _ratio(n_max: int) -> int:
     adds about r windows to the step, at about L = log2(n_max / r)
     shift-adds each on a table whose cells below j large parts are zero:
     the step costs about L r^2 / 6 whole tables.  The two balance at
-    r^3 = 6 n_max / L, near n_max / 1.3 at the sizes here.  Timed builds
-    put the best r lower, near r^3 = n_max / 2.5 for A and D and n_max / 5
+    r^3 = 6 n_max / L, near n_max / 1.3 at the sizes here.  Builds timed
+    at every r from 3 to 14 (n_max = 500, 1000, 1250, 1800 and 5000; the
+    minimums are in CHANGES.md) put the best r lower, since every window
+    also costs an add into its sum and interpreter work that the count
+    leaves out: near r^3 = n_max / 2.5 for A, and n_max / 5 to n_max / 3.5
     for B (its loop skips the multiples of m, and its power sums take two
-    windows each), since every window also costs an add into its sum and
-    interpreter work that the count leaves out.  r^3 = n_max / 4 lies
-    between them, where both sides' costs are flat: r = 3, the pair step,
-    up to n_max = 171, 8 at 1800 and 11 at 5000."""
+    windows each).  D's time is flat once r >= m, where its cut is
+    n_max // m + 1.  r^3 = n_max / 4 lies between A and B: r = 3, the pair
+    step, up to n_max = 171, 8 at 1800 and 11 at 5000.  It came within
+    about 6 % of the fastest r for every builder timed but A at m = 5,
+    which is faster at larger r (by 18 % at 1000 and 5000).  Sizes above
+    5000 were not timed."""
     r = 3
     while (2 * r + 1) ** 3 <= 2 * n_max:  # r rounds (n_max / 4)^(1/3)
         r += 1
@@ -243,11 +248,8 @@ def _build_B(m: int, n_max: int) -> list[int]:
     for k in range(1, lo):
         if k % m:
             x = _allow_part(x, k, None, w, n_max)
-    if m == 2:  # the odd parts are one range, with no skip window
-        x = _allow_large_parts(x, range(lo | 1, n_max + 1, 2), None, w, n_max)
-    else:
-        x = _allow_large_parts(x, range(lo, n_max + 1), None, w, n_max,
-                               skip=range(lo + -lo % m, n_max + 1, m))
+    x = _allow_large_parts(x, range(lo, n_max + 1), None, w, n_max,
+                           skip=range(lo + -lo % m, n_max + 1, m))
     return _unpack(x, w, n_max)
 
 
@@ -374,11 +376,24 @@ def _table(key, n: int, build):
 # ---------------------------------------------------------------------------
 
 
+def _family_table(family: str, m: int, j: int | None, n: int,
+                  min_part: int = 1, max_part: int | None = None) -> list[int]:
+    """The cached table of one family (A over parts in [min_part, max_part])
+    holding at least 0..n: the one place a family picks its cache key and
+    builder."""
+    if family == "A":
+        return _table(("bm", m, min_part, max_part), n, _build_bounded_mult)
+    if family == "Bj":
+        return _table(("Bj", m), n, _build_Bj)[j - 1]
+    build = {"B": _build_B, "C": _build_C, "D": _build_D}[family]
+    return _table((family, m), n, build)
+
+
 def count_bounded_mult(m: int, n: int, min_part: int = 1,
                        max_part: int | None = None) -> int:
     """Partitions of n into parts in [min_part, max_part] (max_part None =
     unbounded), each repeating fewer than m times."""
-    return _table(("bm", m, min_part, max_part), n, _build_bounded_mult)[n]
+    return _family_table("A", m, None, n, min_part, max_part)[n]
 
 
 def count_A(m: int, n: int) -> int:
@@ -388,7 +403,7 @@ def count_A(m: int, n: int) -> int:
 
 def count_B(m: int, n: int) -> int:
     """Partitions of n with no part divisible by m."""
-    return _table(("B", m), n, _build_B)[n]
+    return _family_table("B", m, None, n)[n]
 
 
 def count_Bj(m: int, j: int, n: int) -> int:
@@ -397,37 +412,30 @@ def count_Bj(m: int, j: int, n: int) -> int:
     part)."""
     if m >= 2 and not 1 <= j <= m - 1:  # _table reports a bad m first
         raise ValueError(f"j must lie in [1, {m - 1}]")
-    return _table(("Bj", m), n, _build_Bj)[j - 1][n]
+    return _family_table("Bj", m, j, n)[n]
 
 
 def count_C(m: int, n: int) -> int:
     """Partitions of n whose largest part is a multiple of m, say m*j, with
     every part <= j repeating fewer than m times; 1 at n = 0 by definition."""
-    return _table(("C", m), n, _build_C)[n]
+    return _family_table("C", m, None, n)[n]
 
 
 def count_D(m: int, n: int) -> int:
     """Partitions of n into non-negative parts whose smallest part occurs
     exactly m times while every other part repeats fewer than m times."""
-    return _table(("D", m), n, _build_D)[n]
+    return _family_table("D", m, None, n)[n]
 
 
 def count_table(spec: FamilySpec, n_max: int) -> CountTable:
-    """The full count vector 0..n_max for one family: one call of its
-    count_* function at n_max (looked up by name, so a rebound one is the
-    one called) builds the table, which is then sliced."""
+    """The full count vector 0..n_max for one family.  One call of its
+    count_* function at n_max (looked up by name, so a rebound one is
+    called) only builds the table; the vector is sliced from the cache."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    m = spec.m
-    head = (m,) if spec.j is None else (m, spec.j)
+    head = (spec.m,) if spec.j is None else (spec.m, spec.j)
     globals()["count_" + spec.family](*head, n_max)
-    if spec.family == "A":
-        table = _table(("bm", m, 1, None), n_max, _build_bounded_mult)
-    elif spec.family == "Bj":
-        table = _table(("Bj", m), n_max, _build_Bj)[spec.j - 1]
-    else:
-        table = _table((spec.family, m), n_max,
-                       globals()["_build_" + spec.family])
+    table = _family_table(spec.family, spec.m, spec.j, n_max)
     return CountTable(spec, tuple(table[:n_max + 1]))
 
 
