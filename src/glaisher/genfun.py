@@ -22,9 +22,10 @@ different routes:
   sum_(j=1..m-1) zeta_m^(j r) = m [r = 0] - 1, one integer combination
   of those ints),
   a triangular-number sum (a dense list filled from
-  ``triangular_stream``), a Gaussian-binomial rearrangement of that sum,
-  the raw difference m*gf_C - gf_D, and (for m = 3 only) a closed form
-  supported on shifted triangular numbers.
+  ``triangular_stream``), a Gaussian-binomial rearrangement of that sum
+  (one row [m-1, j]_q built by a ratio sweep, summed over j by the same
+  character sum), the raw difference m*gf_C - gf_D, and (for m = 3 only)
+  a closed form supported on shifted triangular numbers.
 * ``triangular_stream``, the one expansion of the triangular sum, yields
   its nonzero coefficients below x one at a time, each term held as a
   sparse dict (or, while it is narrow, a dense list) and flushed from a
@@ -68,7 +69,7 @@ from operator import add, sub
 
 from . import EPSILON_ROUTES, kernels
 from .ring import chi
-from .series import Series, _check_precision, qbinomial_poly
+from .series import Series, _check_precision
 
 GF_REGULAR_FORMS = ("A_product", "B_product")
 
@@ -222,41 +223,46 @@ def gf_Bj_lhs(m: int, n_sum: int | None, precision: int) -> Series:
     return Series._wrap(h)
 
 
-def p_polynomial(m: int) -> Series:
-    """The finite polynomial prefix of the Gaussian-binomial route:
-    - sum_j [m-1, j]_q * sum_{k<j} (-1)^k chi_m(k - j) q^(T_k).
-    Returned at its exact degree (< m(m-1)/2).
+def _qbinomial_row(n: int) -> list[list[int]]:
+    """The Gaussian binomials [n, j]_q, j = 0..n, by the ratio sweep
+    [n, j]_q = [n, j-1]_q (1 - q^(n-j+1)) / (1 - q^j): each step pads by
+    n - j + 1 cells, so the multiply drops nothing, then divides exactly
+    and trims the j cells of the remainder, which must vanish."""
+    row = [[1]]
+    for j in range(1, n + 1):
+        poly = row[-1] + [0] * (n - j + 1)
+        kernels.mul_one_minus_uqk(poly, 1, n - j + 1)
+        kernels.div_one_minus_uqk(poly, 1, j)
+        if any(poly[-j:]):
+            raise ArithmeticError(f"division by (1 - q^{j}) left a remainder")
+        del poly[-j:]
+        row.append(poly)
+    return row
 
-    Since 0 < j - k < m, chi_m(k - j) = -1, so this is
-    sum_{k <= m-2} (-1)^k q^(T_k) S_k with the suffix sums
-    S_k = sum_{j > k} [m-1, j]_q, read off one row of Gaussian binomials
-    built by the q-Pascal rule [n, j]_q = [n-1, j-1]_q + q^j [n-1, j]_q."""
-    _check_m(m)
-    row = [[1]]  # [n, j]_q for j = 0..n, starting at n = 0
-    for n in range(1, m):
-        grown = [[1]]
-        for j in range(1, n):
-            lower, upper = row[j - 1], row[j]
-            poly = lower + [0] * (j + len(upper) - len(lower))
-            poly[j:] = map(add, poly[j:], upper)
-            grown.append(poly)
-        grown.append([1])
-        row = grown
+
+def _p_coeffs(row: list[list[int]]) -> list[int]:
+    """P_m at its exact degree, from the row [m-1, j]_q, j = 0..m-1."""
+    m = len(row)
     out = [0] * (m * (m - 1) // 2 + len(row[(m - 1) // 2]))
     suffix = [0] * len(row[(m - 1) // 2])  # S_k, from k = m - 2 down
     for k in range(m - 2, -1, -1):
         suffix[:len(row[k + 1])] = map(add, suffix, row[k + 1])
-        shift = _tri(k)
-        if k & 1:
-            out[shift:shift + len(suffix)] = map(sub, out[shift:], suffix)
-        else:
-            out[shift:shift + len(suffix)] = map(add, out[shift:], suffix)
-    deg = 0
-    for i, c in enumerate(out):
-        if c:
-            deg = i
-    assert deg < m * (m - 1) // 2 or deg == 0
-    return Series._wrap(out[: deg + 1])
+        out[_tri(k):_tri(k) + len(suffix)] = map(sub if k & 1 else add,
+                                                 out[_tri(k):], suffix)
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    assert len(out) <= max(m * (m - 1) // 2, 1)
+    return out
+
+
+def p_polynomial(m: int) -> Series:
+    """The finite polynomial prefix of the Gaussian-binomial route,
+    - sum_j [m-1, j]_q * sum_{k<j} (-1)^k chi_m(k - j) q^(T_k), at its
+    exact degree (< m(m-1)/2).  Since 0 < j - k < m, chi_m(k - j) = -1,
+    so this is sum_{k <= m-2} (-1)^k q^(T_k) S_k with the suffix sums
+    S_k = sum_{j > k} [m-1, j]_q of one `_qbinomial_row`."""
+    _check_m(m)
+    return Series._wrap(_p_coeffs(_qbinomial_row(m - 1)))
 
 
 def _definition_slot_bits(m: int, precision: int) -> int:
@@ -401,25 +407,20 @@ def triangular_stream(m: int, x: int) -> Iterator[tuple[int, int]]:
 
 def _epsilon_qbinomial(m: int, precision: int) -> Series:
     """Gaussian-binomial route: P_m(q) plus, for each k, (-1)^k q^(T_k)
-    times sum_j chi_m(k - j) ([m-1, j]_q - 1)."""
-    acc = [0] * (precision + 1)
-    p = p_polynomial(m)
-    for i, c in enumerate(p.coeffs):
-        if i > precision:
-            break
-        acc[i] += c
-    deltas = []  # [m-1, j]_q - 1, skipping the identically-zero ends
-    for j in range(m):
-        qb = qbinomial_poly(m - 1 - j, j)
-        qb[0] -= 1
-        deltas.append(qb if any(qb) else None)
+    times sum_j chi_m(k - j) delta_j, delta_j = [m-1, j]_q - 1.  Since
+    chi_m(n) = m [m | n] - 1, that is m delta_(k mod m) - sum_j delta_j:
+    two shifted adds per k, off the one row that also gives P_m."""
+    row = _qbinomial_row(m - 1)
+    acc = (_p_coeffs(row) + [0] * precision)[: precision + 1]
+    total = [0] * len(row[(m - 1) // 2])  # sum_j delta_j
+    for delta in row:  # the row becomes delta_0..delta_(m-1)
+        delta[0] -= 1
+        total[:len(delta)] = map(add, total, delta)
     k = 0
     while _tri(k) <= precision:
         sign = -1 if k & 1 else 1
-        for j, delta in enumerate(deltas):
-            if delta is None:
-                continue
-            kernels.add_scaled_shifted(acc, delta, _tri(k), sign * chi(m, k - j))
+        kernels.add_scaled_shifted(acc, row[k % m], _tri(k), sign * m)
+        kernels.add_scaled_shifted(acc, total, _tri(k), -sign)
         k += 1
     return Series._wrap(acc)
 

@@ -44,17 +44,17 @@ arithmetic, so it is the packed table of the cells j*(x*h_j)[t], which
 lie in [0, 2^w), whatever it passes through, and its `// j` is exact slot
 by slot.  B's sum over its large parts, the window over all of them minus
 the stride-m window over their multiples of m, is such a signed sum too.
-p(n_max) < exp(pi*sqrt(2*n_max/3)) (Apostol, Introduction to Analytic
-Number Theory, ch. 14), and `_slot_bits(n_max, fit)` adds the bits of fit
-(at least one spare bit) to that, so fit*p(t) fits a slot
-(test_slot_width_holds_every_count_up_to_the_ceiling pins w >=
-(fit*p(n)).bit_length() for every fit up to r - 1, and w >=
-p(n).bit_length() + 1 for every table).  A, B and D widen their slot only
-where fit exceeds 2; Bj and C never do.  Each int is then the plain
-base-2^w digit string of its table: adds do not carry, and a right shift
-by whole slots drops whole cells.  C's cap takes from every cell at most
-what it holds (its result is again a table of counts), so it does not
-borrow either.
+So every cell is at most (r - 1)*p(n_max) (r - 1 >= 2 covers Bj and C),
+and as p(n) < exp(pi*sqrt(2n/3)) / n^(3/4) for n >= 1 (Pribitkin, "Simple
+upper bounds for partition functions", Ramanujan J. 18 (2009) 113-119)
+and r - 1 <= 2*n^(3/4), below 2*exp(pi*sqrt(2*n_max/3)).  `_slot_bits`
+holds the bits of that bound and a spare bit, so no cell reaches
+2^(w - 1) (test_slot_width_holds_every_count_up_to_the_ceiling pins it
+with p(n) itself up to n = 5000, and with the bound up to n = 10^6).
+Each int is then the plain base-2^w digit string of its table: adds do
+not carry, and a right shift by whole slots drops whole cells.  C's cap
+takes from every cell at most what it holds (its result is again a
+table of counts), so it does not borrow either.
 
 Family conventions at n = 0: the bounded-multiplicity family (A) and the
 no-multiple family (B) count the empty partition (1); the largest-part
@@ -110,14 +110,12 @@ class CountTable(namedtuple("CountTable", "spec counts")):
 # ---------------------------------------------------------------------------
 
 
-def _slot_bits(n_max: int, fit: int = 2) -> int:
-    """The slot width for tables 0..n_max whose cells reach fit*p(n_max):
-    the bits of exp(pi*sqrt(2*n_max/3)) > p(n_max), the bits of fit (at
-    least one spare bit, which every table has), and two more against
-    float rounding, rounded up to whole bytes."""
+def _slot_bits(n_max: int) -> int:
+    """The slot width for tables 0..n_max, whose cells stay below
+    2*exp(pi*sqrt(2*n_max/3)) (see the module docstring): the bits of
+    that bound and one spare bit, rounded up to whole bytes."""
     bits = int(math.pi * math.sqrt(2 * n_max / 3) / math.log(2))
-    spare = (fit - 1).bit_length() if fit > 2 else 1
-    return (bits + 9 + spare) // 8 * 8
+    return (bits + 10) // 8 * 8
 
 
 def _ratio(n_max: int) -> int:
@@ -233,7 +231,7 @@ def _build_bounded_mult(m: int, min_part: int, max_part: int | None,
     top = n_max if max_part is None else min(max_part, n_max)
     cut = n_max // _ratio(n_max)
     large = range(max(min_part, cut + 1), top + 1)
-    w = _slot_bits(n_max, n_max // large.start if large else 0)
+    w = _slot_bits(n_max)
     x = 1 << w * n_max
     for k in range(min_part, min(top, cut) + 1):
         x = _allow_part(x, k, m, w, n_max)
@@ -243,7 +241,7 @@ def _build_bounded_mult(m: int, min_part: int, max_part: int | None,
 
 def _build_B(m: int, n_max: int) -> list[int]:
     lo = n_max // _ratio(n_max) + 1
-    w = _slot_bits(n_max, n_max // lo)
+    w = _slot_bits(n_max)
     x = 1 << w * n_max
     for k in range(1, lo):
         if k % m:
@@ -318,7 +316,7 @@ def _build_D(m: int, n_max: int) -> list[int]:
     # The loop always reaches p = 1, whose s = 0 is the block of m zero
     # parts, so D(0) = 1 needs no case of its own.
     low = max(n_max // m + 1, n_max // _ratio(n_max))
-    w = _slot_bits(n_max, n_max // (low + 1))
+    w = _slot_bits(n_max)
     x = _allow_large_parts(1 << w * n_max, range(low + 1, n_max + 1), m, w,
                            n_max)
     out = 0

@@ -290,11 +290,13 @@ def test_p_polynomial_degree_bound(m):
     assert p_polynomial(m).precision < max(m * (m - 1) // 2, 1)
 
 
-@pytest.mark.parametrize("m", [4, 5, 6])
+@pytest.mark.parametrize("m", [4, 5, 6, 100])
 def test_p_polynomial_is_consistent_across_routes(m):
     # the qbinomial route embeds P_m; its agreement with the triangular
     # route over a long window is the only independent anchor for P_m
-    assert epsilon(m, 60, "qbinomial") == epsilon(m, 60, "triangular")
+    precision = max(60, 5 * m)
+    assert epsilon(m, precision, "qbinomial") == \
+        epsilon(m, precision, "triangular")
 
 
 def _p_polynomial_double_loop(m):
@@ -316,6 +318,44 @@ def _p_polynomial_double_loop(m):
 @pytest.mark.parametrize("m", [*range(2, 31), 40])
 def test_p_polynomial_matches_double_loop(m):
     assert p_polynomial(m).coeffs == _p_polynomial_double_loop(m)
+
+
+@pytest.mark.parametrize("m", [3, 8, 20, 60])
+def test_qbinomial_row_is_built_once_by_one_ratio_sweep(monkeypatch, m):
+    # one multiply and one exact divide per j = 1..m-1 of the row
+    # [m-1, j]_q, which P_m and the route share
+    calls = _count_kernel_calls(monkeypatch)
+    for build in (lambda: p_polynomial(m),
+                  lambda: epsilon(m, 300, "qbinomial")):
+        calls.clear()
+        build()
+        assert calls.get("mul_one_minus_uqk") == m - 1
+        assert calls.get("div_one_minus_uqk") == m - 1
+
+
+@pytest.mark.parametrize("m", [3, 8, 20, 60])
+def test_qbinomial_route_adds_twice_per_triangular_number(monkeypatch, m):
+    # sum_j chi_m(k - j) delta_j = m delta_(k mod m) - sum_j delta_j
+    calls = _count_kernel_calls(monkeypatch)
+    for precision in (0, 1, 5, 37, 300):
+        calls.clear()
+        epsilon(m, precision, "qbinomial")
+        terms = sum(1 for k in range(precision + 1)
+                    if genfun._tri(k) <= precision)
+        assert calls.get("add_scaled_shifted", 0) <= 2 * terms, precision
+
+
+@pytest.mark.parametrize("m", [3, 8, 20])
+def test_qbinomial_route_and_p_polynomial_call_no_chi(monkeypatch, m):
+    # the route sums over j by the character identity, so it shares no
+    # chi with the triangular route it is checked against
+    expected = epsilon(m, 200, "triangular")
+
+    def no_chi(*args):
+        raise AssertionError("chi called")
+    monkeypatch.setattr(genfun, "chi", no_chi)
+    assert p_polynomial(m).coeffs == _p_polynomial_double_loop(m)
+    assert epsilon(m, 200, "qbinomial") == expected
 
 
 def test_epsilon_tiny_precisions():

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+from bisect import bisect_right
 from unittest.mock import patch
 
 import pytest
@@ -610,8 +611,9 @@ def test_window_matches_direct_sum():
 def test_power_sum_step_matches_stepping_each_part():
     # random cells below 2^8, parts above n / r' (stride 1, or 2 as for B at
     # m = 2), every kind of multiplicity bound, and stride-m skips; the slot
-    # has 16 bits over what the step needs, which holds 2^8 * (n + 1) times
-    # the step's count bound
+    # has 16 bits over `_slot_bits(n)`, which at these n holds the step's
+    # count bound fit * p(n) for every fit drawn (at most 11), so it holds
+    # 2^8 * (n + 1) times that bound
     rng = random.Random(22)
     fits = set()
     for _ in range(300):
@@ -623,7 +625,7 @@ def test_power_sum_step_matches_stepping_each_part():
         if m is None and parts.step == 1 and rng.random() < 0.5:
             d = rng.randint(2, 5)
             skip = range(start + -start % d, n + 1, d)
-        w = partitions._slot_bits(n, n // start) + 16
+        w = partitions._slot_bits(n) + 16
         dp = [rng.randrange(256) for _ in range(n + 1)]
         x = sum(cell << w * (n - t) for t, cell in enumerate(dp))
         got = partitions._unpack(
@@ -666,22 +668,27 @@ def test_slot_width_holds_every_count_up_to_the_ceiling():
     p = _partition_numbers(5000)
     assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[100] == 190569292
     for n, pn in enumerate(p):
-        # Bj and C: cells up to p(n), and a spare bit
+        # every table: cells up to (r - 1) * p(n), r - 1 the most parts of
+        # the power-sum step that fit in n; Bj and C: p(n) and a spare bit
         w = partitions._slot_bits(n)
-        assert w % 8 == 0 and w >= pn.bit_length() + 1, n
-        assert partitions._slot_bits(n, 1) == partitions._slot_bits(n, 2) == w
-        # A, B and D: the power-sum step holds cells up to fit * p(n), fit
-        # the most of its parts that fit in n, at most r - 1
-        for fit in range(3, partitions._ratio(n)):
-            w = partitions._slot_bits(n, fit)
-            assert w % 8 == 0 and w >= (fit * pn).bit_length(), (n, fit)
-    # the slot holds fit times the bound p(n) < exp(pi*sqrt(2n/3)) itself, so
-    # the packing stays exact past the ceiling, where p(n) is not computed
-    for n in (*range(0, 5001, 7), 10**4, 10**5, 10**6):
-        for fit in range(1, partitions._ratio(n)):
-            bits = math.log2(max(fit, 2)) + \
-                math.pi * math.sqrt(2 * n / 3) / math.log(2)
-            assert partitions._slot_bits(n, fit) > bits, (n, fit)
+        assert w % 8 == 0, n
+        assert w >= ((partitions._ratio(n) - 1) * pn).bit_length(), n
+        assert w >= (2 * pn).bit_length(), n
+    # past the ceiling, where p(n) is not computed, the slot holds r - 1
+    # times p(n) < exp(pi*sqrt(2n/3)) / n^(3/4) (Pribitkin, n >= 1) below
+    # 2^(w - 1).  That bound grows with n, and w and r never fall, so the
+    # last n of each run of equal (w, r) is the tightest n of the run.
+    ns = range(1, 10**6 + 1)
+    n = 1
+    while n <= ns[-1]:
+        w, r = partitions._slot_bits(n), partitions._ratio(n)
+        n = min(bisect_right(ns, w, key=partitions._slot_bits),
+                bisect_right(ns, r, key=partitions._ratio))
+        assert partitions._slot_bits(n) == w and partitions._ratio(n) == r
+        bits = (math.log2(r - 1) + math.pi * math.sqrt(2 * n / 3) / math.log(2)
+                - 0.75 * math.log2(n))
+        assert bits < w - 1, n
+        n += 1
 
 
 def test_cache_keeps_at_most_64_tables(monkeypatch):
