@@ -58,6 +58,22 @@ bound, one sign bit and two guard bits against float rounding, rounded
 up to whole bytes (`_definition_slot_bits`).  Since the arithmetic is
 exact mod 2^(w(N+1)), only the decoded cells need the bound; every
 product and accumulator cell meets it too.
+
+The factors i > c, c = `_definition_cut`, are all applied before the
+first block is added, so they are multiplied in by one power-sum step
+(`_top_product`): modulo q^(N+1) their product is
+sum_(k <= fit) (-1)^k e_k, fit = N // (c + 1), e_k the k-th elementary
+symmetric function of the monomials q^i and x q^i, and Newton's
+identities build k e_k from the earlier e's in windows of whole packed
+lists, a few shift-adds each.  The step is exact in the same way.  Its
+arithmetic is that of Z[q]/(q^(N+1)) through the same ring map, so the
+signed sums along the way need no bound.  Only each k e_k is read back
+as integers, by `// k`, and that is exact slot by slot once every cell
+of k e_k lies in [0, 2^(w-1)): its cells count products of k distinct
+monomials, so they are >= 0, and each is at most
+fit [q^t] prod_{i>=1} (1 + q^i)^2 <= fit exp(pi*sqrt(2N/3)).  As
+fit <= min(m - 1, N) <= (m - 1)(floor(N/m) + 1), the slot width above
+already holds it.
 """
 
 from __future__ import annotations
@@ -68,7 +84,6 @@ from collections.abc import Iterator
 from operator import add, sub
 
 from . import EPSILON_ROUTES, kernels
-from .ring import chi
 from .series import Series, _check_precision
 
 GF_REGULAR_FORMS = ("A_product", "B_product")
@@ -110,19 +125,21 @@ def gf_C(m: int, precision: int) -> Series:
     """Largest-part-multiple family: sum over blocks n >= 0 of
     q^(m n) * prod_{i<=n}(1 - q^(m i)) / prod_{i<=m n}(1 - q^i).
 
-    Block n's term is held relative to q^(m n) and kept to the
-    precision - m n cells it can still land: exact, since multiplying or
-    dividing by (1 - q^k) never moves a coefficient down."""
+    The block term (q^m; q^m)_n / (q; q)_(m n) is
+    prod_(k <= m n, m not| k) 1/(1 - q^k): each factor (1 - q^(m i))
+    cancels a divisor, so block n divides the term of block n - 1 by the
+    factors k = m(n - 1) + 1 .. m n - 1 alone.  It is held relative to
+    q^(m n) and kept to the precision - m n cells it can still land:
+    exact, since dividing by (1 - q^k) never moves a coefficient down."""
     _check_m(m)
     _check_precision(precision)
     acc = [1] + [0] * precision  # n = 0 term
     term = [1] + [0] * precision
     n = 1
     while m * n <= precision:
-        # term_n = term_{n-1} * (1 - q^(m n)) / ((1-q^(mn-m+1))...(1-q^(mn)))
+        # term_n = term_{n-1} / ((1-q^(mn-m+1))...(1-q^(mn-1)))
         del term[precision - m * n + 1:]
-        kernels.mul_one_minus_uqk(term, 1, m * n)
-        for r in range(m * (n - 1) + 1, m * n + 1):
+        for r in range(m * (n - 1) + 1, m * n):
             kernels.div_one_minus_uqk(term, 1, r)
         kernels.add_scaled_shifted(acc, term, m * n, 1)
         n += 1
@@ -305,6 +322,89 @@ def _mul_packed_pair(p: list[int], s: int, keep: int, keep2: int,
             p[r] = (x + ((y & keep2) << 2 * s) - (((x + y) & keep) << s)) & mask
 
 
+def _definition_cut(m: int, precision: int) -> int:
+    """c: the `definition` route multiplies in its factors i > c in one
+    power-sum step (`_top_product`) and the rest one pair at a time.
+
+    c = max(N // m, N // r), with r = (N / 4)^(1/3) rounded, at least 3
+    (the rule of `partitions._ratio`), so the step's fit = N // (c + 1) is
+    at most min(m, r) - 1: its Newton levels stay few at any m.  Timed on
+    the whole route against a fixed r = 3 or 4 and against r - 1, r + 1
+    and r + 2, at m from 2 to 2000 and N up to 3000 (min of 5 runs, 2
+    CPUs, Python 3.11; the figures are in CHANGES.md): r + 1 and r + 2 came
+    within about 10 % of this rule everywhere, r - 1 ran up to 1.5x slower
+    at large m, and r = 3 or 4 up to 1.5x slower at (12, 3000).
+
+    The step forms at most fit (fit + 1)(fit + 2) / 3 windows, and at tiny
+    N a window costs more interpreter work than a pair step, so c = N (no
+    step) unless the step replaces at least twice that many pair steps:
+    below N = 23 at m >= 3, and below N = 7 at m = 2.  Without that rule
+    the route ran up to 2x slower (6 -> 13 us) at N <= 12."""
+    r = 3
+    while (2 * r + 1) ** 3 <= 2 * precision:  # r rounds (N / 4)^(1/3)
+        r += 1
+    c = max(precision // m, precision // r)
+    fit = precision // (c + 1)
+    if precision - c < 2 * fit * (fit + 1) * (fit + 2) // 3:
+        return precision
+    return c
+
+
+def _window(z: int, lo: int, d: int, count: int, mask: int) -> int:
+    """z * q^a (1 + q^b + ... + q^((count-1) b)) on a packed residue list,
+    count >= 1, where q^a and q^b are left shifts by lo and d bits and the
+    cells past the precision are masked off.
+
+    Built by binary powering, from S_1 = 1 over the bits of count after the
+    leading one: S_2n = S_n (1 + q^(n b)) and S_(n+1) = 1 + q^b S_n, one
+    shift-add each.  Bits above the mask never reach the cells below it,
+    so they are masked off once, at the end."""
+    z = (z << lo) & mask
+    y, copies = z, 1
+    for bit in bin(count)[3:]:
+        y += y << d * copies
+        copies *= 2
+        if bit == "1":
+            y = z + (y << d)
+            copies += 1
+    return y & mask
+
+
+def _top_product(m: int, c: int, w: int, precision: int,
+                 mask: int) -> list[int]:
+    """The residue ints of prod_(c < i <= N) (1 - q^i)(1 - x q^i), in one
+    power-sum step.
+
+    The product is sum_k (-1)^k e_k, e_k the k-th elementary symmetric
+    function of the monomials q^i and x q^i, and a term of e_k has degree
+    at least k(c + 1), so modulo q^(N+1) only k <= fit = N // (c + 1)
+    remain.  Newton's identities give k e_k = sum_(j=1..k) (-1)^(j-1)
+    e_(k-j) P_j with the power sums P_j = (1 + x^j) sum_i q^(ij).  As
+    fit < m, e_k has x-degree at most k and never wraps mod x^m - 1, so
+    it is held as the residue ints 0..fit, and residue r of e_(k-j) P_j is
+    one window, at stride j, over residues r and r - j of e_(k-j).  A term
+    of e_(k-j) starts at cell (k - j)(c + 1), so its copies past
+    i = (N - (k - j)(c + 1)) // j land on no cell and are not formed."""
+    fit = precision // (c + 1)
+    if not fit:
+        return [1] + [0] * (m - 1)
+    e = [[1] + [0] * fit]
+    for k in range(1, fit + 1):
+        ke = [0] * (fit + 1)
+        for j in range(1, k + 1):
+            src = e[k - j]
+            count = (precision - (k - j) * (c + 1)) // j - c
+            for r in range(k + 1):
+                z = src[r] + (src[r - j] if r >= j else 0)
+                if z:
+                    u = _window(z, w * j * (c + 1), w * j, count, mask)
+                    ke[r] += u if j & 1 else -u
+        e.append([(x & mask) // k for x in ke])
+    out = [sum(-x if k & 1 else x for k, x in enumerate(cells)) & mask
+           for cells in zip(*e)]
+    return out + [0] * (m - 1 - fit)
+
+
 def _epsilon_definition(m: int, precision: int) -> Series:
     """Cyclotomic route: sum over n >= 0 of q^(m n) (q^(n+1); q)_inf times
     the sum over j = 1..m-1 of (zeta_m^j q^(n+1); q)_inf.
@@ -319,12 +419,14 @@ def _epsilon_definition(m: int, precision: int) -> Series:
     accumulator's residue ints, decoded once.
 
     Worked from the top block downward so each step multiplies two linear
-    factors instead of rebuilding the infinite products."""
+    factors instead of rebuilding the infinite products.  The factors
+    i > c (`_definition_cut`), all applied before the first block is
+    added, are multiplied in at once by `_top_product`."""
     w = _definition_slot_bits(m, precision)
     mask = (1 << w * (precision + 1)) - 1
-    p = [1] + [0] * (m - 1)
+    top = _definition_cut(m, precision)
+    p = _top_product(m, top, w, precision, mask)
     acc = [0] * m
-    top = precision
     for n in range(precision // m, -1, -1):
         for i in range(top, n, -1):  # the factors i > n, not yet applied
             s = w * i
@@ -393,7 +495,8 @@ def triangular_stream(m: int, x: int) -> Iterator[tuple[int, int]]:
                 poly += [0] * (min(len(poly) + a, limit) - len(poly))
                 kernels.mul_one_minus_uqk(poly, 1, a)
             monomials = enumerate(poly)
-        scale = (-1 if k & 1 else 1) * chi(m, k)
+        chi = (0 if k % m else m) - 1  # chi_m(k) = m [m | k] - 1
+        scale = -chi if k & 1 else chi
         for e, c in monomials:
             if c:
                 window[start + e] = window.get(start + e, 0) + scale * c
@@ -439,7 +542,8 @@ def _epsilon_closed3(precision: int) -> Series:
             acc[i] = c
     n = 2
     while _tri(n) + 1 <= precision:
-        acc[_tri(n) + 1] = (-1 if n & 1 else 1) * chi(3, n - 1)
+        chi = (0 if (n - 1) % 3 else 3) - 1  # chi_3(n - 1)
+        acc[_tri(n) + 1] = -chi if n & 1 else chi
         n += 1
     return Series._wrap(acc)
 

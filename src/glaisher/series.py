@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import kernels
-from .ring import CycInt, cyc_as_integer
 
 
 class PrecisionMismatchError(ValueError):
@@ -251,11 +250,15 @@ def qbinomial(a: int, b: int, precision: int) -> Series:
     return Series.from_coeffs(qbinomial_poly(a, b)[: precision + 1], precision)
 
 
-def map_ring(coeffs: list[CycInt]) -> Series:
-    """Check a Z[zeta_m] coefficient list down to Z and return it as a
-    Series; raises NotIntegerCoefficientError at the first non-rational
-    coefficient.  No package path calls it: it is a public helper for
-    CycInt coefficient lists, such as the tests' Z[zeta_m] references."""
+def map_ring(coeffs: list) -> Series:
+    """Check a Z[zeta_m] (CycInt) coefficient list down to Z and return it
+    as a Series; raises NotIntegerCoefficientError at the first
+    non-rational coefficient.  No package path calls it: it is a public
+    helper for CycInt coefficient lists, such as the tests' Z[zeta_m]
+    references, and it imports `ring` when called, so that loading
+    `series` does not load `ring`."""
+    from .ring import cyc_as_integer
+
     out = []
     for n, c in enumerate(coeffs):
         v = cyc_as_integer(c)

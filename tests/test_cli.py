@@ -440,8 +440,7 @@ def test_start_up_imports_neither_click_nor_dataclasses_nor_inspect():
     assert proc.stdout.startswith("Usage: ")
 
 
-_ENGINE = {"glaisher.genfun", "glaisher.series", "glaisher.ring",
-           "glaisher.kernels"}
+_ENGINE = {"glaisher.genfun", "glaisher.series", "glaisher.kernels"}
 
 
 @pytest.mark.parametrize("args,loads", [

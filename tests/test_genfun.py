@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glaisher import genfun, kernels, series
+from glaisher import genfun, kernels, ring, series
 from glaisher.genfun import (
     EPSILON_ROUTES,
     epsilon,
@@ -347,15 +347,19 @@ def test_qbinomial_route_adds_twice_per_triangular_number(monkeypatch, m):
 
 @pytest.mark.parametrize("m", [3, 8, 20])
 def test_qbinomial_route_and_p_polynomial_call_no_chi(monkeypatch, m):
-    # the route sums over j by the character identity, so it shares no
-    # chi with the triangular route it is checked against
+    # genfun writes chi_m(n) = m [m | n] - 1 inline and loads nothing from
+    # ring, so a ring.chi that raises changes no route
     expected = epsilon(m, 200, "triangular")
+    p_expected = _p_polynomial_double_loop(m)
 
     def no_chi(*args):
         raise AssertionError("chi called")
-    monkeypatch.setattr(genfun, "chi", no_chi)
-    assert p_polynomial(m).coeffs == _p_polynomial_double_loop(m)
-    assert epsilon(m, 200, "qbinomial") == expected
+    monkeypatch.setattr(ring, "chi", no_chi)
+    assert p_polynomial(m).coeffs == p_expected
+    routes = ("definition", "triangular", "qbinomial") + (
+        ("closed3",) if m == 3 else ())
+    for route in routes:
+        assert epsilon(m, 200, route) == expected, route
 
 
 def test_epsilon_tiny_precisions():
@@ -501,8 +505,9 @@ def test_definition_per_divisor_matches_per_root(m):
                                          (30, 31)])
 def test_definition_expands_one_product_per_proper_divisor(
         monkeypatch, m, precision):
-    # one product for every m, composite or not: the root-1 product, one
-    # pair step per factor index i = 1..precision
+    # one product for every m, composite or not: the root-1 product, its
+    # factors i > c in one power-sum step and one pair step per factor
+    # index i = 1..c
     calls = []
 
     def counted(*args, _real=genfun._mul_packed_pair):
@@ -510,9 +515,130 @@ def test_definition_expands_one_product_per_proper_divisor(
         return _real(*args)
     monkeypatch.setattr(genfun, "_mul_packed_pair", counted)
     epsilon(m, precision, "definition")
-    assert len(calls) == precision
+    c = genfun._definition_cut(m, precision)
+    assert len(calls) == c
     w = genfun._definition_slot_bits(m, precision)
-    assert sorted(s // w for _, s, *_ in calls) == list(range(1, precision + 1))
+    assert sorted(s // w for _, s, *_ in calls) == list(range(1, c + 1))
+
+
+def _cut_ratio(precision):
+    """r = (N / 4)^(1/3) rounded, at least 3: no N makes it a tie, since
+    (2r + 1)^3 = 2N has no integer solution."""
+    return max(3, int((precision / 4) ** (1 / 3) + 0.5))
+
+
+def test_definition_cut_rule():
+    # c = max(N // m, N // r), r = 3 below N = 172, 8 at 1800, 11 at 5000,
+    # or c = N (no step) where the step would replace fewer than twice as
+    # many pair steps as the fit (fit + 1)(fit + 2) / 3 windows it forms
+    assert [_cut_ratio(n) for n in (171, 172, 1800, 5000)] == [3, 4, 8, 11]
+    for precision in range(0, 6000, 7):
+        r = _cut_ratio(precision)
+        for m in (2, 3, 12, 200, 2000):
+            c = max(precision // m, precision // r)
+            fit = precision // (c + 1)
+            if precision - c < 2 * fit * (fit + 1) * (fit + 2) // 3:
+                c = precision
+            assert genfun._definition_cut(m, precision) == c, (m, precision)
+    assert [genfun._definition_cut(2, n) for n in (6, 7)] == [6, 3]
+    assert [genfun._definition_cut(3, n) for n in (22, 23)] == [22, 7]
+    assert genfun._definition_cut(3, 5000) == 1666
+    assert genfun._definition_cut(12, 3000) == 333
+
+
+def _epsilon_definition_pairs(m, precision, c):
+    """The packed definition route with every factor pair applied by
+    `_mul_packed_pair`, top down, before and between the blocks it adds:
+    its series, and its residue ints once the factors i > c are in."""
+    w = genfun._definition_slot_bits(m, precision)
+    mask = (1 << w * (precision + 1)) - 1
+    p = [1] + [0] * (m - 1)
+    at_cut = p[:]
+    acc = [0] * m
+    top = precision
+    for n in range(precision // m, -1, -1):
+        for i in range(top, n, -1):
+            s = w * i
+            keep = mask >> s
+            genfun._mul_packed_pair(p, s, keep, keep >> s, mask)
+            if i == c + 1:
+                at_cut = p[:]
+        top = n
+        s = w * m * n
+        keep = mask >> s
+        for r, x in enumerate(p):
+            if x:
+                acc[r] += (x & keep) << s
+    return (genfun._unpack_signed((m * acc[0] - sum(acc)) & mask, w,
+                                  precision), at_cut)
+
+
+def _assert_top_product_is_pair_steps(m, precision):
+    w = genfun._definition_slot_bits(m, precision)
+    mask = (1 << w * (precision + 1)) - 1
+    c = genfun._definition_cut(m, precision)
+    series, at_cut = _epsilon_definition_pairs(m, precision, c)
+    assert genfun._top_product(m, c, w, precision, mask) == at_cut
+    assert list(epsilon(m, precision, "definition").coeffs) == series
+
+
+_STEP_M = (*range(2, 13), 20, 30, 60, 105, 200, 385, 2000)
+
+
+@pytest.mark.parametrize("m", _STEP_M)
+def test_top_product_matches_pair_steps_bit_for_bit(m):
+    # the step's residue ints are the very ints the pair steps leave, and
+    # the route's series is that of the top-down loop; c is the cut at
+    # N = 600
+    c = genfun._definition_cut(m, 600)
+    for precision in sorted({0, 1, 2, m - 1, m, m + 1, c, c + 1, 150, 600}):
+        _assert_top_product_is_pair_steps(m, precision)
+
+
+def test_top_product_matches_pair_steps_at_3_2000():
+    _assert_top_product_is_pair_steps(3, 2000)
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(st.integers(2, 40), st.integers(0, 400))
+def test_top_product_matches_pair_steps_property(m, precision):
+    _assert_top_product_is_pair_steps(m, precision)
+
+
+@pytest.mark.parametrize("m,precision", [(200, 500), (385, 300), (2000, 40)])
+def test_top_product_runs_at_most_r_minus_1_newton_levels(
+        monkeypatch, m, precision):
+    # level k of the step forms k e_k from windows at strides 1..k over at
+    # most k + 1 residues each, however large m is
+    strides = []
+
+    def counted(z, lo, d, count, mask, _real=genfun._window):
+        strides.append(d)
+        return _real(z, lo, d, count, mask)
+    monkeypatch.setattr(genfun, "_window", counted)
+    assert epsilon(m, precision, "definition") == \
+        epsilon(m, precision, "triangular")
+    w = genfun._definition_slot_bits(m, precision)
+    r = _cut_ratio(precision)
+    levels = max(d // w for d in strides)
+    assert levels == precision // (genfun._definition_cut(m, precision) + 1)
+    assert levels <= r - 1
+    assert len(strides) <= sum(k * (k + 1) for k in range(1, r))
+
+
+def _top_elementary(m, precision, c):
+    """e_0..e_fit of the monomials q^i and x q^i, c < i <= N, fit =
+    N // (c + 1), as residue lists of Z[x]/(x^m - 1) built one monomial
+    at a time: e_k has x-degree at most k < m, so residues 0..k."""
+    fit = precision // (c + 1)
+    e = [[[0] * (precision + 1) for _ in range(m)] for _ in range(fit + 1)]
+    e[0][0][0] = 1
+    for i in range(c + 1, precision + 1):
+        for a in (0, 1):  # the monomial x^a q^i
+            for k in range(fit, 0, -1):
+                for r in range(k):
+                    kernels.add_scaled_shifted(e[k][r + a], e[k - 1][r], i, 1)
+    return e
 
 
 _SLOT_GRID = sorted({(m, n) for m in (*range(2, 10), 12, 20)
@@ -522,16 +648,28 @@ _SLOT_GRID = sorted({(m, n) for m in (*range(2, 10), 12, 20)
 
 @pytest.mark.parametrize("m,precision", _SLOT_GRID)
 def test_definition_slot_width_holds(m, precision):
-    # every value the packed route holds fits a signed slot: the root-1
-    # product after each factor pair, its accumulator after each block, and
-    # the decoded series m*acc_0 - sum_r acc_r
+    # every value the packed route reads as integers fits a signed slot:
+    # the root-1 product after each factor pair, its accumulator after each
+    # block, every cell of each k e_k the power-sum step forms, and the
+    # decoded series m*acc_0 - sum_r acc_r
     peaks = []
     acc = _definition_residues(m, precision, (1,), peaks)
     expected = [m * a - sum(cell) for a, cell in zip(acc[0], zip(*acc))]
     peaks.append(max(map(abs, expected)))
+    c = genfun._definition_cut(m, precision)
+    e = _top_elementary(m, precision, c)
+    peaks.extend(k * max(map(max, ek)) for k, ek in enumerate(e))
     w = genfun._definition_slot_bits(m, precision)
     assert max(peaks) < 1 << (w - 1)
     assert list(epsilon(m, precision, "definition").coeffs) == expected
+    # the step's product is sum_k (-1)^k e_k
+    mask = (1 << w * (precision + 1)) - 1
+    product = [[0] * (precision + 1) for _ in range(m)]
+    for k, ek in enumerate(e):
+        for total, cells in zip(product, ek):
+            kernels.add_scaled_shifted(total, cells, 0, -1 if k & 1 else 1)
+    assert [genfun._unpack_signed(x, w, precision) for x in
+            genfun._top_product(m, c, w, precision, mask)] == product
 
 
 @pytest.mark.parametrize("m,precision", [(3, 1000), (5, 600), (7, 400),
