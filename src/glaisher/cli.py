@@ -9,6 +9,12 @@ package loads anyway).  Each command imports the layer it runs when it
 runs: `count` loads `partitions` and `expand` loads `genfun`; `json` and
 `csv` load only for their `--format`.
 
+Every command prints through one output path, `_emit`: the command checks
+its arguments, opens `--out`, does its work and hands `_emit` a JSON
+payload, CSV rows and a text builder; `_emit` alone reads `--format` and
+writes the one it names to the `--out` file or to stdout.  `count` and
+`expand`, one (n, value) row per cell, go through `_emit_values`.
+
 Exit codes: 0 all checks pass, 1 a mathematical mismatch was found (a
 failed identity, or a density census above its window bound), 2 usage or
 configuration error, 3 internal error (any other exception, reported in
@@ -48,68 +54,71 @@ class ConfigError(Exception):
     reported in one line with no usage text."""
 
 
-def _ceiling() -> int:
+def _check_bound(value: int, name: str):
+    if value < 0:
+        raise UsageError(f"{name} must be non-negative")
     raw = os.environ.get("GLAISHER_CEILING", "5000")
     try:
-        value = int(raw)
-        if value < 0:
+        ceiling = int(raw)
+        if ceiling < 0:
             raise ValueError(raw)
     except ValueError:
         raise ConfigError(
             f"GLAISHER_CEILING must be a non-negative integer, got {raw!r}"
         ) from None
-    return value
-
-
-def _check_bound(value: int, name: str):
-    if value < 0:
-        raise UsageError(f"{name} must be non-negative")
-    if value > _ceiling():
+    if value > ceiling:
         raise UsageError(
-            f"{name} = {value} exceeds the ceiling {_ceiling()} "
+            f"{name} = {value} exceeds the ceiling {ceiling} "
             f"(override with GLAISHER_CEILING)"
         )
 
 
-def _open_out(opts):
+def _open_out(opts) -> None:
     """Open the --out file before any work is done, so a path that cannot be
     written (a missing directory, a directory itself) is a one-line
     configuration error (exit 2), not an internal error after the
     computation.  Like a shell redirection, this creates or truncates the
     file first.  `main` closes it when the command ends."""
     if opts.out is None:
-        return None
+        return
     try:
         opts.fh = open(opts.out, "w", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(
             f"cannot write --out {opts.out!r}: {exc.strerror or exc}"
         ) from None
-    return opts.fh
 
 
-def _emit(text: str, fh):
-    if fh is None:
-        print(text, flush=True)
+def _emit(opts, payload, header, rows, text) -> None:
+    """Print a command's result in its --format, to the --out file or to
+    stdout, ending in one newline: `payload` as indented JSON, `header`
+    and `rows` as CSV, or the string `text()` returns.  `json` and `csv`
+    load only for their own format, and `text` is called only for text."""
+    if opts.fmt == "json":
+        import json
+
+        body = json.dumps(payload, indent=2)
+    elif opts.fmt == "csv":
+        import csv
+        import io
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        body = buf.getvalue().rstrip("\n")
     else:
-        fh.write(text + "\n")
+        body = text()
+    print(body, file=opts.fh or sys.stdout, flush=True)
 
 
-def _json_text(payload) -> str:
-    import json
-
-    return json.dumps(payload, indent=2)
-
-
-def _csv_rows(header, rows) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _emit_values(opts, payload, title, values) -> None:
+    """Print one (n, value) row per cell of `values`, under `title` in text."""
+    def text():
+        width = max(map(len, values))
+        return "\n".join([title] + [f"{n:>6}  {v:>{width}}"
+                                    for n, v in enumerate(values)])
+    _emit(opts, payload, ("n", "value"), enumerate(values), text)
 
 
 def _styled(text: str, ok: bool, fh) -> str:
@@ -130,33 +139,25 @@ def count(opts) -> int:
     """Tabulate exact counts (n, value) for one family."""
     from .partitions import FamilySpec, count_table
 
-    family, m, j, n_max, fmt = opts.family, opts.m, opts.j, opts.n_max, opts.fmt
+    family, m, j, n_max = opts.family, opts.m, opts.j, opts.n_max
     _check_bound(n_max, "--n-max")
     try:
         spec = FamilySpec(family, m, j)
     except ValueError as exc:
         raise UsageError(str(exc))
-    fh = _open_out(opts)
-    table = count_table(spec, n_max)
-    values = [str(c) for c in table.counts]
-    if fmt == "json":
-        payload = {
-            "command": "count",
-            "family": family,
-            "m": m,
-            "j": j,
-            "n_max": n_max,
-            "counts": values,
-        }
-        _emit(_json_text(payload), fh)
-    elif fmt == "csv":
-        _emit(_csv_rows(("n", "value"), enumerate(values)), fh)
-    else:
-        width = max(map(len, values))
-        lines = [f"{family}_{m}" + (f"^({j})" if j is not None else "") +
-                 f" counts for n = 0..{n_max}"]
-        lines += [f"{n:>6}  {v:>{width}}" for n, v in enumerate(values)]
-        _emit("\n".join(lines), fh)
+    _open_out(opts)
+    values = [str(c) for c in count_table(spec, n_max).counts]
+    payload = {
+        "command": "count",
+        "family": family,
+        "m": m,
+        "j": j,
+        "n_max": n_max,
+        "counts": values,
+    }
+    title = (f"{family}_{m}" + (f"^({j})" if j is not None else "")
+             + f" counts for n = 0..{n_max}")
+    _emit_values(opts, payload, title, values)
     return 0
 
 
@@ -164,17 +165,15 @@ def expand(opts) -> int:
     """Expand a generating function to (exponent, coefficient) rows."""
     from .genfun import epsilon, gf_Bj_lhs, gf_C, gf_D, gf_regular, p_polynomial
 
-    series_name, m, precision, route, fmt = (
-        opts.series_name, opts.m, opts.precision, opts.route, opts.fmt)
+    series_name, m, precision, route = (
+        opts.series_name, opts.m, opts.precision, opts.route)
     _check_bound(precision, "--precision")
     if m < 2:
         raise UsageError("m must be >= 2")
-    fh = _open_out(opts)
+    _open_out(opts)
     try:
-        if series_name == "A":
-            s = gf_regular(m, "A_product", precision)
-        elif series_name == "B":
-            s = gf_regular(m, "B_product", precision)
+        if series_name in ("A", "B"):
+            s = gf_regular(m, f"{series_name}_product", precision)
         elif series_name == "Bj-lhs":
             s = gf_Bj_lhs(m, opts.n_sum, precision)
         elif series_name == "C":
@@ -188,40 +187,17 @@ def expand(opts) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     values = [str(c) for c in s.coeffs]
-    if fmt == "json":
-        payload = {
-            "command": "expand",
-            "series": series_name,
-            "m": m,
-            "precision": s.precision,
-            "route": route if series_name == "epsilon" else None,
-            "coefficients": values,
-        }
-        _emit(_json_text(payload), fh)
-    elif fmt == "csv":
-        _emit(_csv_rows(("n", "value"), enumerate(values)), fh)
-    else:
-        width = max(map(len, values))
-        lines = [f"{series_name} (m = {m}) to q^{s.precision}"]
-        lines += [f"{n:>6}  {v:>{width}}" for n, v in enumerate(values)]
-        _emit("\n".join(lines), fh)
-    return 0
-
-
-def _report_payload(report) -> dict:
-    first = None
-    if report.first_failure is not None:
-        n, lhs, rhs = report.first_failure
-        first = {"n": n, "lhs": lhs, "rhs": rhs}
-    return {
-        "theorem": report.theorem,
-        "m": report.m,
-        "range": list(report.range),
-        "status": report.status,
-        "first_failure": first,
-        "elapsed_ms": report.elapsed_ms,
-        "routes": list(report.routes),
+    payload = {
+        "command": "expand",
+        "series": series_name,
+        "m": m,
+        "precision": s.precision,
+        "route": route if series_name == "epsilon" else None,
+        "coefficients": values,
     }
+    _emit_values(opts, payload, f"{series_name} (m = {m}) to q^{s.precision}",
+                 values)
+    return 0
 
 
 def verify_cmd(opts) -> int:
@@ -230,44 +206,51 @@ def verify_cmd(opts) -> int:
     Exits 0 on pass, 1 on a mathematical mismatch, 2 on usage errors,
     3 on an internal error.
     """
-    n_max, precision, n_sum, fmt = (opts.n_max, opts.precision, opts.n_sum,
-                                    opts.fmt)
+    n_max, precision, n_sum = opts.n_max, opts.precision, opts.n_sum
     if n_max is None and precision is None:
         n_max = precision = DEFAULT_RANGE
     for val, name in ((n_max, "--n-max"), (precision, "--precision"),
                       (n_sum, "--N-sum")):
         if val is not None:
             _check_bound(val, name)
-    fh = _open_out(opts)
+    _open_out(opts)
     try:
         report = verify(opts.theorem, m=opts.m, n_max=n_max,
                         precision=precision, n_sum=n_sum)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if fmt == "json":
-        _emit(_json_text(_report_payload(report)), fh)
-    elif fmt == "csv":
-        n, lhs, rhs = report.first_failure or ("", "", "")
-        _emit(_csv_rows(
-            ("theorem", "m", "range_lo", "range_hi", "status",
-             "first_n", "lhs", "rhs", "elapsed_ms"),
-            [(report.theorem, report.m, report.range[0], report.range[1],
-              report.status, n, lhs, rhs, report.elapsed_ms)],
-        ), fh)
-    else:
-        lines = [
-            f"{report.theorem} (m = {report.m}) over "
-            f"[{report.range[0]}, {report.range[1]}]: "
-            + _styled(report.status.upper(), report.passed, fh),
-            f"routes: {', '.join(report.routes)}   "
-            f"elapsed: {report.elapsed_ms} ms",
-        ]
-        if report.first_failure:
-            n, lhs, rhs = report.first_failure
+    failed = report.first_failure
+    n, lhs, rhs = failed or ("", "", "")
+    lo, hi = report.range
+    payload = {
+        "theorem": report.theorem,
+        "m": report.m,
+        "range": [lo, hi],
+        "status": report.status,
+        "first_failure": None if failed is None else {
+            "n": n,
+            "lhs": lhs,
+            "rhs": rhs,
+        },
+        "elapsed_ms": report.elapsed_ms,
+        "routes": list(report.routes),
+    }
+    header = ("theorem", "m", "range_lo", "range_hi", "status", "first_n",
+              "lhs", "rhs", "elapsed_ms")
+    row = (report.theorem, report.m, lo, hi, report.status, n, lhs, rhs,
+           report.elapsed_ms)
+
+    def text():
+        verdict = _styled(report.status.upper(), report.passed, opts.fh)
+        lines = [f"{report.theorem} (m = {report.m}) over [{lo}, {hi}]: "
+                 + verdict,
+                 f"routes: {', '.join(report.routes)}   "
+                 f"elapsed: {report.elapsed_ms} ms"]
+        if failed:
             lines.append(f"first failure at n = {n}: {lhs} != {rhs}")
-        for key, val in report.notes.items():
-            lines.append(f"note [{key}]: {val}")
-        _emit("\n".join(lines), fh)
+        lines += [f"note [{key}]: {val}" for key, val in report.notes.items()]
+        return "\n".join(lines)
+    _emit(opts, payload, header, [row], text)
     return 0 if report.passed else 1
 
 
@@ -277,44 +260,33 @@ def density(opts) -> int:
 
     Exits 0 when the census is within the bound, 1 when it breaks it.
     """
-    fmt = opts.fmt
     _check_bound(opts.x, "--x")
-    fh = _open_out(opts)
+    _open_out(opts)
     try:
         stats = density_report(opts.m, opts.x)
     except ValueError as exc:
         raise UsageError(str(exc))
-    fraction = f"{stats.N_x}/{stats.x}"
-    decimal = _ratio_decimal(stats.N_x, stats.x)
-    if fmt == "json":
-        payload = {
-            "command": "density",
-            "m": stats.m,
-            "x": stats.x,
-            "nonzero_count": stats.nonzero_count,
-            "N_x": stats.N_x,
-            "ratio": fraction,
-            "ratio_decimal": decimal,
-            "window_bound": stats.window_bound,
-            "bound_satisfied": stats.bound_satisfied,
-        }
-        _emit(_json_text(payload), fh)
-    elif fmt == "csv":
-        _emit(_csv_rows(
-            ("m", "x", "nonzero_count", "N_x", "ratio", "ratio_decimal",
-             "window_bound", "bound_satisfied"),
-            [(stats.m, stats.x, stats.nonzero_count, stats.N_x, fraction,
-              decimal, stats.window_bound, stats.bound_satisfied)],
-        ), fh)
-    else:
-        _emit("\n".join([
-            f"correction-series census for m = {stats.m}, n < {stats.x}",
-            f"nonzero coefficients: {stats.nonzero_count}",
-            f"vanishing (identity holds): {stats.N_x}",
-            f"ratio: {fraction} = {decimal}",
-            f"window bound: {stats.window_bound} "
-            f"(satisfied: {stats.bound_satisfied})",
-        ]), fh)
+    payload = {
+        "command": "density",
+        "m": stats.m,
+        "x": stats.x,
+        "nonzero_count": stats.nonzero_count,
+        "N_x": stats.N_x,
+        "ratio": f"{stats.N_x}/{stats.x}",
+        "ratio_decimal": _ratio_decimal(stats.N_x, stats.x),
+        "window_bound": stats.window_bound,
+        "bound_satisfied": stats.bound_satisfied,
+    }
+    header = [key for key in payload if key != "command"]
+    _emit(opts, payload, header, [[payload[key] for key in header]],
+          lambda: "\n".join([
+              f"correction-series census for m = {stats.m}, n < {stats.x}",
+              f"nonzero coefficients: {stats.nonzero_count}",
+              f"vanishing (identity holds): {stats.N_x}",
+              f"ratio: {payload['ratio']} = {payload['ratio_decimal']}",
+              f"window bound: {stats.window_bound} "
+              f"(satisfied: {stats.bound_satisfied})",
+          ]))
     return 0 if stats.bound_satisfied else 1
 
 

@@ -314,7 +314,10 @@ def _mul_packed_pair(p: list[int], s: int, keep: int, keep2: int,
     (1 - q^i)(1 - x q^i) = 1 - (1 + x) q^i + x q^(2i), each P_r packed
     with s = w*i; keep and keep2 = mask >> s and mask >> 2s are the cells
     that q^i and q^(2i) do not push past the precision.  x moves residue
-    r - 1 (mod m) to r."""
+    r - 1 (mod m) to r.
+
+    p may hold only residues 0..len(p) - 1 < m, the rest zero, if its last
+    residue is zero: then residue 0 takes that zero, not residue m - 1."""
     old = p[:]
     for r, x in enumerate(old):
         y = old[r - 1]
@@ -333,21 +336,11 @@ def _definition_cut(m: int, precision: int) -> int:
     and r + 2, at m from 2 to 2000 and N up to 3000 (min of 5 runs, 2
     CPUs, Python 3.11; the figures are in CHANGES.md): r + 1 and r + 2 came
     within about 10 % of this rule everywhere, r - 1 ran up to 1.5x slower
-    at large m, and r = 3 or 4 up to 1.5x slower at (12, 3000).
-
-    The step forms at most fit (fit + 1)(fit + 2) / 3 windows, and at tiny
-    N a window costs more interpreter work than a pair step, so c = N (no
-    step) unless the step replaces at least twice that many pair steps:
-    below N = 23 at m >= 3, and below N = 7 at m = 2.  Without that rule
-    the route ran up to 2x slower (6 -> 13 us) at N <= 12."""
+    at large m, and r = 3 or 4 up to 1.5x slower at (12, 3000)."""
     r = 3
     while (2 * r + 1) ** 3 <= 2 * precision:  # r rounds (N / 4)^(1/3)
         r += 1
-    c = max(precision // m, precision // r)
-    fit = precision // (c + 1)
-    if precision - c < 2 * fit * (fit + 1) * (fit + 2) // 3:
-        return precision
-    return c
+    return max(precision // m, precision // r)
 
 
 def _window(z: int, lo: int, d: int, count: int, mask: int) -> int:
@@ -372,8 +365,8 @@ def _window(z: int, lo: int, d: int, count: int, mask: int) -> int:
 
 def _top_product(m: int, c: int, w: int, precision: int,
                  mask: int) -> list[int]:
-    """The residue ints of prod_(c < i <= N) (1 - q^i)(1 - x q^i), in one
-    power-sum step.
+    """The residue ints 0..fit of prod_(c < i <= N) (1 - q^i)(1 - x q^i),
+    in one power-sum step; its residues fit + 1..m - 1 are zero.
 
     The product is sum_k (-1)^k e_k, e_k the k-th elementary symmetric
     function of the monomials q^i and x q^i, and a term of e_k has degree
@@ -387,7 +380,7 @@ def _top_product(m: int, c: int, w: int, precision: int,
     i = (N - (k - j)(c + 1)) // j land on no cell and are not formed."""
     fit = precision // (c + 1)
     if not fit:
-        return [1] + [0] * (m - 1)
+        return [1]
     e = [[1] + [0] * fit]
     for k in range(1, fit + 1):
         ke = [0] * (fit + 1)
@@ -400,9 +393,8 @@ def _top_product(m: int, c: int, w: int, precision: int,
                     u = _window(z, w * j * (c + 1), w * j, count, mask)
                     ke[r] += u if j & 1 else -u
         e.append([(x & mask) // k for x in ke])
-    out = [sum(-x if k & 1 else x for k, x in enumerate(cells)) & mask
-           for cells in zip(*e)]
-    return out + [0] * (m - 1 - fit)
+    return [sum(-x if k & 1 else x for k, x in enumerate(cells)) & mask
+            for cells in zip(*e)]
 
 
 def _epsilon_definition(m: int, precision: int) -> Series:
@@ -421,7 +413,10 @@ def _epsilon_definition(m: int, precision: int) -> Series:
     Worked from the top block downward so each step multiplies two linear
     factors instead of rebuilding the infinite products.  The factors
     i > c (`_definition_cut`), all applied before the first block is
-    added, are multiplied in at once by `_top_product`."""
+    added, are multiplied in at once by `_top_product`.  x^a needs a
+    distinct factors, a(a + 1) / 2 <= N, so only about sqrt(2N) residues
+    are ever nonzero: p holds residues up to its highest live one and
+    grows by one zero residue before a pair step could fill it."""
     w = _definition_slot_bits(m, precision)
     mask = (1 << w * (precision + 1)) - 1
     top = _definition_cut(m, precision)
@@ -429,6 +424,8 @@ def _epsilon_definition(m: int, precision: int) -> Series:
     acc = [0] * m
     for n in range(precision // m, -1, -1):
         for i in range(top, n, -1):  # the factors i > n, not yet applied
+            if p[-1] and len(p) < m:
+                p.append(0)
             s = w * i
             keep = mask >> s
             _mul_packed_pair(p, s, keep, keep >> s, mask)

@@ -1,7 +1,7 @@
 """Series kernels: the four loops over coefficient lists.
 
 These loops are the hot spots of every truncated-series computation in the
-package.  `series`, `genfun` and `verify` call them as `kernels.<name>`,
+package.  `series`, `genfun` and `_checkers` call them as `kernels.<name>`,
 never imported by name, so wrapping the module attribute (as the
 benchmark's spans do) sees every call.
 

@@ -2,6 +2,7 @@
 contract (0 pass / 1 mismatch / 2 usage / 3 internal error), and JSON
 round-tripping."""
 
+import importlib.util
 import io
 import json
 import os
@@ -352,6 +353,36 @@ def test_out_naming_a_directory_is_a_one_line_usage_error(
     assert len(lines) == 1
     assert lines[0].startswith(f"Error: cannot write --out {str(tmp_path)!r}: ")
     assert calls == []
+
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_regenerate", Path(__file__).with_name("golden") / "regenerate.py")
+_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_golden)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("args", [
+    pytest.param(["count", "--family", "Bj", "--j", "2", "--m", "4",
+                  "--n-max", "40"], id="count"),
+    pytest.param(["expand", "--series", "epsilon", "--route", "definition",
+                  "--m", "5", "--precision", "60"], id="expand"),
+    pytest.param(["verify", "--theorem", "T1.4", "--m", "4", "--n-max", "40"],
+                 id="verify"),
+    pytest.param(["density", "--m", "3", "--x", "500"], id="density"),
+])
+def test_out_holds_the_bytes_stdout_gets(runner, tmp_path, args, fmt):
+    # one output path: the --out file gets what stdout would, byte for
+    # byte, but for a verify report's elapsed time
+    args = args + ["--format", fmt]
+    printed = runner.invoke(main, args)
+    target = tmp_path / f"out.{fmt}"
+    written = runner.invoke(main, args + ["--out", str(target)])
+    assert written.exit_code == printed.exit_code
+    assert written.output == ""
+    assert printed.stdout.endswith("\n") and not printed.stdout.endswith("\n\n")
+    assert _golden._normalised(target.read_bytes().decode()) == \
+        _golden._normalised(printed.stdout)
 
 
 def test_out_holds_the_report_of_a_mismatch(runner, tmp_path):

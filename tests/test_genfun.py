@@ -521,6 +521,25 @@ def test_definition_expands_one_product_per_proper_divisor(
     assert sorted(s // w for _, s, *_ in calls) == list(range(1, c + 1))
 
 
+def test_definition_holds_only_the_live_residues(monkeypatch):
+    # x^a needs a distinct factors, a(a + 1) / 2 <= N, so at N = 600 only
+    # residues 0..34 of the 2000 can be nonzero; each pair step sees at
+    # most those and one zero residue above them
+    m, precision = 2000, 600
+    live = max(a for a in range(m) if a * (a + 1) // 2 <= precision) + 1
+    lengths = []
+
+    def counted(p, *args, _real=genfun._mul_packed_pair):
+        lengths.append(len(p))
+        return _real(p, *args)
+    monkeypatch.setattr(genfun, "_mul_packed_pair", counted)
+    assert epsilon(m, precision, "definition") == \
+        epsilon(m, precision, "triangular")
+    assert len(lengths) == genfun._definition_cut(m, precision)
+    assert live == 35
+    assert max(lengths) <= live + 1
+
+
 def _cut_ratio(precision):
     """r = (N / 4)^(1/3) rounded, at least 3: no N makes it a tie, since
     (2r + 1)^3 = 2N has no integer solution."""
@@ -528,20 +547,16 @@ def _cut_ratio(precision):
 
 
 def test_definition_cut_rule():
-    # c = max(N // m, N // r), r = 3 below N = 172, 8 at 1800, 11 at 5000,
-    # or c = N (no step) where the step would replace fewer than twice as
-    # many pair steps as the fit (fit + 1)(fit + 2) / 3 windows it forms
+    # c = max(N // m, N // r) at every N, r = 3 below N = 172, 8 at 1800
+    # and 11 at 5000
     assert [_cut_ratio(n) for n in (171, 172, 1800, 5000)] == [3, 4, 8, 11]
     for precision in range(0, 6000, 7):
         r = _cut_ratio(precision)
         for m in (2, 3, 12, 200, 2000):
-            c = max(precision // m, precision // r)
-            fit = precision // (c + 1)
-            if precision - c < 2 * fit * (fit + 1) * (fit + 2) // 3:
-                c = precision
-            assert genfun._definition_cut(m, precision) == c, (m, precision)
-    assert [genfun._definition_cut(2, n) for n in (6, 7)] == [6, 3]
-    assert [genfun._definition_cut(3, n) for n in (22, 23)] == [22, 7]
+            assert genfun._definition_cut(m, precision) == \
+                max(precision // m, precision // r), (m, precision)
+    assert [genfun._definition_cut(2, n) for n in (0, 1, 6, 7)] == [0, 0, 3, 3]
+    assert [genfun._definition_cut(3, n) for n in (7, 22, 23)] == [2, 7, 7]
     assert genfun._definition_cut(3, 5000) == 1666
     assert genfun._definition_cut(12, 3000) == 333
 
@@ -578,7 +593,8 @@ def _assert_top_product_is_pair_steps(m, precision):
     mask = (1 << w * (precision + 1)) - 1
     c = genfun._definition_cut(m, precision)
     series, at_cut = _epsilon_definition_pairs(m, precision, c)
-    assert genfun._top_product(m, c, w, precision, mask) == at_cut
+    top = genfun._top_product(m, c, w, precision, mask)
+    assert top + [0] * (m - len(top)) == at_cut
     assert list(epsilon(m, precision, "definition").coeffs) == series
 
 
@@ -668,8 +684,10 @@ def test_definition_slot_width_holds(m, precision):
     for k, ek in enumerate(e):
         for total, cells in zip(product, ek):
             kernels.add_scaled_shifted(total, cells, 0, -1 if k & 1 else 1)
+    top = genfun._top_product(m, c, w, precision, mask)
+    assert len(top) == precision // (c + 1) + 1
     assert [genfun._unpack_signed(x, w, precision) for x in
-            genfun._top_product(m, c, w, precision, mask)] == product
+            top + [0] * (m - len(top))] == product
 
 
 @pytest.mark.parametrize("m,precision", [(3, 1000), (5, 600), (7, 400),
