@@ -282,7 +282,7 @@ def density(opts) -> int:
           lambda: "\n".join([
               f"correction-series census for m = {stats.m}, n < {stats.x}",
               f"nonzero coefficients: {stats.nonzero_count}",
-              f"vanishing (identity holds): {stats.N_x}",
+              f"vanishing coefficients (E(n) = 0): {stats.N_x}",
               f"ratio: {payload['ratio']} = {payload['ratio_decimal']}",
               f"window bound: {stats.window_bound} "
               f"(satisfied: {stats.bound_satisfied})",

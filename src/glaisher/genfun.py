@@ -23,9 +23,9 @@ different routes:
   of those ints),
   a triangular-number sum (a dense list filled from
   ``triangular_stream``), a Gaussian-binomial rearrangement of that sum
-  (one row [m-1, j]_q built by a ratio sweep, summed over j by the same
-  character sum), the raw difference m*gf_C - gf_D, and (for m = 3 only)
-  a closed form supported on shifted triangular numbers.
+  (one row [m-1, j]_q built by a ratio sweep to cells 0..N, summed over
+  j by the same character sum), the raw difference m*gf_C - gf_D, and
+  (for m = 3 only) a closed form supported on shifted triangular numbers.
 * ``triangular_stream``, the one expansion of the triangular sum, yields
   its nonzero coefficients below x one at a time, each term held as a
   sparse dict (or, while it is narrow, a dense list) and flushed from a
@@ -240,35 +240,42 @@ def gf_Bj_lhs(m: int, n_sum: int | None, precision: int) -> Series:
     return Series._wrap(h)
 
 
-def _qbinomial_row(n: int) -> list[list[int]]:
-    """The Gaussian binomials [n, j]_q, j = 0..n, by the ratio sweep
-    [n, j]_q = [n, j-1]_q (1 - q^(n-j+1)) / (1 - q^j): each step pads by
-    n - j + 1 cells, so the multiply drops nothing, then divides exactly
-    and trims the j cells of the remainder, which must vanish."""
+def _qbinomial_row(n: int, cells: int | None = None) -> list[list[int]]:
+    """The Gaussian binomials [n, j]_q, j = 0..n, each held to its first
+    `cells` cells (None: whole), by the ratio sweep
+    [n, j]_q = [n, j-1]_q (1 - q^(n-j+1)) / (1 - q^j).  A step pads entry
+    j - 1 by n - j + 1 cells, up to the cap, then multiplies and divides
+    as power series (neither moves a coefficient down, so every cell
+    below the cap is exact) and trims the cells past the degree j(n - j),
+    which must vanish: all j cells of the remainder when the cap leaves
+    the entry whole."""
     row = [[1]]
     for j in range(1, n + 1):
-        poly = row[-1] + [0] * (n - j + 1)
+        size = j * (n - j + 1) + 1
+        keep = j * (n - j) + 1
+        if cells is not None:
+            size, keep = min(size, cells), min(keep, cells)
+        poly = row[-1] + [0] * (size - len(row[-1]))
         kernels.mul_one_minus_uqk(poly, 1, n - j + 1)
         kernels.div_one_minus_uqk(poly, 1, j)
-        if any(poly[-j:]):
+        if any(poly[keep:]):
             raise ArithmeticError(f"division by (1 - q^{j}) left a remainder")
-        del poly[-j:]
+        del poly[keep:]
         row.append(poly)
     return row
 
 
-def _p_coeffs(row: list[list[int]]) -> list[int]:
-    """P_m at its exact degree, from the row [m-1, j]_q, j = 0..m-1."""
+def _p_coeffs(row: list[list[int]], cells: int) -> list[int]:
+    """Cells 0..cells-1 of P_m, from the row [m-1, j]_q, j = 0..m-1, each
+    entry whole or held to at least `cells` cells (a shift T_k >= cells
+    adds nothing)."""
     m = len(row)
-    out = [0] * (m * (m - 1) // 2 + len(row[(m - 1) // 2]))
+    out = [0] * cells
     suffix = [0] * len(row[(m - 1) // 2])  # S_k, from k = m - 2 down
     for k in range(m - 2, -1, -1):
         suffix[:len(row[k + 1])] = map(add, suffix, row[k + 1])
         out[_tri(k):_tri(k) + len(suffix)] = map(sub if k & 1 else add,
                                                  out[_tri(k):], suffix)
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    assert len(out) <= max(m * (m - 1) // 2, 1)
     return out
 
 
@@ -279,7 +286,12 @@ def p_polynomial(m: int) -> Series:
     so this is sum_{k <= m-2} (-1)^k q^(T_k) S_k with the suffix sums
     S_k = sum_{j > k} [m-1, j]_q of one `_qbinomial_row`."""
     _check_m(m)
-    return Series._wrap(_p_coeffs(_qbinomial_row(m - 1)))
+    row = _qbinomial_row(m - 1)
+    out = _p_coeffs(row, _tri(m - 2) + len(row[(m - 1) // 2]))
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    assert len(out) <= max(m * (m - 1) // 2, 1)
+    return Series._wrap(out)
 
 
 def _definition_slot_bits(m: int, precision: int) -> int:
@@ -509,9 +521,10 @@ def _epsilon_qbinomial(m: int, precision: int) -> Series:
     """Gaussian-binomial route: P_m(q) plus, for each k, (-1)^k q^(T_k)
     times sum_j chi_m(k - j) delta_j, delta_j = [m-1, j]_q - 1.  Since
     chi_m(n) = m [m | n] - 1, that is m delta_(k mod m) - sum_j delta_j:
-    two shifted adds per k, off the one row that also gives P_m."""
-    row = _qbinomial_row(m - 1)
-    acc = (_p_coeffs(row) + [0] * precision)[: precision + 1]
+    two shifted adds per k, off the one row, held to cells 0..N, that
+    also gives P_m's cells 0..N."""
+    row = _qbinomial_row(m - 1, precision + 1)
+    acc = _p_coeffs(row, precision + 1)
     total = [0] * len(row[(m - 1) // 2])  # sum_j delta_j
     for delta in row:  # the row becomes delta_0..delta_(m-1)
         delta[0] -= 1

@@ -23,13 +23,15 @@ identities give each x*h_j from the earlier ones in j windows, at strides
 1..j, of ever shorter ints.  A, B and D step their parts up to n_max // r
 one at a time and the rest in one such step, with r = `_ratio(n_max)`
 (3 below n_max = 172, 8 at 1800, 11 at 5000; its docstring counts the
-shift-adds it balances).  Bj and C step parts up to n_max / 2 only: what
-a larger part feeds into their output is read off the cells below
-n_max / 2, which no later part changes, so all of it is one stride-m
-window.  From largest part L (Bj) or block j (C) on, they read x only at
-cells t <= n_max - L or n_max - m*j, so x holds just those: each step
-shifts the cells past that live bound off, and every later window, cap
-and add runs on a shorter int.
+shift-adds it balances); D steps no further than n_max // (m + 1) + 1
+either, since each block of m copies of a larger smallest part adds one
+cell, all of them one stride-m window.  Bj and C step parts up to
+n_max / 2 only: what a larger part feeds into their output is read off
+the cells below n_max / 2, which no later part changes, so all of it is
+one stride-m window.  From largest part L (Bj) or block j (C) on, they
+read x only at cells t <= n_max - L or n_max - m*j, so x holds just
+those: each step shifts the cells past that live bound off, and every
+later window, cap and add runs on a shorter int.
 
 This is exact because no slot ever carries into the next.  Every cell of
 a table a builder keeps counts restricted partitions of some t <= n_max,
@@ -133,9 +135,9 @@ def _ratio(n_max: int) -> int:
     also costs an add into its sum and interpreter work that the count
     leaves out: near r^3 = n_max / 2.5 for A, and n_max / 5 to n_max / 3.5
     for B (its loop skips the multiples of m, and its power sums take two
-    windows each).  D's time is flat once r >= m, where its cut is
-    n_max // m + 1.  r^3 = n_max / 4 lies between A and B: r = 3, the pair
-    step, up to n_max = 171, 8 at 1800 and 11 at 5000.  It came within
+    windows each).  D's time is flat once r > m, where its cut is
+    n_max // (m + 1) + 1.  r^3 = n_max / 4 lies between A and B: r = 3,
+    the pair step, up to n_max = 171, 8 at 1800 and 11 at 5000.  It came within
     about 6 % of the fastest r for every builder timed but A at m = 5,
     which is faster at larger r (by 18 % at 1000 and 5000).  Sizes above
     5000 were not timed."""
@@ -224,18 +226,13 @@ def _allow_large_parts(x: int, parts: range, m: int | None, w: int,
     return sum(v)
 
 
-def _build_bounded_mult(m: int, min_part: int, max_part: int | None,
-                        n_max: int) -> list[int]:
-    if min_part < 1:
-        raise ValueError("min_part must be >= 1")
-    top = n_max if max_part is None else min(max_part, n_max)
+def _build_bounded_mult(m: int, n_max: int) -> list[int]:
     cut = n_max // _ratio(n_max)
-    large = range(max(min_part, cut + 1), top + 1)
     w = _slot_bits(n_max)
     x = 1 << w * n_max
-    for k in range(min_part, min(top, cut) + 1):
+    for k in range(1, cut + 1):
         x = _allow_part(x, k, m, w, n_max)
-    x = _allow_large_parts(x, large, m, w, n_max)
+    x = _allow_large_parts(x, range(cut + 1, n_max + 1), m, w, n_max)
     return _unpack(x, w, n_max)
 
 
@@ -311,15 +308,20 @@ def _build_C(m: int, n_max: int) -> list[int]:
 def _build_D(m: int, n_max: int) -> list[int]:
     """Smallest part s occurring exactly m times (s = 0 allowed), every other
     part above s repeating < m times."""
-    # parts p above both n_max // m + 1 (so m copies of s = p - 1 overshoot
-    # n_max) and n_max / r read no `out`: allow them first, in one step.
-    # The loop always reaches p = 1, whose s = 0 is the block of m zero
-    # parts, so D(0) = 1 needs no case of its own.
-    low = max(n_max // m + 1, n_max // _ratio(n_max))
+    # block s adds q^(m*s) F_s, F_s the product over the parts above s.
+    # From s = low on, (m + 1)*s > n_max, so block s lands only F_s's cells
+    # t <= n_max - m*s < s, where F_s is 1 at t = 0 and 0 elsewhere: those
+    # blocks add q^(m*s) alone, one window for all of them.  The parts
+    # above low (and above n_max / r) then read no `out`: allow them first,
+    # in one step.  The loop always reaches p = 1, whose s = 0 is the block
+    # of m zero parts, so D(0) = 1 needs no case of its own.
+    low = max(n_max // (m + 1) + 1, n_max // _ratio(n_max))
     w = _slot_bits(n_max)
+    out = 0
+    if m * low <= n_max:
+        out = _window(1 << w * (n_max - m * low), w * m, n_max // m - low + 1)
     x = _allow_large_parts(1 << w * n_max, range(low + 1, n_max + 1), m, w,
                            n_max)
-    out = 0
     for p in range(low, 0, -1):
         x = _allow_part(x, p, m, w, n_max)
         s = p - 1
@@ -334,8 +336,8 @@ _CACHE_LIMIT = 64  # tables kept; a store past it evicts the oldest store
 
 
 def _table(key, n: int, build):
-    """The cached table for key = (family, m, *args), holding at least 0..n,
-    built as build(m, *args, size).  Checks m and n for every counter.
+    """The cached table for key = (family, m), holding at least 0..n, built
+    as build(m, size).  Checks m and n for every counter.
     Tables are rebuilt larger on demand (with doubling, so ascending-n call
     patterns stay amortized) and are safe to read concurrently once
     returned.
@@ -357,7 +359,7 @@ def _table(key, n: int, build):
     if size >= n:
         return entry
     target = max(n, 2 * size, 64)
-    entry = build(*key[1:], target)
+    entry = build(m, target)
     with _cache_lock:
         size, cached = _cache.get(key, (-1, None))
         if size >= target:
@@ -374,29 +376,24 @@ def _table(key, n: int, build):
 # ---------------------------------------------------------------------------
 
 
-def _family_table(family: str, m: int, j: int | None, n: int,
-                  min_part: int = 1, max_part: int | None = None) -> list[int]:
-    """The cached table of one family (A over parts in [min_part, max_part])
-    holding at least 0..n: the one place a family picks its cache key and
-    builder."""
-    if family == "A":
-        return _table(("bm", m, min_part, max_part), n, _build_bounded_mult)
+def _family_table(family: str, m: int, j: int | None, n: int) -> list[int]:
+    """The cached table of one family holding at least 0..n: the one place
+    a family picks its cache key and builder."""
     if family == "Bj":
         return _table(("Bj", m), n, _build_Bj)[j - 1]
-    build = {"B": _build_B, "C": _build_C, "D": _build_D}[family]
+    build = {"A": _build_bounded_mult, "B": _build_B, "C": _build_C,
+             "D": _build_D}[family]
     return _table((family, m), n, build)
 
 
-def count_bounded_mult(m: int, n: int, min_part: int = 1,
-                       max_part: int | None = None) -> int:
-    """Partitions of n into parts in [min_part, max_part] (max_part None =
-    unbounded), each repeating fewer than m times."""
-    return _family_table("A", m, None, n, min_part, max_part)[n]
+def count_bounded_mult(m: int, n: int) -> int:
+    """Partitions of n whose parts each repeat fewer than m times."""
+    return _family_table("A", m, None, n)[n]
 
 
 def count_A(m: int, n: int) -> int:
     """Partitions of n whose parts repeat fewer than m times."""
-    return count_bounded_mult(m, n, 1, None)
+    return count_bounded_mult(m, n)
 
 
 def count_B(m: int, n: int) -> int:

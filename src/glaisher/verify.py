@@ -21,70 +21,33 @@ no other layer at module level.  The checkers live in `_checkers`, which
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from math import isqrt
 
 THEOREMS = ("T1.2", "E1.4", "T1.3", "T1.4", "T1.5", "T1.6", "T1.8", "T1.9", "C1.10")
 
 
-class _Record:
-    """A mutable record whose fields are its __slots__, compared and shown
-    field by field."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class IdentityReport(_Record):
+class IdentityReport(namedtuple("IdentityReport", "theorem m range status "
+                                "first_failure elapsed_ms routes notes")):
     """Machine-readable verdict of one identity check over a range:
     status is "pass" or "fail", first_failure (n, lhs, rhs) or None."""
 
-    __slots__ = ("theorem", "m", "range", "status", "first_failure",
-                 "elapsed_ms", "routes", "notes")
-
-    def __init__(self, theorem: str, m: int, range: tuple[int, int],
-                 status: str, first_failure: tuple[int, str, str] | None,
-                 elapsed_ms: int, routes: list[str], notes: dict | None = None):
-        self.theorem = theorem
-        self.m = m
-        self.range = range
-        self.status = status
-        self.first_failure = first_failure
-        self.elapsed_ms = elapsed_ms
-        self.routes = routes
-        self.notes = {} if notes is None else notes
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
 
-class DensityStats(_Record):
+class DensityStats(namedtuple("DensityStats", "m x nonzero_count N_x "
+                              "window_bound bound_satisfied p_support")):
     """Zero/nonzero census of the correction series below x, with the
-    window sparsity bound it must respect: N_x counts the n < x with a
-    vanishing correction coefficient, ratio is N_x / x, and p_support the
-    nonzero coefficients of the finite polynomial prefix."""
+    window sparsity bound it must respect: N_x counts the n < x whose
+    correction coefficient E(n) is 0, ratio is N_x / x, and p_support the
+    nonzero coefficients of the finite polynomial prefix.  N_x equals the
+    count of n < x with m*C(n) = D(n) only where T1.4 passes."""
 
-    __slots__ = ("m", "x", "nonzero_count", "N_x", "window_bound",
-                 "bound_satisfied", "p_support")
-
-    def __init__(self, m: int, x: int, nonzero_count: int, N_x: int,
-                 window_bound: int, bound_satisfied: bool, p_support: int):
-        self.m = m
-        self.x = x
-        self.nonzero_count = nonzero_count
-        self.N_x = N_x
-        self.window_bound = window_bound
-        self.bound_satisfied = bound_satisfied
-        self.p_support = p_support
+    __slots__ = ()
 
     @property
     def ratio(self) -> Fraction:

@@ -59,6 +59,7 @@ def _argvs() -> list[list[str]]:
                  ("T1.5", "--precision", "100"),
                  ("T1.6", "--n-max", "100"),
                  ("T1.8", "--m", "3", "--n-max", "60"),
+                 ("T1.8", "--m", "4", "--n-max", "40"),  # a mismatch: exit 1
                  ("T1.9", "--m", "4", "--N-sum", "5", "--precision", "60"),
                  ("C1.10", "--m", "3", "--precision", "100")):
         each_format("verify", "--theorem", *argv)

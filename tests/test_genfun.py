@@ -333,6 +333,19 @@ def test_qbinomial_row_is_built_once_by_one_ratio_sweep(monkeypatch, m):
         assert calls.get("div_one_minus_uqk") == m - 1
 
 
+@pytest.mark.parametrize("m,precision", [(200, 40), (200, 500), (100, 2000),
+                                         (60, 2000), (7, 300), (3, 5000),
+                                         (2000, 40), (1000, 300)])
+def test_qbinomial_route_builds_its_row_only_to_the_precision(m, precision):
+    # entry j of the route's row holds min(N + 1, j(m - 1 - j) + 1) cells,
+    # and the route still equals the triangular sum
+    row = genfun._qbinomial_row(m - 1, precision + 1)
+    assert [len(e) for e in row] == [min(precision + 1, j * (m - 1 - j) + 1)
+                                     for j in range(m)]
+    assert epsilon(m, precision, "qbinomial") == \
+        epsilon(m, precision, "triangular")
+
+
 @pytest.mark.parametrize("m", [3, 8, 20, 60])
 def test_qbinomial_route_adds_twice_per_triangular_number(monkeypatch, m):
     # sum_j chi_m(k - j) delta_j = m delta_(k mod m) - sum_j delta_j

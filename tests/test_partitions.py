@@ -34,14 +34,6 @@ def test_bounded_mult_examples():
     assert count_bounded_mult(4, 0) == 1
 
 
-def test_bounded_mult_part_window():
-    # partitions of 7 into parts from [2, 4], each at most twice
-    explicit = [(4, 3), (3, 2, 2)]
-    assert count_bounded_mult(3, 7, 2, 4) == len(explicit)
-    # unbounded window collapses to the A family
-    assert count_bounded_mult(3, 9, 1, None) == count_A(3, 9)
-
-
 def test_count_A_examples():
     assert count_A(3, 4) == 4
     assert count_A(2, 5) == 3
@@ -92,8 +84,6 @@ def test_argument_validation():
         count_Bj(3, 0, 5)
     with pytest.raises(ValueError):
         count_Bj(3, 3, 5)
-    with pytest.raises(ValueError):
-        count_bounded_mult(3, 5, 0)
 
 
 def test_family_spec_validation():
@@ -342,11 +332,10 @@ def _ref_mult_choice_update(dp, k, m):
     return ndp
 
 
-def _ref_bounded_mult(m, min_part, max_part, n_max):
+def _ref_bounded_mult(m, n_max):
     dp = [0] * (n_max + 1)
     dp[0] = 1
-    top = n_max if max_part is None else min(max_part, n_max)
-    for k in range(min_part, top + 1):
+    for k in range(1, n_max + 1):
         dp = _ref_mult_choice_update(dp, k, m)
     return dp
 
@@ -411,8 +400,7 @@ def _ref_D(m, n_max):
 
 
 _BUILDERS = {
-    "A": (lambda m, n: partitions._build_bounded_mult(m, 1, None, n),
-          lambda m, n: _ref_bounded_mult(m, 1, None, n)),
+    "A": (partitions._build_bounded_mult, _ref_bounded_mult),
     "B": (partitions._build_B, _ref_B),
     "Bj": (partitions._build_Bj, _ref_Bj),
     "C": (partitions._build_C, _ref_C),
@@ -494,8 +482,8 @@ def test_power_sum_step_matches_stepping_every_part(r, n, m, monkeypatch):
 @pytest.mark.parametrize("m", [2, 3, 7, 20, 200])
 def test_builders_step_no_part_above_a_third_or_a_half(m, monkeypatch):
     # A and B add every part above n // r in the power-sum step, and D every
-    # part above both n // m + 1 and n // r; Bj and C add the parts above n/2
-    # without stepping them
+    # part above both n // (m + 1) + 1 and n // r; Bj and C add the parts
+    # above n/2 without stepping them
     stepped = []
     real = partitions._allow_part
 
@@ -506,7 +494,7 @@ def test_builders_step_no_part_above_a_third_or_a_half(m, monkeypatch):
     monkeypatch.setattr(partitions, "_allow_part", allow_part)
     for n in (600, 1800):
         r = partitions._ratio(n)
-        tops = {"A": n // r, "B": n // r, "D": max(n // m + 1, n // r)}
+        tops = {"A": n // r, "B": n // r, "D": max(n // (m + 1) + 1, n // r)}
         for family, (packed, _) in _BUILDERS.items():
             stepped.append(set())
             packed(m, n)
@@ -536,18 +524,6 @@ def test_Bj_and_C_step_on_a_live_window_that_never_grows(m, monkeypatch):
         assert all(k + bound <= n for k, bound in steps[-1]), build
     # Bj's bound is n - L exactly
     assert all(k + bound == n for k, bound in steps[0])
-
-
-# at n = 300, part windows that start or stop on either side of n // r = 75
-# (the power-sum step's first part is 76), n/3 and n/2
-@pytest.mark.parametrize("min_part", [1, 2, 5, 75, 76, 77, 99, 100, 101, 151])
-@pytest.mark.parametrize("max_part", [None, 3, 40, 75, 76, 100, 150, 151])
-def test_packed_bounded_mult_matches_list_loop(min_part, max_part):
-    assert 300 // partitions._ratio(300) == 75
-    for m in (2, 3, 7, 20):
-        for n in (0, 1, 2, 7, 50, 300):
-            assert partitions._build_bounded_mult(m, min_part, max_part, n) \
-                == _ref_bounded_mult(m, min_part, max_part, n), (m, n)
 
 
 @settings(deadline=None, database=None)
@@ -693,15 +669,15 @@ def test_slot_width_holds_every_count_up_to_the_ceiling():
 
 def test_cache_keeps_at_most_64_tables(monkeypatch):
     monkeypatch.setattr(partitions, "_cache", {})
-    for min_part in range(1, 66):
-        count_bounded_mult(3, 30, min_part)
+    for m in range(2, 67):
+        count_bounded_mult(m, 30)
     keys = list(partitions._cache)
     assert len(keys) == 64
-    assert ("bm", 3, 1, None) not in partitions._cache
-    assert keys[0] == ("bm", 3, 2, None) and keys[-1] == ("bm", 3, 65, None)
+    assert ("A", 2) not in partitions._cache
+    assert keys[0] == ("A", 3) and keys[-1] == ("A", 66)
     # the evicted table is rebuilt exactly, and its store evicts the next
-    assert count_bounded_mult(3, 40) == \
-        brute_force_count(FamilySpec("A", 3), 40)
+    assert count_bounded_mult(2, 40) == \
+        brute_force_count(FamilySpec("A", 2), 40)
     assert len(partitions._cache) == 64
-    assert ("bm", 3, 2, None) not in partitions._cache
-    assert list(partitions._cache)[-1] == ("bm", 3, 1, None)
+    assert ("A", 3) not in partitions._cache
+    assert list(partitions._cache)[-1] == ("A", 2)

@@ -260,6 +260,23 @@ def test_density_partitions_the_range(m, x):
     assert stats.p_support >= 1
 
 
+@pytest.mark.parametrize("m,zeros,holds", [(2, 299, set(range(2, 300))),
+                                            (3, 275, None), (4, 252, {9, 21}),
+                                            (5, 209, set())])
+def test_census_counts_zeros_of_E_not_where_the_count_identity_holds(
+        m, zeros, holds):
+    # N_x counts the n < x with E(n) = 0 (the series side); the n with
+    # m*C(n) = D(n) (the count side) are the same n only where T1.4 passes:
+    # at m = 3 everywhere, at m = 2 off n = 1, and at m >= 4 almost nowhere
+    x = 300
+    vanish = set(range(x)) - {n for n, _ in genfun.triangular_stream(m, x)}
+    C, D = (partitions.count_table(partitions.FamilySpec(f, m), x - 1).counts
+            for f in "CD")
+    assert density_report(m, x).N_x == len(vanish) == zeros
+    assert {n for n in range(x) if m * C[n] == D[n]} == (
+        vanish if holds is None else holds)
+
+
 @pytest.mark.parametrize("x,nonzero", [(10 ** 6, 1415), (10 ** 7, 4473)])
 def test_density_m3_paper_scale_sits_one_below_its_bound(x, nonzero):
     stats = density_report(3, x)
