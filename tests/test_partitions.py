@@ -502,6 +502,56 @@ def test_builders_step_no_part_above_a_third_or_a_half(m, monkeypatch):
             assert stepped[-1] and max(stepped[-1]) <= top, (family, m, n)
 
 
+# m*low <= n where D's single-cell window adds some blocks, above it where
+# it adds none, and the sizes either side of 600
+_D_WINDOW_SIZES = (*range(260), 599, 600, 601)
+
+
+@pytest.mark.parametrize("m", [*range(2, 31), 60, 200])
+def test_D_adds_the_blocks_above_n_over_m_plus_one_as_one_window(m):
+    # from s = n // (m + 1) + 1 on, block s reads only F_s's cell 0
+    reference = _ref_D(m, _D_WINDOW_SIZES[-1])
+    for n in _D_WINDOW_SIZES:
+        assert partitions._build_D(m, n) == reference[:n + 1], (m, n)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_D_block_window_matches_stepping_every_block(m, monkeypatch):
+    # with r = 1, low = n: D steps every part and adds every block one at
+    # a time, its window and power-sum step both empty
+    n = 1800
+    built = partitions._build_D(m, n)
+    assert m * (n // (m + 1) + 1) <= n
+    monkeypatch.setattr(partitions, "_ratio", lambda n_max: 1)
+    assert built == partitions._build_D(m, n)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 20])
+@pytest.mark.parametrize("spec", ["A", "B", "Bj", "C", "D"])
+def test_every_family_table_is_keyed_family_m_and_built_from_m_and_size(
+        spec, m, monkeypatch):
+    # the cache key is (family, m) for every family (Bj keeps its m - 1
+    # tables under one key), and the builder is called as build(m, size)
+    builder = {"A": "_build_bounded_mult", "B": "_build_B", "Bj": "_build_Bj",
+               "C": "_build_C", "D": "_build_D"}[spec]
+    real, calls = getattr(partitions, builder), []
+
+    def build(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partitions, "_cache", {})
+    monkeypatch.setattr(partitions, builder, build)
+    family = FamilySpec(spec, m, 1 if spec == "Bj" else None)
+    counts = count_table(family, 100).counts
+    table = real(m, 100)
+    assert counts == tuple(table[0] if spec == "Bj" else table)
+    assert counts[:21] == tuple(brute_force_count(family, n)
+                                for n in range(21))
+    assert list(partitions._cache) == [(spec, m)]
+    assert calls == [(m, 100)]
+
+
 @pytest.mark.parametrize("m", [2, 3, 7, 20])
 def test_Bj_and_C_step_on_a_live_window_that_never_grows(m, monkeypatch):
     # from largest part L (Bj) or block j (C) on, x holds only its cells up

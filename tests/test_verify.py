@@ -7,7 +7,13 @@ import pytest
 
 from glaisher import genfun, kernels, partitions
 from glaisher.series import Series
-from glaisher.verify import THEOREMS, density_report, verify
+from glaisher.verify import (
+    THEOREMS,
+    DensityStats,
+    IdentityReport,
+    density_report,
+    verify,
+)
 
 
 @pytest.mark.parametrize("m", range(2, 5))
@@ -90,6 +96,15 @@ def test_T18_m4_fails_at_n1():
     report = verify("T1.8", 4, n_max=60)
     assert not report.passed
     assert report.first_failure[0] == 1
+
+
+@pytest.mark.parametrize("m,gap", [(4, -1), (5, -2)])
+def test_T18_at_m4_and_m5_fails_where_T14_does(m, gap):
+    # the chain's step through m*C(n) = D(n) + E(n) meets D(2) + E(2) = gap,
+    # which m does not divide
+    report = verify("T1.8", m, n_max=40)
+    assert report.first_failure == (
+        1, "chain value 1", f"(D(2)+E(2))={gap} not divisible by {m}")
 
 
 # each count-level checker builds every table it reads once, at the largest
@@ -275,6 +290,51 @@ def test_census_counts_zeros_of_E_not_where_the_count_identity_holds(
     assert density_report(m, x).N_x == len(vanish) == zeros
     assert {n for n in range(x) if m * C[n] == D[n]} == (
         vanish if holds is None else holds)
+
+
+def _assert_record(record, cls, fields):
+    """A report is a namedtuple of its fields: it cannot be assigned to,
+    equals any record of the same field values, and shows each field in
+    order as field=value."""
+    assert type(record) is cls and record._fields == fields
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.m = 7
+    assert record == cls(*record) == cls(**record._asdict())
+    assert record != record._replace(m=record.m + 1)
+    assert repr(record) == "%s(%s)" % (cls.__name__, ", ".join(
+        f"{f}={v!r}" for f, v in zip(fields, record)))
+
+
+# one small run of each checker, and the m = 4 failures of T1.4 and T1.8
+_REPORT_RUNS = [("T1.2", 3, {"n_max": 40}), ("E1.4", 3, {"n_max": 40}),
+                ("T1.3", 3, {"n_max": 40}), ("T1.4", 3, {"n_max": 40}),
+                ("T1.4", 4, {"n_max": 40}), ("T1.5", 3, {"precision": 40}),
+                ("T1.6", 3, {"n_max": 40}), ("T1.8", 2, {"n_max": 40}),
+                ("T1.8", 4, {"n_max": 40}),
+                ("T1.9", 2, {"n_sum": 2, "precision": 40}),
+                ("C1.10", 3, {"precision": 40})]
+
+
+@pytest.mark.parametrize("theorem,m,kwargs", _REPORT_RUNS,
+                         ids=[f"{t}-m{m}" for t, m, _ in _REPORT_RUNS])
+def test_identity_report_is_an_immutable_record(theorem, m, kwargs):
+    report = verify(theorem, m, **kwargs)
+    _assert_record(report, IdentityReport,
+                   ("theorem", "m", "range", "status", "first_failure",
+                    "elapsed_ms", "routes", "notes"))
+    assert report.theorem == theorem and report.m == m
+    assert report.passed is (report.status == "pass")
+    assert report.passed is (report.first_failure is None)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_density_stats_is_an_immutable_record(m):
+    stats = density_report(m, 300)
+    _assert_record(stats, DensityStats,
+                   ("m", "x", "nonzero_count", "N_x", "window_bound",
+                    "bound_satisfied", "p_support"))
+    assert stats.ratio == Fraction(stats.N_x, 300)
 
 
 @pytest.mark.parametrize("x,nonzero", [(10 ** 6, 1415), (10 ** 7, 4473)])
