@@ -1,37 +1,20 @@
 """The theorem checkers behind `verify.verify`, one per selector.
 
 Each checker evaluates both sides of one identity by independent paths
-and reports the first mismatch it finds; the verify module docstring
-says which.  `verify` imports this module only when a check runs, so a
-CLI process that counts, expands or takes a census never compiles it.
-Each checker imports what it reads when it runs, from the module that
-defines it (`genfun`, `partitions`, `series`), and reads whatever that
-module holds under the name at the time.
+(the verify module docstring says which) and returns (lo, routes, notes,
+first): the first n of its range, the routes it compared, its report
+notes, and the (n, lhs, rhs) of the first mismatch it finds, or None.
+`verify` validates the arguments, calls the checker for its selector with
+m and the top of the range (and T1.9's block count), and builds the report.
+
+`verify` imports this module only when a check runs, so a CLI process
+that counts, expands or takes a census never compiles it.  Each checker
+imports what it reads when it runs, from the module that defines it
+(`genfun`, `partitions`, `series`), and reads whatever that module holds
+under the name at the time.
 """
 
 from __future__ import annotations
-
-import time
-
-from .verify import IdentityReport
-
-
-class _Failure(Exception):
-    def __init__(self, n: int, lhs: str, rhs: str):
-        self.where = (n, lhs, rhs)
-
-
-def _finish(theorem, m, rng, routes, t0, check, notes=None) -> IdentityReport:
-    status, first = "pass", None
-    try:
-        check()
-    except _Failure as f:
-        status, first = "fail", f.where
-    elapsed = int((time.perf_counter() - t0) * 1000)
-    return IdentityReport(
-        theorem=theorem, m=m, range=rng, status=status, first_failure=first,
-        elapsed_ms=elapsed, routes=routes, notes=notes or {},
-    )
 
 
 def _counts(family: str, m: int, n_max: int, j: int | None = None) -> tuple:
@@ -40,54 +23,49 @@ def _counts(family: str, m: int, n_max: int, j: int | None = None) -> tuple:
     return count_table(FamilySpec(family, m, j), n_max).counts
 
 
-def _first_mismatch(ns, lhs, rhs, lhs_label, rhs_label) -> None:
-    """Fail at the first n in ns where lhs[n] != rhs[n]; each label maps n
-    to the name its side is reported under, as in "name=value"."""
-    for n in ns:
-        if lhs[n] != rhs[n]:
-            raise _Failure(n, f"{lhs_label(n)}={lhs[n]}",
-                           f"{rhs_label(n)}={rhs[n]}")
+def _first_mismatch(ns, lhs, rhs, lhs_label, rhs_label):
+    """The (n, lhs, rhs) at the first n in ns where lhs[n] != rhs[n], or
+    None; each label maps n to the name its side is reported under, as in
+    "name=value"."""
+    return next(((n, f"{lhs_label(n)}={lhs[n]}", f"{rhs_label(n)}={rhs[n]}")
+                 for n in ns if lhs[n] != rhs[n]), None)
 
 
-def verify_T12(m: int, n_max: int, t0) -> IdentityReport:
+def verify_T12(m: int, n_max: int) -> tuple:
     from .genfun import gf_regular
 
-    def check():
-        ns = range(n_max + 1)
-        _first_mismatch(ns, _counts("A", m, n_max), _counts("B", m, n_max),
-                        "A({})".format, "B({})".format)
-        _first_mismatch(ns, gf_regular(m, "A_product", n_max).coeffs,
-                        gf_regular(m, "B_product", n_max).coeffs,
-                        "[q^{}] A_product".format, "[q^{}] B_product".format)
+    ns = range(n_max + 1)
+    # the products are expanded only when the counts agree
+    first = (_first_mismatch(ns, _counts("A", m, n_max), _counts("B", m, n_max),
+                             "A({})".format, "B({})".format)
+             or _first_mismatch(ns, gf_regular(m, "A_product", n_max).coeffs,
+                                gf_regular(m, "B_product", n_max).coeffs,
+                                "[q^{}] A_product".format,
+                                "[q^{}] B_product".format))
+    return 0, ["counts", "products"], {}, first
 
-    return _finish("T1.2", m, (0, n_max), ["counts", "products"], t0, check)
 
-
-def verify_E14(m: int, n_max: int, t0) -> IdentityReport:
+def verify_E14(m: int, n_max: int) -> tuple:
     notes = {"n=0": "left side 1, right side 0 by convention; excluded"}
-
-    def check():
-        bj = [_counts("Bj", m, n_max, j) for j in range(1, m)]
-        _first_mismatch(range(1, n_max + 1), [sum(v) for v in zip(*bj)],
-                        _counts("B", m, n_max), "sum_j Bj({})".format,
-                        "B({})".format)
-
-    return _finish("E1.4", m, (1, n_max), ["counts"], t0, check, notes)
+    # a residue above n_max is the residue of no part up to n_max
+    bj = [_counts("Bj", m, n_max, j) for j in range(1, min(m - 1, n_max) + 1)]
+    first = _first_mismatch(range(1, n_max + 1), [sum(v) for v in zip(*bj)],
+                            _counts("B", m, n_max), "sum_j Bj({})".format,
+                            "B({})".format)
+    return 1, ["counts"], notes, first
 
 
-def verify_T13(m: int, n_max: int, t0) -> IdentityReport:
-    def check():
-        _first_mismatch(range(n_max + 1), _counts("Bj", m, n_max, m - 1),
-                        _counts("C", m, n_max + 1)[1:],
-                        lambda n: f"B^({m - 1})({n})", lambda n: f"C({n + 1})")
-
-    return _finish("T1.3", m, (0, n_max), ["counts"], t0, check)
+def verify_T13(m: int, n_max: int) -> tuple:
+    first = _first_mismatch(range(n_max + 1), _counts("Bj", m, n_max, m - 1),
+                            _counts("C", m, n_max + 1)[1:],
+                            lambda n: f"B^({m - 1})({n})", lambda n: f"C({n + 1})")
+    return 0, ["counts"], {}, first
 
 
 _T14_PROBE = 64  # the prefix T1.4 expands before it commits to n_max
 
 
-def verify_T14(m: int, n_max: int, t0) -> IdentityReport:
+def verify_T14(m: int, n_max: int) -> tuple:
     from .genfun import epsilon
 
     routes = ["definition", "triangular", "qbinomial", "identity"]
@@ -117,43 +95,40 @@ def verify_T14(m: int, n_max: int, t0) -> IdentityReport:
         "n=1": (f"m*C(1)={m * C[1]} vs D(1)+E(1)={D[1] + ref[1]}; "
                 "reported, not asserted") if n_max >= 1 else "out of range",
     }
-
-    def check():
-        for n in range(stop + 1):
-            if n == 1:
-                continue
-            e = ref[n]
-            for r in ("definition", "qbinomial", "closed3"):
-                if r in series and series[r][n] != e:
-                    raise _Failure(n, f"triangular E({n})={e}",
-                                   f"{r} E({n})={series[r][n]}")
-            if series["identity"][n] != e:
-                raise _Failure(n, f"triangular E({n})={e}",
-                               f"identity m*C({n})-D({n})="
-                               f"{series['identity'][n]}")
-            lhs, rhs = m * C[n], D[n] + e
-            if lhs != rhs:
-                raise _Failure(n, f"m*C({n})={lhs}", f"D({n})+E({n})={rhs}")
-        # the arithmetic routes must agree even at the excluded n = 1
-        if n_max >= 1:
-            vals = {r: series[r][1] for r in ("definition", "triangular",
-                                              "qbinomial")}
-            if len(set(vals.values())) != 1:
-                raise _Failure(1, "definition/triangular/qbinomial at n=1",
-                               repr(vals))
-
-    return _finish("T1.4", m, (0, n_max), routes, t0, check, notes)
+    first = next(_T14_mismatches(m, n_max, stop, series, C, D), None)
+    return 0, routes, notes, first
 
 
-def verify_T15(n_max: int, t0) -> IdentityReport:
+def _T14_mismatches(m, n_max, stop, series, C, D):
+    """T1.4's mismatches in the order the walk meets them."""
+    for n in range(stop + 1):
+        if n == 1:
+            continue
+        e = series["triangular"][n]
+        for r in ("definition", "qbinomial", "closed3"):
+            if r in series and series[r][n] != e:
+                yield n, f"triangular E({n})={e}", f"{r} E({n})={series[r][n]}"
+        if series["identity"][n] != e:
+            yield (n, f"triangular E({n})={e}",
+                   f"identity m*C({n})-D({n})={series['identity'][n]}")
+        lhs, rhs = m * C[n], D[n] + e
+        if lhs != rhs:
+            yield n, f"m*C({n})={lhs}", f"D({n})+E({n})={rhs}"
+    # the arithmetic routes must agree even at the excluded n = 1
+    if n_max >= 1:
+        vals = {r: series[r][1] for r in ("definition", "triangular",
+                                          "qbinomial")}
+        if len(set(vals.values())) != 1:
+            yield 1, "definition/triangular/qbinomial at n=1", repr(vals)
+
+
+def verify_T15(m: int, n_max: int) -> tuple:
     from .genfun import epsilon
 
-    def check():
-        _first_mismatch(range(n_max + 1), epsilon(3, n_max, "definition").coeffs,
-                        epsilon(3, n_max, "closed3").coeffs,
-                        "definition E_3({})".format, "closed form E_3({})".format)
-
-    return _finish("T1.5", 3, (0, n_max), ["definition", "closed3"], t0, check)
+    first = _first_mismatch(range(n_max + 1), epsilon(m, n_max, "definition").coeffs,
+                            epsilon(m, n_max, "closed3").coeffs,
+                            "definition E_3({})".format, "closed form E_3({})".format)
+    return 0, ["definition", "closed3"], {}, first
 
 
 def _excluded_T16(n_max: int) -> set[int]:
@@ -165,52 +140,47 @@ def _excluded_T16(n_max: int) -> set[int]:
     return out
 
 
-def verify_T16(n_max: int, t0) -> IdentityReport:
+def verify_T16(m: int, n_max: int) -> tuple:
     excluded = _excluded_T16(n_max)
     notes = {"excluded": f"{len(excluded)} shifted triangular indices, where "
                          "the identity must (and does) fail"}
-
-    def check():
-        C, D = _counts("C", 3, n_max), _counts("D", 3, n_max)
-        for n in range(1, n_max + 1):
-            lhs, rhs = 3 * C[n], D[n]
-            if n in excluded:
-                if lhs == rhs:
-                    raise _Failure(n, f"3*C({n})={lhs}",
-                                   f"D({n})={rhs} (expected inequality)")
-            elif lhs != rhs:
-                raise _Failure(n, f"3*C({n})={lhs}", f"D({n})={rhs}")
-
-    return _finish("T1.6", 3, (1, n_max), ["counts"], t0, check, notes)
+    C, D = _counts("C", m, n_max), _counts("D", m, n_max)
+    # the identity must fail exactly at the excluded n
+    first = next(((n, f"{m}*C({n})={m * C[n]}", f"D({n})={D[n]}"
+                   + (" (expected inequality)" if n in excluded else ""))
+                  for n in range(1, n_max + 1)
+                  if (m * C[n] == D[n]) == (n in excluded)), None)
+    return 1, ["counts"], notes, first
 
 
-def verify_T18(m: int, n_max: int, t0) -> IdentityReport:
+def verify_T18(m: int, n_max: int) -> tuple:
     from .genfun import epsilon
 
     eps = epsilon(m, n_max + 1, "triangular").coeffs
+    first = next(_T18_mismatches(m, n_max, eps), None)
+    return 1, ["counts", "triangular"], {}, first
 
-    def check():
-        A, B = _counts("A", m, n_max), _counts("B", m, n_max)
-        bj = [_counts("Bj", m, n_max, k) for k in range(1, m - 1)]
-        C, D = _counts("C", m, n_max + 1), _counts("D", m, n_max + 1)
-        for n in range(1, n_max + 1):
-            a, b = A[n], B[n]
-            partial = sum(v[n] for v in bj)
-            v3 = partial + C[n + 1]
-            de = D[n + 1] + eps[n + 1]
-            if a != b:
-                raise _Failure(n, f"A({n})={a}", f"B({n})={b}")
-            if b != v3:
-                raise _Failure(n, f"B({n})={b}",
-                               f"sum_k<m-1 Bj({n}) + C({n + 1})={v3}")
-            if de % m:
-                raise _Failure(n, f"chain value {v3}",
-                               f"(D({n + 1})+E({n + 1}))={de} not divisible by {m}")
-            if v3 != partial + de // m:
-                raise _Failure(n, f"... + C({n + 1})={v3}",
-                               f"... + (D+E)/{m}={partial + de // m}")
 
-    return _finish("T1.8", m, (1, n_max), ["counts", "triangular"], t0, check)
+def _T18_mismatches(m, n_max, eps):
+    """T1.8's mismatches, n by n, each n's links of the chain in order."""
+    A, B = _counts("A", m, n_max), _counts("B", m, n_max)
+    # a residue above n_max is the residue of no part up to n_max
+    bj = [_counts("Bj", m, n_max, k) for k in range(1, min(m - 2, n_max) + 1)]
+    C, D = _counts("C", m, n_max + 1), _counts("D", m, n_max + 1)
+    for n in range(1, n_max + 1):
+        a, b = A[n], B[n]
+        partial = sum(v[n] for v in bj)
+        v3 = partial + C[n + 1]
+        de = D[n + 1] + eps[n + 1]
+        if a != b:
+            yield n, f"A({n})={a}", f"B({n})={b}"
+        if b != v3:
+            yield n, f"B({n})={b}", f"sum_k<m-1 Bj({n}) + C({n + 1})={v3}"
+        if de % m:
+            yield (n, f"chain value {v3}",
+                   f"(D({n + 1})+E({n + 1}))={de} not divisible by {m}")
+        if v3 != partial + de // m:
+            yield n, f"... + C({n + 1})={v3}", f"... + (D+E)/{m}={partial + de // m}"
 
 
 def _rhs_T19(m: int, n_sum: int, precision: int) -> Series:
@@ -224,32 +194,28 @@ def _rhs_T19(m: int, n_sum: int, precision: int) -> Series:
     return Series._wrap(c)
 
 
-def verify_T19(m: int, n_sum: int, precision: int, t0) -> IdentityReport:
+def verify_T19(m: int, precision: int, n_sum: int | None) -> tuple:
     if n_sum is None or n_sum < 1:
         raise ValueError("T1.9 requires a positive block count (N_sum)")
 
     from .genfun import gf_Bj_lhs
 
-    def check():
-        _first_mismatch(range(precision + 1),
-                        gf_Bj_lhs(m, n_sum, precision).coeffs,
-                        _rhs_T19(m, n_sum, precision).coeffs,
-                        "[q^{}] lhs".format, "[q^{}] rhs".format)
-
-    return _finish("T1.9", m, (0, precision), ["sum", "product"], t0, check,
-                   {"N_sum": n_sum})
+    first = _first_mismatch(range(precision + 1),
+                            gf_Bj_lhs(m, n_sum, precision).coeffs,
+                            _rhs_T19(m, n_sum, precision).coeffs,
+                            "[q^{}] lhs".format, "[q^{}] rhs".format)
+    return 0, ["sum", "product"], {"N_sum": n_sum}, first
 
 
-def verify_C110(m: int, precision: int, t0) -> IdentityReport:
+def verify_C110(m: int, precision: int) -> tuple:
     # The product side is A_product, not B_product: B_product divides by
     # (1 - q^k) for the same k as the sum's Horner pass, so the two lists
     # would differ by 1 after every step and a faulty division would cancel.
     # A_product (Euler's recurrence) makes no division; T1.2 ties it to B.
     from .genfun import gf_Bj_lhs, gf_regular
 
-    def check():
-        _first_mismatch(range(precision + 1), gf_Bj_lhs(m, None, precision).coeffs,
-                        gf_regular(m, "A_product", precision).coeffs,
-                        "[q^{}] sum".format, "[q^{}] product".format)
-
-    return _finish("C1.10", m, (0, precision), ["sum", "product"], t0, check)
+    first = _first_mismatch(range(precision + 1),
+                            gf_Bj_lhs(m, None, precision).coeffs,
+                            gf_regular(m, "A_product", precision).coeffs,
+                            "[q^{}] sum".format, "[q^{}] product".format)
+    return 0, ["sum", "product"], {}, first

@@ -249,14 +249,16 @@ def _build_B(m: int, n_max: int) -> list[int]:
 
 
 def _build_Bj(m: int, n_max: int) -> list[list[int]]:
-    """All m-1 largest-part-residue tables in one ascending sweep.
+    """The largest-part-residue tables of residues 1..min(m-1, n_max) (at
+    least residue 1) in one ascending sweep.  A residue above n_max is the
+    residue of no part up to n_max, so its table would be all zero.
 
     From largest part L on, x is read only at its cells t <= n_max - L, so
     x holds just those: cell t in slot live - t, live = n_max - L.  Then x
     is also the packed x >> w*L that L adds to its residue's table."""
     w = _slot_bits(n_max)
     x, live = 1 << w * n_max, n_max
-    tabs = [0] * (m - 1)
+    tabs = [0] * max(1, min(m - 1, n_max))
     half = n_max // 2
     for largest in range(1, half + 1):
         if largest % m == 0:
@@ -269,7 +271,7 @@ def _build_Bj(m: int, n_max: int) -> list[list[int]]:
     # n_max / 2 of x, which no part from L on changes: one window per
     # residue adds every such L
     x >>= w * (live - n_max + half + 1)
-    for r in range(1, m):
+    for r in range(1, len(tabs) + 1):
         tabs[r - 1] += _over(x, range((r - half - 1) % m, n_max - half, m), w)
     return [_unpack(tab, w, n_max) for tab in tabs]
 
@@ -380,7 +382,9 @@ def _family_table(family: str, m: int, j: int | None, n: int) -> list[int]:
     """The cached table of one family holding at least 0..n: the one place
     a family picks its cache key and builder."""
     if family == "Bj":
-        return _table(("Bj", m), n, _build_Bj)[j - 1]
+        tabs = _table(("Bj", m), n, _build_Bj)
+        # a residue past the built ones has no part up to the table's size
+        return tabs[j - 1] if j <= len(tabs) else [0] * len(tabs[0])
     build = {"A": _build_bounded_mult, "B": _build_B, "C": _build_C,
              "D": _build_D}[family]
     return _table((family, m), n, build)

@@ -15,7 +15,10 @@ The package imports this module on every start, so it holds only the
 selectors, the report types, `verify` and `density_report`, and imports
 no other layer at module level.  The checkers live in `_checkers`, which
 `verify` imports when a check runs; `density_report` imports the
-`genfun` names it reads when it runs.
+`genfun` names it reads when it runs.  `verify` validates the arguments,
+picks the range argument its check reads, calls the checker named after
+the selector, which returns its range start, routes, notes and first
+mismatch (or None), and builds and times every report in one place.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ from collections import namedtuple
 from math import isqrt
 
 THEOREMS = ("T1.2", "E1.4", "T1.3", "T1.4", "T1.5", "T1.6", "T1.8", "T1.9", "C1.10")
+
+# the range argument each check reads, then the one it falls back to; a
+# check not named here reads n_max
+_RANGES = {"T1.4": ("n_max", "precision"), "T1.5": ("precision", "n_max"),
+           "T1.9": ("precision",), "C1.10": ("precision",)}
 
 
 class IdentityReport(namedtuple("IdentityReport", "theorem m range status "
@@ -77,35 +85,25 @@ def verify(theorem: str, m: int | None = None, n_max: int | None = None,
     if m is None or m < 2:
         raise ValueError("m must be >= 2")
 
-    from . import _checkers as c
+    given = {"n_max": n_max, "precision": precision}
+    names = _RANGES.get(theorem, ("n_max",))
+    top = next((given[k] for k in names if given[k] is not None), None)
+    if top is None:
+        raise ValueError(f"{names[0]} is required for this check")
+    if top < 0:
+        raise ValueError(f"{names[0]} must be non-negative")
 
-    if theorem == "T1.2":
-        return c.verify_T12(m, _req(n_max, "n_max"), t0)
-    if theorem == "E1.4":
-        return c.verify_E14(m, _req(n_max, "n_max"), t0)
-    if theorem == "T1.3":
-        return c.verify_T13(m, _req(n_max, "n_max"), t0)
-    if theorem == "T1.4":
-        return c.verify_T14(m, _req(n_max if n_max is not None else precision,
-                                    "n_max"), t0)
-    if theorem == "T1.5":
-        return c.verify_T15(_req(precision if precision is not None else n_max,
-                                 "precision"), t0)
-    if theorem == "T1.6":
-        return c.verify_T16(_req(n_max, "n_max"), t0)
-    if theorem == "T1.8":
-        return c.verify_T18(m, _req(n_max, "n_max"), t0)
-    if theorem == "T1.9":
-        return c.verify_T19(m, n_sum, _req(precision, "precision"), t0)
-    return c.verify_C110(m, _req(precision, "precision"), t0)
+    from . import _checkers
 
-
-def _req(value, name):
-    if value is None:
-        raise ValueError(f"{name} is required for this check")
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative")
-    return value
+    check = getattr(_checkers, "verify_" + theorem.replace(".", ""))
+    lo, routes, notes, first = (check(m, top, n_sum) if theorem == "T1.9"
+                                else check(m, top))
+    return IdentityReport(
+        theorem=theorem, m=m, range=(lo, top),
+        status="pass" if first is None else "fail", first_failure=first,
+        elapsed_ms=int((time.perf_counter() - t0) * 1000), routes=routes,
+        notes=notes,
+    )
 
 
 def density_report(m: int, x: int) -> DensityStats:

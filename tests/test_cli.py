@@ -251,6 +251,15 @@ def test_verify_usage_error_exit_two(runner):
     assert result.exit_code == 2
 
 
+def test_verify_range_error_names_the_missing_argument(runner):
+    result = runner.invoke(main, ["verify", "--theorem", "T1.2", "--m", "3",
+                                  "--precision", "10"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == \
+        "glaisher verify: error: n_max is required for this check"
+
+
 def test_verify_csv(runner):
     result = runner.invoke(main, ["verify", "--theorem", "T1.9", "--m", "2",
                                   "--N-sum", "1", "--precision", "50",

@@ -216,6 +216,20 @@ def test_top_residue_matches_shifted_C():
             assert count_Bj(m, m - 1, n) == count_C(m, n + 1), (m, n)
 
 
+def test_Bj_at_large_m_builds_only_the_residues_up_to_n(monkeypatch):
+    # at m = 10^6 each part up to 30 is its own residue, and a residue
+    # above the table's size is the residue of no part it counts
+    monkeypatch.setattr(partitions, "_cache", {})
+    m = 10 ** 6
+    for j in range(1, 31):
+        assert count_Bj(m, j, 30) == brute_force_count(FamilySpec("Bj", m, j),
+                                                       30), j
+    assert count_Bj(m, 31, 30) == 0
+    assert count_Bj(m, 999_999, 30) == 0
+    size, tables = partitions._cache[("Bj", m)]
+    assert len(tables) <= size + 1
+
+
 def test_D_dominates_A():
     for m in range(2, 6):
         for n in range(1, 41):
@@ -411,7 +425,15 @@ _BUILDERS = {
 def _assert_builders_match(m, n, families=tuple(_BUILDERS)):
     for family in families:
         packed, reference = _BUILDERS[family]
-        assert packed(m, n) == reference(m, n), (family, m, n)
+        built, expected = packed(m, n), reference(m, n)
+        if family == "Bj":
+            # Bj builds residues 1..min(m - 1, n) only (at least residue 1):
+            # the list loop's tables past those are all zero
+            kept = max(1, min(m - 1, n))
+            assert len(built) == kept, (m, n)
+            assert not any(map(any, expected[kept:])), (m, n)
+            expected = expected[:kept]
+        assert built == expected, (family, m, n)
 
 
 # n_max // 3 and n_max // 2 take every residue here, so the last part a
@@ -580,8 +602,7 @@ def test_Bj_and_C_step_on_a_live_window_that_never_grows(m, monkeypatch):
 @given(st.sampled_from(sorted(_BUILDERS)), st.integers(2, 70),
        st.integers(0, 400))
 def test_packed_builder_matches_list_loop(family, m, n):
-    packed, reference = _BUILDERS[family]
-    assert packed(m, n) == reference(m, n)
+    _assert_builders_match(m, n, (family,))
 
 
 def _mult_choice_update_direct(dp, k, m):

@@ -41,6 +41,12 @@ def test_T13_cli_documented_case():
     assert verify("T1.3", 4, n_max=150).passed
 
 
+@pytest.mark.parametrize("theorem", ["E1.4", "T1.3"])
+def test_Bj_checks_pass_at_large_m(theorem):
+    # the Bj work is bounded by n_max, not by m
+    assert verify(theorem, 10 ** 6, n_max=40).passed
+
+
 def test_T14_m2_passes_with_n1_note():
     report = verify("T1.4", 2, n_max=80)
     assert report.passed
@@ -242,6 +248,36 @@ def test_verify_validation():
     with pytest.raises(ValueError):
         verify("T1.2", 1, n_max=10)
     assert len(THEOREMS) == 9
+
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    (("T9.9", 3), {"n_max": 10}, f"unknown theorem 'T9.9', expected {THEOREMS}"),
+    (("T1.5", 4), {"precision": 10}, "T1.5 is specific to m = 3"),
+    (("T1.6", 4), {"n_max": 10}, "T1.6 is specific to m = 3"),
+    (("T1.2", 1), {"n_max": 10}, "m must be >= 2"),
+    (("T1.2", None), {"n_max": 10}, "m must be >= 2"),
+    (("T1.2", 3), {}, "n_max is required for this check"),
+    (("T1.4", 3), {}, "n_max is required for this check"),
+    (("T1.2", 3), {"precision": 10}, "n_max is required for this check"),
+    (("C1.10", 3), {"n_max": 10}, "precision is required for this check"),
+    (("T1.5",), {}, "precision is required for this check"),
+    (("T1.2", 3), {"n_max": -1}, "n_max must be non-negative"),
+    (("C1.10", 3), {"precision": -1}, "precision must be non-negative"),
+    (("T1.9", 3), {}, "precision is required for this check"),
+    (("T1.9", 3), {"precision": 10},
+     "T1.9 requires a positive block count (N_sum)"),
+    (("T1.9", 3), {"precision": 10, "n_sum": 0},
+     "T1.9 requires a positive block count (N_sum)"),
+], ids=["unknown", "T1.5-m4", "T1.6-m4", "m1", "m-None", "T1.2-no-range",
+        "T1.4-no-range", "T1.2-precision-only", "C1.10-no-precision",
+        "T1.5-no-range", "negative-n_max", "negative-precision",
+        "T1.9-precision-first", "T1.9-no-n_sum", "T1.9-n_sum-0"])
+def test_verify_usage_messages(args, kwargs, message):
+    # the checks run in this order, each with this text, which the CLI
+    # prints after "error: " and exits 2
+    with pytest.raises(ValueError) as exc:
+        verify(*args, **kwargs)
+    assert str(exc.value) == message
 
 
 def test_density_m2():
