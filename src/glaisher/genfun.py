@@ -428,12 +428,13 @@ def _epsilon_definition(m: int, precision: int) -> Series:
     added, are multiplied in at once by `_top_product`.  x^a needs a
     distinct factors, a(a + 1) / 2 <= N, so only about sqrt(2N) residues
     are ever nonzero: p holds residues up to its highest live one and
-    grows by one zero residue before a pair step could fill it."""
+    grows by one zero residue before a pair step could fill it, and the
+    accumulator holds as many residues as p, so neither grows with m."""
     w = _definition_slot_bits(m, precision)
     mask = (1 << w * (precision + 1)) - 1
     top = _definition_cut(m, precision)
     p = _top_product(m, top, w, precision, mask)
-    acc = [0] * m
+    acc = []
     for n in range(precision // m, -1, -1):
         for i in range(top, n, -1):  # the factors i > n, not yet applied
             if p[-1] and len(p) < m:
@@ -444,6 +445,7 @@ def _epsilon_definition(m: int, precision: int) -> Series:
         top = n
         s = w * m * n
         keep = mask >> s
+        acc += [0] * (len(p) - len(acc))
         for r, x in enumerate(p):
             if x:
                 acc[r] += (x & keep) << s

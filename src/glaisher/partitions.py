@@ -1,7 +1,8 @@
 """Combinatorial counters for the five partition families.
 
-Everything here counts by dynamic programming over parts, plus a literal
-brute-force enumerator used as an independent oracle.  This module never
+Everything here counts by dynamic programming over parts, plus an
+independent brute-force oracle that enumerates every partition of n <= 40
+and applies each family's definition as one predicate.  This module never
 touches the series machinery: agreement between these counts and the
 generating-function expansions is one of the package's core cross-checks,
 so the two sides must stay independent.
@@ -290,6 +291,12 @@ def _build_C(m: int, n_max: int) -> list[int]:
     for j in range(1, steps + 1):
         x >>= w * m
         live = n_max - m * j
+        # Allowing part m*j freely and then capping part j are the two
+        # clauses of C's definition, kept as two steps on purpose.  They
+        # cancel only as algebra, leaving the product of 1/(1 - q^k) over
+        # k <= m*j with m not dividing k, which is the product _build_Bj
+        # sweeps: built that way, T1.3 (B^(m-1)(n) = C(n+1)) would compare
+        # one product with itself.
         # newly reachable parts (m*(j-1), m*j], unrestricted multiplicity;
         # a part above `live` lands only on cells no later read reaches
         for k in range(m * (j - 1) + 1, min(m * j, live) + 1):
@@ -443,42 +450,32 @@ def count_table(spec: FamilySpec, n_max: int) -> CountTable:
 # ---------------------------------------------------------------------------
 
 
-def _each_partition(n: int, visit) -> None:
-    """Call visit(parts) for every partition of n, parts descending.  The list
-    is reused between calls; visitors must not keep a reference."""
-    parts: list[int] = []
-
-    def rec(rem: int, cap: int):
-        if rem == 0:
-            visit(parts)
-            return
-        top = cap if cap < rem else rem
-        for first in range(top, 0, -1):
-            parts.append(first)
-            rec(rem - first, first)
+def _partitions(n: int):
+    """Yield every partition of n once, parts descending, in reverse
+    lexicographic order from [n]: each step lowers the last part above 1
+    by one and refills the rest of the sum with copies of the lowered
+    part (and one smaller remainder).  The list is reused between yields;
+    callers must not keep a reference."""
+    parts = [n] if n else []
+    while True:
+        yield parts
+        ones = 0
+        while parts and parts[-1] == 1:
             parts.pop()
+            ones += 1
+        if not parts:
+            return
+        k = parts.pop() - 1
+        copies, rest = divmod(k + 1 + ones, k)
+        parts += [k] * copies
+        if rest:
+            parts.append(rest)
 
-    rec(n, n)
 
-
-def _runs_below_cap(parts: list[int], m: int, value_bound: int | None) -> bool:
-    """True when every run of equal parts (restricted to values <=
-    value_bound when given) is shorter than m."""
-    run_val = None
-    run_len = 0
-    for p in parts:
-        if value_bound is not None and p > value_bound:
-            continue
-        if p == run_val:
-            run_len += 1
-            if run_len >= m:
-                return False
-        else:
-            run_val = p
-            run_len = 1
-            if run_len >= m:
-                return False
-    return True
+def _runs_below(parts: list[int], m: int) -> bool:
+    """True when no part of the descending `parts` repeats m or more times,
+    i.e. no parts[i] equals parts[i + m - 1]."""
+    return all(map(int.__ne__, parts, parts[m - 1:]))
 
 
 def brute_force_count(spec: FamilySpec, n: int) -> int:
@@ -490,57 +487,20 @@ def brute_force_count(spec: FamilySpec, n: int) -> int:
         raise ValueError(
             f"brute force refused for n = {n} > {BRUTE_FORCE_LIMIT}"
         )
-    m = spec.m
-    hits = 0
-
-    if spec.family == "A":
-        def visit(parts):
-            nonlocal hits
-            if _runs_below_cap(parts, m, None):
-                hits += 1
-        _each_partition(n, visit)
-        return hits
-
-    if spec.family == "B":
-        def visit(parts):
-            nonlocal hits
-            if all(p % m for p in parts):
-                hits += 1
-        _each_partition(n, visit)
-        return hits
-
-    if spec.family == "Bj":
-        if n == 0:
-            return 0
-        def visit(parts):
-            nonlocal hits
-            if parts[0] % m == spec.j and all(p % m for p in parts):
-                hits += 1
-        _each_partition(n, visit)
-        return hits
-
-    if spec.family == "C":
-        if n == 0:
-            return 1
-        def visit(parts):
-            nonlocal hits
-            if parts[0] % m == 0 and _runs_below_cap(parts, m, parts[0] // m):
-                hits += 1
-        _each_partition(n, visit)
-        return hits
-
-    # family D: choose the smallest part s >= 0 (occurring exactly m times),
-    # then everything else must exceed s and repeat < m times
-    total = 0
-    for s in range(n // m + 1):
-        rest = n - m * s
-        hits = 0
-
-        def visit(parts):
-            nonlocal hits
-            if (not parts or parts[-1] > s) and _runs_below_cap(parts, m, None):
-                hits += 1
-
-        _each_partition(rest, visit)
-        total += hits
-    return total
+    m, j = spec.m, spec.j
+    if spec.family == "D":
+        # smallest part s >= 0 occurring exactly m times, every other part
+        # above s repeating fewer than m times
+        return sum(1 for s in range(n // m + 1) for p in _partitions(n - m * s)
+                   if (not p or p[-1] > s) and _runs_below(p, m))
+    keep = {
+        "A": lambda p: _runs_below(p, m),
+        "B": lambda p: all(k % m for k in p),
+        # the empty partition has no largest part
+        "Bj": lambda p: p and p[0] % m == j and all(k % m for k in p),
+        # largest part m*i, parts <= i repeating fewer than m times; the
+        # empty partition counts by definition
+        "C": lambda p: not p or p[0] % m == 0 and _runs_below(
+            [k for k in p if k <= p[0] // m], m),
+    }[spec.family]
+    return sum(1 for p in _partitions(n) if keep(p))

@@ -764,10 +764,12 @@ def test_definition_equals_triangular(m, precision):
         epsilon(m, precision, "triangular")
 
 
-@pytest.mark.parametrize("m", [500, 1000, 2000])
+@pytest.mark.parametrize("m", [500, 1000, 2000, 10**7])
 def test_definition_at_large_m_and_small_precision(m):
-    # the sum over the roots is O(m) int adds, so this grid takes a few ms;
-    # reading every root off the residues one by one would be O(m^2)
+    # the product and the accumulator hold only the residues that can be
+    # nonzero, about sqrt(2N) of them, so the sum over the roots takes a
+    # few int adds and this grid a few ms even at m = 10^7; an accumulator
+    # of all m residues would take over a second and 80 MB there
     for precision in range(4):
         assert epsilon(m, precision, "definition") == \
             epsilon(m, precision, "triangular"), precision

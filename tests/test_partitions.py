@@ -752,3 +752,21 @@ def test_cache_keeps_at_most_64_tables(monkeypatch):
     assert len(partitions._cache) == 64
     assert ("A", 3) not in partitions._cache
     assert list(partitions._cache)[-1] == ("A", 2)
+
+
+def test_partitions_yields_every_partition_once():
+    p = _partition_numbers(BRUTE_FORCE_LIMIT)
+    for n in range(BRUTE_FORCE_LIMIT + 1):
+        seen = set()
+        for parts in partitions._partitions(n):
+            assert sum(parts) == n
+            assert parts == sorted(parts, reverse=True) and 0 not in parts
+            seen.add(tuple(parts))
+        assert len(seen) == p[n], n
+
+
+@pytest.mark.parametrize("m", [3, 7])
+def test_brute_force_agrees_with_dp_at_its_limit(m):
+    for sp in _all_specs(m):
+        assert brute_force_count(sp, BRUTE_FORCE_LIMIT) == \
+            count_table(sp, BRUTE_FORCE_LIMIT).counts[-1], sp
