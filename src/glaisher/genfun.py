@@ -16,11 +16,12 @@ different routes:
   by Horner's rule over the part sizes: every denominator is a prefix of
   prod_(m not| k) (1 - q^k), so the sum takes one division per part size.
 * ``epsilon`` computes the correction series linking m*C and D by five
-  independent routes: a cyclotomic product definition (the product for
-  root 1 alone, expanded over Z[x]/(x^m - 1) with each residue list
-  packed into one int, and summed over the roots by the character sum
-  sum_(j=1..m-1) zeta_m^(j r) = m [r = 0] - 1, one integer combination
-  of those ints),
+  independent routes, route r being the function ``_epsilon_<r>(m,
+  precision)``, found by name: a cyclotomic product definition (the
+  product for root 1 alone, expanded over Z[x]/(x^m - 1) with each
+  residue list packed into one int, and summed over the roots by the
+  character sum sum_(j=1..m-1) zeta_m^(j r) = m [r = 0] - 1, one integer
+  combination of those ints),
   a triangular-number sum (a dense list filled from
   ``triangular_stream``), a Gaussian-binomial rearrangement of that sum
   (one row [m-1, j]_q built by a ratio sweep to cells 0..N, summed over
@@ -391,8 +392,6 @@ def _top_product(m: int, c: int, w: int, precision: int,
     of e_(k-j) starts at cell (k - j)(c + 1), so its copies past
     i = (N - (k - j)(c + 1)) // j land on no cell and are not formed."""
     fit = precision // (c + 1)
-    if not fit:
-        return [1]
     e = [[1] + [0] * fit]
     for k in range(1, fit + 1):
         ke = [0] * (fit + 1)
@@ -545,7 +544,7 @@ def _epsilon_identity(m: int, precision: int) -> Series:
     return m * gf_C(m, precision) - gf_D(m, precision)
 
 
-def _epsilon_closed3(precision: int) -> Series:
+def _epsilon_closed3(m: int, precision: int) -> Series:
     """Closed form for m = 3: 2 - q - 2q^2 plus, for n >= 2,
     (-1)^n chi_3(n-1) q^(T_n + 1)."""
     acc = [0] * (precision + 1)
@@ -565,19 +564,12 @@ def epsilon(m: int, precision: int, route: str = "triangular") -> Series:
     routes (definition, triangular, qbinomial) expand the same series and
     must agree; the identity route is the raw count difference m*C - D,
     which coincides with the others exactly when the underlying identity
-    holds.  closed3 is only defined for m = 3."""
+    holds.  closed3 is only defined for m = 3.  Route r is the function
+    `_epsilon_<r>(m, precision)`, found by name."""
     _check_m(m)
     if route not in EPSILON_ROUTES:
         raise ValueError(f"unknown route {route!r}, expected {EPSILON_ROUTES}")
     if route == "closed3" and m != 3:
         raise ValueError("route closed3 is only valid for m = 3")
     _check_precision(precision)
-    if route == "definition":
-        return _epsilon_definition(m, precision)
-    if route == "triangular":
-        return _epsilon_triangular(m, precision)
-    if route == "qbinomial":
-        return _epsilon_qbinomial(m, precision)
-    if route == "identity":
-        return _epsilon_identity(m, precision)
-    return _epsilon_closed3(precision)
+    return globals()["_epsilon_" + route](m, precision)

@@ -215,8 +215,6 @@ def _allow_large_parts(x: int, parts: range, m: int | None, w: int,
         u = _over(z, parts, w, i)
         return u - _over(z, skip, w, i) if skip else u
 
-    if not parts:
-        return x
     v = [x, times_u(x, 1)]
     for j in range(2, n_max // parts.start + 1):
         acc = times_u(v[j - 1], 1)
@@ -320,15 +318,14 @@ def _build_D(m: int, n_max: int) -> list[int]:
     # block s adds q^(m*s) F_s, F_s the product over the parts above s.
     # From s = low on, (m + 1)*s > n_max, so block s lands only F_s's cells
     # t <= n_max - m*s < s, where F_s is 1 at t = 0 and 0 elsewhere: those
-    # blocks add q^(m*s) alone, one window for all of them.  The parts
-    # above low (and above n_max / r) then read no `out`: allow them first,
-    # in one step.  The loop always reaches p = 1, whose s = 0 is the block
-    # of m zero parts, so D(0) = 1 needs no case of its own.
+    # blocks add q^(m*s) alone, one `_over` window for all of them (0 when
+    # m*low > n_max, as no such block lands).  The parts above low (and
+    # above n_max / r) then read no `out`: allow them first, in one step.
+    # The loop always reaches p = 1, whose s = 0 is the block of m zero
+    # parts, so D(0) = 1 needs no case of its own.
     low = max(n_max // (m + 1) + 1, n_max // _ratio(n_max))
     w = _slot_bits(n_max)
-    out = 0
-    if m * low <= n_max:
-        out = _window(1 << w * (n_max - m * low), w * m, n_max // m - low + 1)
+    out = _over(1 << w * n_max, range(low, n_max // m + 1), w, m)
     x = _allow_large_parts(1 << w * n_max, range(low + 1, n_max + 1), m, w,
                            n_max)
     for p in range(low, 0, -1):

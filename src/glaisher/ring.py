@@ -25,15 +25,6 @@ class CycPoly(namedtuple("CycPoly", "m coefficients")):
         return len(self.coefficients) - 1
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     """Exact division of integer polynomials; raises if a remainder is left."""
     num = list(num)
@@ -54,19 +45,15 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> CycPoly:
-    """Phi_m, computed by exact division of x^m - 1 by the proper-divisor
-    cyclotomic polynomials (recursively)."""
+    """Phi_m: x^m - 1 divided exactly by Phi_d for each proper divisor d
+    of m in turn, each Phi_d itself computed the same way (recursively).
+    At m = 1 there is no proper divisor, and x - 1 is Phi_1."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if m == 1:
-        return CycPoly(1, (-1, 1))
-    num = [0] * (m + 1)
-    num[0], num[m] = -1, 1
-    den = [1]
+    quot = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d).coefficients))
-    quot = _poly_divexact(num, den)
+            quot = _poly_divexact(quot, cyclotomic_polynomial(d).coefficients)
     if quot[-1] != 1:
         raise ArithmeticError(f"Phi_{m} came out non-monic")
     return CycPoly(m, tuple(quot))

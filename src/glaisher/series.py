@@ -193,13 +193,8 @@ def pochhammer(spec: PochSpec, precision: int) -> Series:
     _check_precision(precision)
     u = _coerce(spec.unit)
     c = [1] + [0] * precision
-    i = 0
-    while spec.count is None or i < spec.count:
-        exp = spec.offset + spec.step * i
-        if exp > precision:
-            break
+    for exp in range(spec.offset, precision + 1, spec.step)[:spec.count]:
         kernels.mul_one_minus_uqk(c, u, exp)
-        i += 1
     return Series._wrap(c)
 
 
@@ -207,20 +202,13 @@ def inv_pochhammer(
     offset: int, step: int, count: int | None, precision: int
 ) -> Series:
     """Expand 1 / prod_i (1 - q^(e+s*i)): the product of geometric series
-    1 + q^k + q^(2k) + ...; exact inverse of pochhammer with unit 1."""
+    1 + q^k + q^(2k) + ...; exact inverse of pochhammer with unit 1.
+    offset, step and count are validated as `PochSpec` validates them."""
     _check_precision(precision)
-    if offset < 1 or step < 1:
-        raise ValueError("offset and step must be >= 1")
-    if count is not None and count < 0:
-        raise ValueError("count must be non-negative or None (infinite)")
+    PochSpec(1, offset, step, count)
     c = [1] + [0] * precision
-    i = 0
-    while count is None or i < count:
-        exp = offset + step * i
-        if exp > precision:
-            break
+    for exp in range(offset, precision + 1, step)[:count]:
         kernels.div_one_minus_uqk(c, 1, exp)
-        i += 1
     return Series._wrap(c)
 
 

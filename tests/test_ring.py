@@ -29,6 +29,9 @@ def test_cyclotomic_polynomial_small_cases():
     assert cyclotomic_polynomial(3).coefficients == (1, 1, 1)
     assert cyclotomic_polynomial(4).coefficients == (1, 0, 1)
     assert cyclotomic_polynomial(6).coefficients == (1, -1, 1)
+    # the first coefficient outside {-1, 0, 1}
+    coeffs = cyclotomic_polynomial(105).coefficients
+    assert coeffs[7] == coeffs[41] == -2
 
 
 def test_cyclotomic_polynomial_rejects_zero():
@@ -36,7 +39,9 @@ def test_cyclotomic_polynomial_rejects_zero():
         cyclotomic_polynomial(0)
 
 
-@pytest.mark.parametrize("m", range(1, 13))
+# 30, 60 and 105 have many divisors, each one a step of Phi_m's division
+# chain
+@pytest.mark.parametrize("m", [*range(1, 13), 30, 60, 105])
 def test_divisor_product_recovers_x_m_minus_1(m):
     prod = [1]
     for d in range(1, m + 1):

@@ -147,7 +147,14 @@ def test_bad_poch_spec_rejected():
     with pytest.raises(ValueError):
         PochSpec(1, 1, 0, None)
     with pytest.raises(ValueError):
+        PochSpec(1, 1, 1, -1)
+    # inv_pochhammer checks its offset, step and count as PochSpec does
+    with pytest.raises(ValueError):
         inv_pochhammer(0, 1, None, 5)
+    with pytest.raises(ValueError):
+        inv_pochhammer(1, 0, None, 5)
+    with pytest.raises(ValueError):
+        inv_pochhammer(1, 1, -1, 5)
 
 
 def test_qbinomial_examples():
