@@ -9,11 +9,13 @@ package loads anyway).  Each command imports the layer it runs when it
 runs: `count` loads `partitions` and `expand` loads `genfun`; `json` and
 `csv` load only for their `--format`.
 
-Every command prints through one output path, `_emit`: the command checks
-its arguments, opens `--out`, does its work and hands `_emit` a JSON
-payload, CSV rows and a text builder; `_emit` alone reads `--format` and
-writes the one it names to the `--out` file or to stdout.  `count` and
-`expand`, one (n, value) row per cell, go through `_emit_values`.
+Every command prints through one output path, `_emit`: `main` opens
+`--out`, then the command checks its arguments, does its work and hands
+`_emit` a JSON payload, CSV rows and a text builder; `_emit` alone reads
+`--format` and writes the one it names to the `--out` file or to stdout.
+`count` and `expand`, one (n, value) row per cell, go through
+`_emit_values`.  A `ValueError` from a command is a bad argument: `main`
+reports it under the command's usage (exit 2).
 
 Exit codes: 0 all checks pass, 1 a mathematical mismatch was found (a
 failed identity, or a density census above its window bound), 2 usage or
@@ -45,10 +47,6 @@ Examples:
 """
 
 
-class UsageError(Exception):
-    """A bad argument value: exit 2, reported under the command's usage."""
-
-
 class ConfigError(Exception):
     """A bad environment setting or --out path: a usage error (exit 2),
     reported in one line with no usage text."""
@@ -56,7 +54,7 @@ class ConfigError(Exception):
 
 def _check_bound(value: int, name: str):
     if value < 0:
-        raise UsageError(f"{name} must be non-negative")
+        raise ValueError(f"{name} must be non-negative")
     raw = os.environ.get("GLAISHER_CEILING", "5000")
     try:
         ceiling = int(raw)
@@ -67,18 +65,19 @@ def _check_bound(value: int, name: str):
             f"GLAISHER_CEILING must be a non-negative integer, got {raw!r}"
         ) from None
     if value > ceiling:
-        raise UsageError(
+        raise ValueError(
             f"{name} = {value} exceeds the ceiling {ceiling} "
             f"(override with GLAISHER_CEILING)"
         )
 
 
 def _open_out(opts) -> None:
-    """Open the --out file before any work is done, so a path that cannot be
-    written (a missing directory, a directory itself) is a one-line
-    configuration error (exit 2), not an internal error after the
-    computation.  Like a shell redirection, this creates or truncates the
-    file first.  `main` closes it when the command ends."""
+    """Open the --out file before the command checks its arguments, so a
+    path that cannot be written (a missing directory, a directory itself)
+    is a one-line configuration error (exit 2), not an internal error after
+    the computation.  Like a shell redirection, this creates or truncates
+    the file first, so a usage error leaves it empty.  `main` calls this
+    once for every command, and closes the file when the command ends."""
     if opts.out is None:
         return
     try:
@@ -141,11 +140,7 @@ def count(opts) -> int:
 
     family, m, j, n_max = opts.family, opts.m, opts.j, opts.n_max
     _check_bound(n_max, "--n-max")
-    try:
-        spec = FamilySpec(family, m, j)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    _open_out(opts)
+    spec = FamilySpec(family, m, j)
     values = [str(c) for c in count_table(spec, n_max).counts]
     payload = {
         "command": "count",
@@ -168,24 +163,18 @@ def expand(opts) -> int:
     series_name, m, precision, route = (
         opts.series_name, opts.m, opts.precision, opts.route)
     _check_bound(precision, "--precision")
-    if m < 2:
-        raise UsageError("m must be >= 2")
-    _open_out(opts)
-    try:
-        if series_name in ("A", "B"):
-            s = gf_regular(m, f"{series_name}_product", precision)
-        elif series_name == "Bj-lhs":
-            s = gf_Bj_lhs(m, opts.n_sum, precision)
-        elif series_name == "C":
-            s = gf_C(m, precision)
-        elif series_name == "D":
-            s = gf_D(m, precision)
-        elif series_name == "epsilon":
-            s = epsilon(m, precision, route)
-        else:  # the finite polynomial prefix, at its natural degree
-            s = p_polynomial(m)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if series_name in ("A", "B"):
+        s = gf_regular(m, f"{series_name}_product", precision)
+    elif series_name == "Bj-lhs":
+        s = gf_Bj_lhs(m, opts.n_sum, precision)
+    elif series_name == "C":
+        s = gf_C(m, precision)
+    elif series_name == "D":
+        s = gf_D(m, precision)
+    elif series_name == "epsilon":
+        s = epsilon(m, precision, route)
+    else:  # the finite polynomial prefix, at its natural degree
+        s = p_polynomial(m)
     values = [str(c) for c in s.coeffs]
     payload = {
         "command": "expand",
@@ -213,12 +202,8 @@ def verify_cmd(opts) -> int:
                       (n_sum, "--N-sum")):
         if val is not None:
             _check_bound(val, name)
-    _open_out(opts)
-    try:
-        report = verify(opts.theorem, m=opts.m, n_max=n_max,
-                        precision=precision, n_sum=n_sum)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    report = verify(opts.theorem, m=opts.m, n_max=n_max,
+                    precision=precision, n_sum=n_sum)
     failed = report.first_failure
     n, lhs, rhs = failed or ("", "", "")
     lo, hi = report.range
@@ -261,11 +246,7 @@ def density(opts) -> int:
     Exits 0 when the census is within the bound, 1 when it breaks it.
     """
     _check_bound(opts.x, "--x")
-    _open_out(opts)
-    try:
-        stats = density_report(opts.m, opts.x)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    stats = density_report(opts.m, opts.x)
     payload = {
         "command": "density",
         "m": stats.m,
@@ -393,13 +374,16 @@ def _fail(message: str, code: int) -> int:
 
 def main(args=None, prog_name=None):
     """Run one command from `args` (default: the process arguments) and
-    exit through SystemExit with its code.  Any exception the command does
-    not turn into an exit code itself becomes exit 3, so that exit 1 keeps
-    meaning a mathematical mismatch."""
+    exit through SystemExit with its code.  `--out` is opened first, as a
+    shell redirection would be, then the command runs.  A `ValueError` from
+    the command is a bad argument, reported under its usage (exit 2); any
+    other exception it does not turn into an exit code itself becomes exit
+    3, so that exit 1 keeps meaning a mathematical mismatch."""
     opts = _parser(prog_name or _prog_name()).parse_args(args)
     try:
+        _open_out(opts)
         code = opts.run(opts)
-    except UsageError as exc:
+    except ValueError as exc:
         opts.parser.error(str(exc))
     except ConfigError as exc:
         code = _fail(str(exc), 2)

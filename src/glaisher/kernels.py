@@ -10,16 +10,16 @@ Coefficients are opaque ring elements: only `+`, `-`, `*`, `bool` and
 In the package every list is of ints; the tests' Z[zeta_m] references
 pass CycInt lists.
 
-Every kernel but `conv_truncated` works in slices, one form for every unit:
-`_times` scales a slice by u, leaving zeros as they are and the slice
-itself when u is 1.  The multiply by (1 - u q^k) is one slice pass, since
-every new c[t] reads only the old c[t - k].  The divide's recurrence
-g[t] = f[t] + u g[t - k] reads cells it has just written, so it takes one
-of two forms.  For k^2 <= n each residue class mod k is one running sum;
-otherwise the list is worked in blocks of k cells, each reading only the
-previous block, which is already final, and a block whose source is all
-zero is skipped.  Either way a divide makes at most about sqrt(n) slice
-calls.
+Every kernel works in slices, one form for every unit: `_times` scales a
+slice by u, leaving zeros as they are and the slice itself when u is 1.
+The truncated product adds one scaled slice of b for each nonzero cell
+of a.  The multiply by (1 - u q^k) is one slice pass, since every new c[t]
+reads only the old c[t - k].  The divide's recurrence g[t] = f[t] +
+u g[t - k] reads cells it has just written, so it takes one of two forms.
+For k^2 <= n each residue class mod k is one running sum; otherwise the
+list is worked in blocks of k cells, each reading only the previous block,
+which is already final, and a block whose source is all zero is skipped.
+Either way a divide makes at most about sqrt(n) slice calls.
 """
 
 from itertools import accumulate
@@ -29,17 +29,10 @@ from operator import add, sub
 def conv_truncated(a, b, nmax, zero):
     """Truncated product: out[n] = sum_{i+j=n} a[i]*b[j] for n <= nmax."""
     out = [zero] * (nmax + 1)
-    lb = len(b)
-    for i, ai in enumerate(a):
-        if i > nmax:
-            break
-        if not ai:
-            continue
-        hi = min(nmax - i, lb - 1)
-        for j in range(hi + 1):
-            bj = b[j]
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
+    for i, ai in enumerate(a[:nmax + 1]):
+        if ai:
+            hi = min(nmax + 1 - i, len(b))
+            out[i:i + hi] = map(add, out[i:i + hi], _times(ai, b[:hi]))
     return out
 
 

@@ -413,8 +413,7 @@ def count_Bj(m: int, j: int, n: int) -> int:
     """Partitions of n with no part divisible by m and largest part
     congruent to j mod m; 0 at n = 0 (the empty partition has no largest
     part)."""
-    if m >= 2 and not 1 <= j <= m - 1:  # _table reports a bad m first
-        raise ValueError(f"j must lie in [1, {m - 1}]")
+    FamilySpec("Bj", m, j)  # reports a bad m, then a missing or bad j
     return _family_table("Bj", m, j, n)[n]
 
 

@@ -117,10 +117,6 @@ def density_report(m: int, x: int) -> DensityStats:
     bound_satisfied=False (the CLI maps it to exit code 1)."""
     from .genfun import p_polynomial, triangular_stream
 
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if x < 1:
-        raise ValueError("x must be >= 1")
     nonzero = sum(1 for _ in triangular_stream(m, x))
     zeros = x - nonzero
     p_support = sum(1 for c in p_polynomial(m).coeffs if c)

@@ -364,6 +364,39 @@ def test_out_naming_a_directory_is_a_one_line_usage_error(
     assert calls == []
 
 
+@pytest.mark.parametrize("args, message", [
+    (["count", "--family", "Bj", "--m", "3"], "family Bj requires j"),
+    (["count", "--family", "A", "--m", "3", "--n-max", "-1"],
+     "--n-max must be non-negative"),
+    (["expand", "--series", "A", "--m", "1"], "m must be >= 2"),
+    (["expand", "--series", "epsilon", "--route", "closed3", "--m", "4"],
+     "route closed3 is only valid for m = 3"),
+    (["verify", "--theorem", "T1.5", "--m", "4", "--precision", "10"],
+     "T1.5 is specific to m = 3"),
+    (["density", "--m", "3", "--x", "0"], "x must be >= 1"),
+])
+def test_usage_error_leaves_an_empty_out_file(runner, tmp_path, args, message):
+    # --out is opened before the command checks its arguments, as a shell
+    # redirection would be, so every command leaves the same empty file
+    target = tmp_path / "out.txt"
+    result = runner.invoke(main, args + ["--out", str(target)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == \
+        f"glaisher {args[0]}: error: {message}"
+    assert target.read_bytes() == b""
+
+
+def test_bad_out_wins_over_a_bad_argument(runner, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    result = runner.invoke(main, ["count", "--family", "A", "--m", "3",
+                                  "--n-max", "-1", "--out", str(target)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"Error: cannot write --out {str(target)!r}: No such file or directory"
+    ]
+
+
 _spec = importlib.util.spec_from_file_location(
     "golden_regenerate", Path(__file__).with_name("golden") / "regenerate.py")
 _golden = importlib.util.module_from_spec(_spec)

@@ -84,6 +84,10 @@ def test_argument_validation():
         count_Bj(3, 0, 5)
     with pytest.raises(ValueError):
         count_Bj(3, 3, 5)
+    with pytest.raises(ValueError, match="requires j"):
+        count_Bj(3, None, 5)
+    with pytest.raises(ValueError, match="m must be >= 2"):
+        count_Bj(1, 1, 5)  # a bad m is reported before a bad j
 
 
 def test_family_spec_validation():

@@ -426,6 +426,36 @@ def test_add_scaled_shifted_matches_element_loop(scale, accs, srcs):
                 assert got == want, (len(acc), len(src), shift)
 
 
+def _conv_truncated_loop(a, b, nmax, zero):
+    """The truncated product as a double element loop."""
+    out = [zero] * (nmax + 1)
+    for i, ai in enumerate(a[:nmax + 1]):
+        for j, bj in enumerate(b[:nmax + 1 - i]):
+            if ai and bj:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _conv_cases():
+    """(zero, lists): int lists, and CycInt lists at m = 3 and 5."""
+    rng = random.Random(11)
+    cases = [pytest.param(0, _kernel_lists(rng, _int_cell(rng), 0), id="int")]
+    for m in (3, 5):
+        cyc = _kernel_lists(rng, _cyc_cell(rng, m), CycInt.zero(m), _CYC_SIZES)
+        cases.append(pytest.param(CycInt.zero(m), cyc, id=f"cyc{m}"))
+    return cases
+
+
+@pytest.mark.parametrize("zero,lists", _conv_cases())
+def test_conv_truncated_matches_element_loop(zero, lists):
+    # truncations below, at and past the end of either factor
+    for a in lists[::2]:
+        for b in lists[1::3]:
+            for nmax in {0, len(a) // 2, len(a) - 1, len(b) - 1, len(a) + 2}:
+                assert kernels.conv_truncated(a, b, nmax, zero) == \
+                    _conv_truncated_loop(a, b, nmax, zero), (len(a), len(b), nmax)
+
+
 # -- reference loops for the fast paths -----------------------------------------
 
 

@@ -382,9 +382,9 @@ def test_density_m3_paper_scale_sits_one_below_its_bound(x, nonzero):
 
 
 def test_density_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m must be >= 2"):
         density_report(1, 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x must be >= 1"):
         density_report(3, 0)
 
 
