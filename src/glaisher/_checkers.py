@@ -183,7 +183,7 @@ def _T18_mismatches(m, n_max, eps):
             yield n, f"... + C({n + 1})={v3}", f"... + (D+E)/{m}={partial + de // m}"
 
 
-def _rhs_T19(m: int, n_sum: int, precision: int) -> Series:
+def _rhs_T19(m: int, n_sum: int, precision: int):
     """(q^m; q^m)_(n_sum) / (q; q)_(m n_sum), truncated."""
     from . import kernels
     from .series import PochSpec, Series, pochhammer

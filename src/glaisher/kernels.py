@@ -7,8 +7,10 @@ benchmark's spans do) sees every call.
 
 Coefficients are opaque ring elements: only `+`, `-`, `*`, `bool` and
 `== 1` are used, so int and CycInt lists go through the same code paths.
-In the package every list is of ints; the tests' Z[zeta_m] references
-pass CycInt lists.
+In the package every list is of ints.  CycInt lists come only from tests:
+the kernel tests of `tests/test_series.py` (CycInt units, scales and
+lists), its conjugate-product sum for `map_ring`, and
+`test_epsilon3_intermediate_sum_form` in `tests/test_genfun.py`.
 
 Every kernel works in slices, one form for every unit: `_times` scales a
 slice by u, leaving zeros as they are and the slice itself when u is 1.

@@ -6,7 +6,9 @@ discarded, never wrapped.  Coefficients are plain ints; anything else,
 bool and CycInt included, is a TypeError.  A coefficient list over
 Z[zeta_m] (CycInt) enters only through `map_ring`, which checks each
 coefficient down to Z.  No package path calls it; it is a public helper
-for such lists, which the tests' Z[zeta_m] references build.
+for such lists, which two tests build as sums of conjugate products
+(`test_map_ring_sum_of_conjugate_products` and
+`test_epsilon3_intermediate_sum_form`).
 
 Products are naive O(N^2) convolutions on purpose: coefficients are bignums
 and exactness is the point.  The inner loops live in `glaisher.kernels`.
@@ -242,9 +244,9 @@ def map_ring(coeffs: list) -> Series:
     """Check a Z[zeta_m] (CycInt) coefficient list down to Z and return it
     as a Series; raises NotIntegerCoefficientError at the first
     non-rational coefficient.  No package path calls it: it is a public
-    helper for CycInt coefficient lists, such as the tests' Z[zeta_m]
-    references, and it imports `ring` when called, so that loading
-    `series` does not load `ring`."""
+    helper for CycInt coefficient lists, such as the sums of conjugate
+    products two tests build, and it imports `ring` when called, so that
+    loading `series` does not load `ring`."""
     from .ring import cyc_as_integer
 
     out = []

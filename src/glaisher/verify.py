@@ -58,7 +58,7 @@ class DensityStats(namedtuple("DensityStats", "m x nonzero_count N_x "
     __slots__ = ()
 
     @property
-    def ratio(self) -> Fraction:
+    def ratio(self):
         """N_x / x, built when read, so that a census loads no `fractions`."""
         from fractions import Fraction
 

@@ -27,19 +27,22 @@ from glaisher.genfun import (
     p_polynomial,
     triangular_stream,
 )
-from glaisher.partitions import count_A, count_B, count_C, count_D
-from glaisher.ring import CycInt, chi, cyc_root_power
+from glaisher.partitions import (
+    FamilySpec,
+    count_B,
+    count_C,
+    count_D,
+    count_table,
+)
+from glaisher.ring import CycInt
 from glaisher.series import (
     PochSpec,
     Series,
     inv_pochhammer,
-    map_ring,
     pochhammer,
     qbinomial,
-    qbinomial_poly,
 )
 from glaisher._checkers import _rhs_T19
-from test_series import _epsilon_triangular_dense
 
 
 _SERIES_BUILDERS = [
@@ -86,41 +89,12 @@ def test_gf_regular_rejects_unknown_form():
         gf_regular(3, "C_product", 5)
 
 
-def _gf_regular_A_interleaved(m, precision):
-    """The bounded-multiplicity product factor by factor: divide by
-    (1 - q^i) and multiply back (1 - q^(m i)) for each i in turn."""
-    c = [1] + [0] * precision
-    for i in range(1, precision + 1):
-        kernels.div_one_minus_uqk(c, 1, i)
-        if m * i <= precision:
-            kernels.mul_one_minus_uqk(c, 1, m * i)
-    return c
-
-
-def _gf_regular_B_ascending(m, precision):
-    """The no-multiple product, dividing by its factors smallest first."""
-    c = [1] + [0] * precision
-    for k in range(1, precision + 1):
-        if k % m:
-            kernels.div_one_minus_uqk(c, 1, k)
-    return c
-
-
 _M_GRID = [*range(2, 10), 12, 30]
 
 
 def _precision_grid(m, rng):
     return sorted({0, 1, m - 1, m, m + 1, rng.randint(0, 400),
                    rng.randint(0, 400)})
-
-
-@pytest.mark.parametrize("m", _M_GRID)
-def test_gf_regular_matches_factor_loops(m):
-    for precision in _precision_grid(m, random.Random(90 + m)):
-        assert list(gf_regular(m, "A_product", precision).coeffs) == \
-            _gf_regular_A_interleaved(m, precision), precision
-        assert list(gf_regular(m, "B_product", precision).coeffs) == \
-            _gf_regular_B_ascending(m, precision), precision
 
 
 def test_gf_C_examples():
@@ -134,47 +108,6 @@ def test_gf_D_examples():
     assert gf_D(2, 8).coeff(0) == 1
 
 
-def _gf_C_full_width(m, precision):
-    """The largest-part-multiple sum with each block's term kept at its
-    absolute exponents, to the full precision."""
-    acc = [1] + [0] * precision
-    term = [1] + [0] * precision
-    n = 1
-    while m * n <= precision:
-        term = [0] * m + term[: precision + 1 - m]
-        kernels.mul_one_minus_uqk(term, 1, m * n)
-        for r in range(m * (n - 1) + 1, m * n + 1):
-            kernels.div_one_minus_uqk(term, 1, r)
-        kernels.add_scaled_shifted(acc, term, 0, 1)
-        n += 1
-    return acc
-
-
-def _gf_D_full_width(m, precision):
-    """The smallest-part-exactly-m sum with the starting product built
-    factor by factor and every product kept to the full precision."""
-    inner = _gf_regular_A_interleaved(m, precision)
-    acc = list(inner)
-    j = 1
-    while m * j <= precision:
-        kernels.mul_one_minus_uqk(inner, 1, j)
-        kernels.div_one_minus_uqk(inner, 1, m * j)
-        kernels.add_scaled_shifted(acc, inner, m * j, 1)
-        j += 1
-    return acc
-
-
-@pytest.mark.parametrize("m", range(2, 8))
-def test_gf_C_and_gf_D_truncated_match_full_width(m):
-    rng = random.Random(70 + m)
-    for precision in (0, 1, m - 1, m, m + 1, rng.randint(0, 400),
-                      rng.randint(0, 400)):
-        assert list(gf_C(m, precision).coeffs) == \
-            _gf_C_full_width(m, precision), precision
-        assert list(gf_D(m, precision).coeffs) == \
-            _gf_D_full_width(m, precision), precision
-
-
 def test_pentagonal_recurrence_counts_partitions():
     # with m > n, no part is excluded from a B-partition of n: count_B is p(n)
     n_max = 200
@@ -183,19 +116,21 @@ def test_pentagonal_recurrence_counts_partitions():
     assert genfun._euler_inverse(0) == [1]
 
 
-@pytest.mark.parametrize("m", range(2, 6))
+@pytest.mark.parametrize("m", _M_GRID)
 def test_gf_matches_dp_counters(m):
-    n_max = 120
-    gc, gd = gf_C(m, n_max), gf_D(m, n_max)
-    ga = gf_regular(m, "A_product", n_max)
-    gb = gf_regular(m, "B_product", n_max)
-    gbj = gf_Bj_lhs(m, None, n_max)
-    for n in range(n_max + 1):
-        assert gc.coeff(n) == count_C(m, n)
-        assert gd.coeff(n) == count_D(m, n)
-        assert ga.coeff(n) == count_A(m, n)
-        assert gb.coeff(n) == count_B(m, n)
-        assert gbj.coeff(n) == count_B(m, n)
+    # every series at every truncation of the grid, the sizes where the
+    # blocks of gf_C and gf_D start included, against the DP counts
+    precisions = sorted({120, *_precision_grid(m, random.Random(90 + m)),
+                         *_precision_grid(m, random.Random(70 + m))})
+    counts = {f: count_table(FamilySpec(f, m), precisions[-1]).counts
+              for f in "ABCD"}
+    for precision in precisions:
+        expected = {f: c[:precision + 1] for f, c in counts.items()}
+        assert gf_regular(m, "A_product", precision).coeffs == expected["A"]
+        assert gf_regular(m, "B_product", precision).coeffs == expected["B"]
+        assert gf_Bj_lhs(m, None, precision).coeffs == expected["B"]
+        assert gf_C(m, precision).coeffs == expected["C"], precision
+        assert gf_D(m, precision).coeffs == expected["D"], precision
 
 
 def test_gf_Bj_lhs_single_block_m2():
@@ -290,34 +225,14 @@ def test_p_polynomial_degree_bound(m):
     assert p_polynomial(m).precision < max(m * (m - 1) // 2, 1)
 
 
-@pytest.mark.parametrize("m", [4, 5, 6, 100])
+@pytest.mark.parametrize("m", [*range(2, 31), 40, 100])
 def test_p_polynomial_is_consistent_across_routes(m):
     # the qbinomial route embeds P_m; its agreement with the triangular
-    # route over a long window is the only independent anchor for P_m
-    precision = max(60, 5 * m)
+    # route over a long window is the only independent anchor for P_m, and
+    # up to m = 40 the window holds all of P_m (degree below m(m - 1)/2)
+    precision = max(60, 5 * m if m > 40 else m * (m - 1) // 2)
     assert epsilon(m, precision, "qbinomial") == \
         epsilon(m, precision, "triangular")
-
-
-def _p_polynomial_double_loop(m):
-    """P_m straight from its definition: each [m-1, j]_q times its inner
-    character sum, convolved term by term."""
-    out = [0] * (m * (m - 1) + 1)
-    for j in range(m):
-        qb = qbinomial_poly(m - 1 - j, j)
-        inner = [0] * (genfun._tri(j - 1) + 1 if j else 1)
-        for k in range(j):
-            inner[genfun._tri(k)] += (-1 if k & 1 else 1) * chi(m, k - j)
-        for a, ca in enumerate(qb):
-            for b, cb in enumerate(inner):
-                out[a + b] -= ca * cb
-    deg = max((i for i, c in enumerate(out) if c), default=0)
-    return tuple(out[: deg + 1])
-
-
-@pytest.mark.parametrize("m", [*range(2, 31), 40])
-def test_p_polynomial_matches_double_loop(m):
-    assert p_polynomial(m).coeffs == _p_polynomial_double_loop(m)
 
 
 @pytest.mark.parametrize("m", [3, 8, 20, 60])
@@ -363,7 +278,7 @@ def test_qbinomial_route_and_p_polynomial_call_no_chi(monkeypatch, m):
     # genfun writes chi_m(n) = m [m | n] - 1 inline and loads nothing from
     # ring, so a ring.chi that raises changes no route
     expected = epsilon(m, 200, "triangular")
-    p_expected = _p_polynomial_double_loop(m)
+    p_expected = p_polynomial(m).coeffs
 
     def no_chi(*args):
         raise AssertionError("chi called")
@@ -379,35 +294,6 @@ def test_epsilon_tiny_precisions():
     assert epsilon(3, 0, "definition").coeffs == (2,)
     assert epsilon(3, 1, "definition").coeffs == (2, -1)
     assert epsilon(4, 2, "triangular").coeffs == (3, -2, -3)
-
-
-def _epsilon_definition_cycint(m, precision):
-    """The definition route as it was first written: each per-root product
-    a coefficient list over Z[zeta_m] (CycInt), multiplied by
-    (1 - q^i)(1 - zeta^j q^i) through the kernels, then checked down to Z."""
-    zero = CycInt.zero(m)
-    one = CycInt.one(m)
-    n_top = precision // m
-    roots = [cyc_root_power(m, j) for j in range(1, m)]
-    prods = []
-    for u in roots:
-        w = [one] + [zero] * precision
-        for i in range(n_top + 1, precision + 1):
-            kernels.mul_one_minus_uqk(w, 1, i)
-            kernels.mul_one_minus_uqk(w, u, i)
-        prods.append(w)
-    acc = [zero] * (precision + 1)
-    n = n_top
-    while True:
-        for w in prods:
-            kernels.add_scaled_shifted(acc, w, m * n, 1)
-        if n == 0:
-            break
-        for w, u in zip(prods, roots):
-            kernels.mul_one_minus_uqk(w, 1, n)
-            kernels.mul_one_minus_uqk(w, u, n)
-        n -= 1
-    return map_ring(acc)
 
 
 def _definition_residues(m, precision, roots, peaks=None):
@@ -452,65 +338,6 @@ def _definition_residues(m, precision, roots, peaks=None):
             mul_factor_pair(w, j, n)
         n -= 1
     return acc
-
-
-def _epsilon_definition_lists(m, precision):
-    """The definition route on int lists, one product per root j = 1..m-1
-    (`_definition_residues`), each residue r sent to zeta_m^r in a CycInt
-    list that `map_ring` checks down to Z."""
-    out = [CycInt.zero(m)] * (precision + 1)
-    for r, a in enumerate(_definition_residues(m, precision, range(1, m))):
-        kernels.add_scaled_shifted(out, a, 0, cyc_root_power(m, r))
-    return map_ring(out)
-
-
-def _mul_packed_pair_root(p, j, s, keep, keep2, mask):
-    """The packed pair step for root j: multiply the residue lists by
-    (1 - q^i)(1 - x^j q^i), with x^j moving residue r - j (mod m) to r."""
-    old = p[:]
-    for r, x in enumerate(old):
-        y = old[r - j]
-        if x or y:
-            p[r] = (x + ((y & keep2) << 2 * s) - (((x + y) & keep) << s)) & mask
-
-
-def _epsilon_definition_per_root(m, precision):
-    """The packed definition route with one product per root j = 1..m-1,
-    each multiplied by (1 - q^i)(1 - x^j q^i) and all summed into one
-    accumulator per residue in every block."""
-    w = genfun._definition_slot_bits(m, precision)
-    mask = (1 << w * (precision + 1)) - 1
-    prods = [[1] + [0] * (m - 1) for _ in range(1, m)]
-    acc = [0] * m
-    top = precision
-    for n in range(precision // m, -1, -1):
-        for i in range(top, n, -1):
-            s = w * i
-            keep = mask >> s
-            keep2 = keep >> s
-            for j, p in enumerate(prods, 1):
-                _mul_packed_pair_root(p, j, s, keep, keep2, mask)
-        top = n
-        s = w * m * n
-        keep = mask >> s
-        for r in range(m):
-            acc[r] += (sum(p[r] for p in prods) & keep) << s
-    out = [CycInt.zero(m)] * (precision + 1)
-    for r, a in enumerate(acc):
-        kernels.add_scaled_shifted(out, genfun._unpack_signed(a, w, precision),
-                                   0, cyc_root_power(m, r))
-    return map_ring(out)
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 18, 24,
-                               30, 60])
-def test_definition_per_divisor_matches_per_root(m):
-    # the reference expands every root's product; at composite m the roots
-    # with gcd(j, m) > 1 have lower order, and the character sum over the
-    # one root-1 product must count them all the same
-    for precision in sorted({0, 1, m - 1, m, m + 1, 150}):
-        assert epsilon(m, precision, "definition") == \
-            _epsilon_definition_per_root(m, precision), precision
 
 
 @pytest.mark.parametrize("m,precision", [(2, 40), (3, 0), (3, 41), (4, 30),
@@ -572,66 +399,6 @@ def test_definition_cut_rule():
     assert [genfun._definition_cut(3, n) for n in (7, 22, 23)] == [2, 7, 7]
     assert genfun._definition_cut(3, 5000) == 1666
     assert genfun._definition_cut(12, 3000) == 333
-
-
-def _epsilon_definition_pairs(m, precision, c):
-    """The packed definition route with every factor pair applied by
-    `_mul_packed_pair`, top down, before and between the blocks it adds:
-    its series, and its residue ints once the factors i > c are in."""
-    w = genfun._definition_slot_bits(m, precision)
-    mask = (1 << w * (precision + 1)) - 1
-    p = [1] + [0] * (m - 1)
-    at_cut = p[:]
-    acc = [0] * m
-    top = precision
-    for n in range(precision // m, -1, -1):
-        for i in range(top, n, -1):
-            s = w * i
-            keep = mask >> s
-            genfun._mul_packed_pair(p, s, keep, keep >> s, mask)
-            if i == c + 1:
-                at_cut = p[:]
-        top = n
-        s = w * m * n
-        keep = mask >> s
-        for r, x in enumerate(p):
-            if x:
-                acc[r] += (x & keep) << s
-    return (genfun._unpack_signed((m * acc[0] - sum(acc)) & mask, w,
-                                  precision), at_cut)
-
-
-def _assert_top_product_is_pair_steps(m, precision):
-    w = genfun._definition_slot_bits(m, precision)
-    mask = (1 << w * (precision + 1)) - 1
-    c = genfun._definition_cut(m, precision)
-    series, at_cut = _epsilon_definition_pairs(m, precision, c)
-    top = genfun._top_product(m, c, w, precision, mask)
-    assert top + [0] * (m - len(top)) == at_cut
-    assert list(epsilon(m, precision, "definition").coeffs) == series
-
-
-_STEP_M = (*range(2, 13), 20, 30, 60, 105, 200, 385, 2000)
-
-
-@pytest.mark.parametrize("m", _STEP_M)
-def test_top_product_matches_pair_steps_bit_for_bit(m):
-    # the step's residue ints are the very ints the pair steps leave, and
-    # the route's series is that of the top-down loop; c is the cut at
-    # N = 600
-    c = genfun._definition_cut(m, 600)
-    for precision in sorted({0, 1, 2, m - 1, m, m + 1, c, c + 1, 150, 600}):
-        _assert_top_product_is_pair_steps(m, precision)
-
-
-def test_top_product_matches_pair_steps_at_3_2000():
-    _assert_top_product_is_pair_steps(3, 2000)
-
-
-@settings(deadline=None, database=None, max_examples=40)
-@given(st.integers(2, 40), st.integers(0, 400))
-def test_top_product_matches_pair_steps_property(m, precision):
-    _assert_top_product_is_pair_steps(m, precision)
 
 
 @pytest.mark.parametrize("m,precision", [(200, 500), (385, 300), (2000, 40)])
@@ -703,22 +470,6 @@ def test_definition_slot_width_holds(m, precision):
             top + [0] * (m - len(top))] == product
 
 
-@pytest.mark.parametrize("m,precision", [(3, 1000), (5, 600), (7, 400),
-                                         (20, 300), (60, 100)])
-def test_packed_definition_matches_lists_and_triangular(m, precision):
-    packed = epsilon(m, precision, "definition")
-    assert packed == _epsilon_definition_lists(m, precision)
-    assert packed == epsilon(m, precision, "triangular")
-
-
-@pytest.mark.parametrize("m", range(2, 10))
-def test_definition_residue_lists_match_cycint_loop(m):
-    # composite m included: the roots with gcd(j, m) > 1 have lower order
-    for precision in sorted({0, 1, m - 1, m, m + 1, 3 * m + 2, 150}):
-        assert epsilon(m, precision, "definition") == \
-            _epsilon_definition_cycint(m, precision), precision
-
-
 @pytest.mark.parametrize("m,precision", [(2, 0), (2, 40), (3, 40), (4, 7),
                                          (6, 40), (9, 40)])
 def test_definition_route_does_integer_work_until_one_reduction(
@@ -754,7 +505,7 @@ def test_definition_route_does_integer_work_until_one_reduction(
 
 
 @settings(deadline=None, database=None, max_examples=40)
-@given(st.integers(2, 30), st.integers(0, 120))
+@given(st.integers(2, 40), st.integers(0, 400))
 @example(105, 400)
 @example(210, 300)
 @example(385, 300)
@@ -764,15 +515,46 @@ def test_definition_equals_triangular(m, precision):
         epsilon(m, precision, "triangular")
 
 
-@pytest.mark.parametrize("m", [500, 1000, 2000, 10**7])
-def test_definition_at_large_m_and_small_precision(m):
-    # the product and the accumulator hold only the residues that can be
-    # nonzero, about sqrt(2N) of them, so the sum over the roots takes a
-    # few int adds and this grid a few ms even at m = 10^7; an accumulator
-    # of all m residues would take over a second and 80 MB there
-    for precision in range(4):
-        assert epsilon(m, precision, "definition") == \
-            epsilon(m, precision, "triangular"), precision
+def _definition_grid():
+    """m -> the precisions N around m, where the route's blocks start, and
+    around the cut c of `_definition_cut` at N = 600, where the power-sum
+    step hands over to the pair steps; the widest slot at (3, 2000); and
+    N up to 3 at m up to 10^7."""
+    grid = {m: {0, 1, 2, m - 1, m, m + 1, 150}
+            for m in (*range(2, 13), 15, 18, 20, 24, 30, 60)}
+    for m in range(2, 10):
+        grid[m].add(3 * m + 2)
+    for m in (*range(2, 13), 20, 30, 60, 105, 200, 385, 2000):
+        c = genfun._definition_cut(m, 600)
+        grid.setdefault(m, set()).update(
+            {0, 1, 2, m - 1, m, m + 1, c, c + 1, 150, 600})
+    for m, precision in ((3, 1000), (3, 2000), (5, 600), (7, 400), (20, 300),
+                         (60, 100)):
+        grid[m].add(precision)
+    for m in (500, 1000, 2000, 10 ** 7):
+        grid.setdefault(m, set()).update(range(4))
+    return grid
+
+
+_DEFINITION_GRID = _definition_grid()
+
+
+@pytest.mark.parametrize("m", sorted(_DEFINITION_GRID))
+def test_definition_matches_the_other_routes_on_the_grid(m):
+    # at composite m the roots with gcd(j, m) > 1 have lower order, and the
+    # character sum over the one root-1 product must count them all the
+    # same; at large m the product and the accumulator hold only the
+    # residues that can be nonzero, about sqrt(2N) of them, so N = 3 takes
+    # a few ms even at m = 10^7.  The reference is the qbinomial route
+    # where N >= m (at m = 2000, N = 2001 it took about 1 s against 4 s for
+    # the triangular route on 2 vCPUs, Python 3.11), and the triangular
+    # route elsewhere, since the qbinomial row grows with m.
+    precisions = sorted(_DEFINITION_GRID[m])
+    route = "qbinomial" if m <= precisions[-1] else "triangular"
+    expected = epsilon(m, precisions[-1], route).coeffs
+    for precision in precisions:
+        assert epsilon(m, precision, "definition").coeffs == \
+            expected[:precision + 1], precision
 
 
 def _nonzero(series):
@@ -787,14 +569,25 @@ def test_triangular_stream_equals_dense_routes(m, x):
     assert streamed == _nonzero(epsilon(m, x - 1, "qbinomial"))
 
 
-@pytest.mark.parametrize("m,x", [(13, 1), (13, 2), (13, 3000), (20, 4000),
-                                 (60, 2500), (200, 300)])
-def test_triangular_stream_dense_terms_match(m, x):
-    # large m: the early, narrow terms are grown as dense lists; the
-    # reference expands every term to the full width, not from the stream
-    dense = _epsilon_triangular_dense(m, x - 1)
-    assert list(triangular_stream(m, x)) == \
-        [(n, c) for n, c in enumerate(dense) if c]
+# m -> the x where the stream meets the qbinomial route: terms grown as
+# dense lists (large m, small k) and as dicts, and the paper's x = 10^6
+_STREAM_GRID = {m: {1, 2, 3, 4, 6, 18, 101, 3001} for m in range(2, 10)}
+_STREAM_GRID[3].add(50)
+_STREAM_GRID[5].update({1000, 10 ** 6})
+_STREAM_GRID[8].update({3000, 10 ** 6})
+_STREAM_GRID.update({13: {1, 2, 3000}, 20: {4000}, 200: {300},
+                     60: {1, 2, 6, 41, 59, 60, 61, 62, 2500}})
+
+
+@pytest.mark.parametrize("m", sorted(_STREAM_GRID))
+def test_triangular_stream_matches_the_qbinomial_route(m):
+    # large m: the early, narrow terms are grown as dense lists; at m = 60
+    # most of each term's m - 1 factors lie past its width
+    xs = sorted(_STREAM_GRID[m])
+    expected = _nonzero(epsilon(m, xs[-1] - 1, "qbinomial"))
+    for x in xs:
+        assert list(triangular_stream(m, x)) == \
+            [(n, c) for n, c in expected if n < x], x
 
 
 def test_triangular_stream_validation():
@@ -804,79 +597,8 @@ def test_triangular_stream_validation():
         next(triangular_stream(3, 0))
 
 
-def _qbinomial_stream(m, x):
-    """The nonzero (n, eps_n) for n < x by the Gaussian-binomial route,
-    held sparsely: P_m, plus ([m-1, j]_q - 1) at T_k scaled by
-    (-1)^k chi_m(k - j), each exponent flushed once no later T_k can
-    reach it."""
-    deltas = []
-    for j in range(m):
-        qb = qbinomial_poly(m - 1 - j, j)
-        qb[0] -= 1
-        deltas.append([(e, c) for e, c in enumerate(qb) if c])
-    window = {e: c for e, c in enumerate(p_polynomial(m).coeffs) if c}
-    k = start = 0
-    while start < x:
-        sign = -1 if k & 1 else 1
-        for j, delta in enumerate(deltas):
-            for e, c in delta:
-                if start + e < x:
-                    window[start + e] = (window.get(start + e, 0)
-                                         + sign * chi(m, k - j) * c)
-        k += 1
-        start += k
-        for e in sorted(e for e in window if e < min(start, x)):
-            c = window.pop(e)
-            if c:
-                yield e, c
-
-
-def test_qbinomial_stream_reference_matches_dense():
-    for m, x in [(2, 1), (3, 50), (5, 1000), (8, 3000)]:
-        assert list(_qbinomial_stream(m, x)) == \
-            _nonzero(epsilon(m, x - 1, "qbinomial"))
-
-
-@pytest.mark.parametrize("m", [5, 8])
-def test_triangular_stream_equals_qbinomial_stream_at_paper_scale(m):
-    x = 10 ** 6
-    assert list(triangular_stream(m, x)) == list(_qbinomial_stream(m, x))
-
-
 def test_gf_Bj_lhs_zero_blocks_is_one():
     assert gf_Bj_lhs(3, 0, 8) == Series.one(8)
-
-
-def _gf_Bj_lhs_full_width(m, n_sum, precision):
-    """The residue sum with the working series kept to the full precision
-    in every block."""
-    acc = [0] * (precision + 1)
-    acc[0] = 1
-    for j in range(1, m):
-        v = [1] + [0] * precision
-        for r in range(1, m - j + 1):
-            kernels.div_one_minus_uqk(v, 1, r)
-        n = 1
-        while (n_sum is None or n <= n_sum) and m * n - j <= precision:
-            kernels.add_scaled_shifted(acc, v, m * n - j, 1)
-            n += 1
-            if (n_sum is not None and n > n_sum) or m * n - j > precision:
-                break
-            for r in range(1, m - j + 1):
-                kernels.div_one_minus_uqk(v, 1, r + m * (n - 1))
-            for r in range(m - j + 1, m):
-                kernels.div_one_minus_uqk(v, 1, r + m * (n - 2))
-    return acc
-
-
-@pytest.mark.parametrize("m", _M_GRID)
-def test_gf_Bj_lhs_truncated_blocks_match_full_width(m):
-    # the Horner evaluation against the sum over blocks and residues
-    rng = random.Random(40 + m)
-    for precision in _precision_grid(m, rng):
-        for n_sum in (None, 0, 1, 2, 3, 4, 5, 6, 7, rng.randint(0, 60)):
-            assert list(gf_Bj_lhs(m, n_sum, precision).coeffs) == \
-                _gf_Bj_lhs_full_width(m, n_sum, precision), (n_sum, precision)
 
 
 def _count_kernel_calls(monkeypatch):
@@ -915,14 +637,6 @@ def test_gf_regular_A_product_neither_divides_nor_multiplies(monkeypatch, m):
 # -- loops bounded by the precision, not by m ---------------------------------
 
 
-def _rhs_T19_uncapped(m, n_sum, precision):
-    """(q^m; q^m)_(n_sum) / (q; q)_(m n_sum) with every divisor applied."""
-    c = list(pochhammer(PochSpec(1, m, m, n_sum), precision).coeffs)
-    for k in range(1, m * n_sum + 1):
-        kernels.div_one_minus_uqk(c, 1, k)
-    return c
-
-
 _M_BOUNDED = {
     "gf_Bj_lhs-inf": lambda m, p: gf_Bj_lhs(m, None, p),
     "gf_Bj_lhs-2": lambda m, p: gf_Bj_lhs(m, 2, p),
@@ -948,17 +662,6 @@ def test_kernel_calls_stop_growing_with_m(monkeypatch, route, precision):
         _M_BOUNDED[route](m, precision)
         counts.append(len(calls))
     assert len(set(counts)) == 1, counts
-
-
-@pytest.mark.parametrize("precision", [0, 1, 5, 40, 58, 59, 60, 61])
-def test_m_bounded_loops_match_uncapped_loops(precision):
-    m = 60
-    for n_sum in (None, 0, 1, 2, 3, 7):
-        assert list(gf_Bj_lhs(m, n_sum, precision).coeffs) == \
-            _gf_Bj_lhs_full_width(m, n_sum, precision)
-    for n_sum in (1, 2):
-        assert list(_rhs_T19(m, n_sum, precision).coeffs) == \
-            _rhs_T19_uncapped(m, n_sum, precision)
 
 
 def test_epsilon3_intermediate_sum_form():

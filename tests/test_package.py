@@ -2,8 +2,12 @@
 it imported every layer at start-up still resolve, to the objects their
 layers define, now that all but `verify` load on first use."""
 
+import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -100,3 +104,38 @@ def test_unknown_attribute_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
         getattr(glaisher, name)
     assert getattr(glaisher, name, None) is None
+
+
+def _functions(module):
+    """The functions `module` defines, with the methods and property
+    getters of the classes it defines."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            for attr in vars(obj).values():
+                if isinstance(attr, (staticmethod, classmethod)):
+                    attr = attr.__func__
+                elif isinstance(attr, property):
+                    attr = attr.fget
+                if inspect.isfunction(attr):
+                    yield attr
+
+
+def test_every_annotation_names_a_type_its_module_binds():
+    # annotations are strings (`from __future__ import annotations`), so a
+    # name the module never binds shows only when a tool resolves it
+    unresolved = []
+    for info in pkgutil.iter_modules(glaisher.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module("glaisher." + info.name)
+        for function in _functions(module):
+            try:
+                typing.get_type_hints(function)
+            except NameError as exc:
+                unresolved.append(
+                    f"{module.__name__}.{function.__qualname__}: {exc}")
+    assert unresolved == []

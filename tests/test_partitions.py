@@ -1,6 +1,5 @@
-"""DP counters vs the literal brute-force enumerator and the list-loop
-reference builders, plus the small identities that tie the families
-together."""
+"""DP counters vs the literal brute-force enumerator and the generating
+functions, plus the small identities that tie the families together."""
 
 import math
 import random
@@ -14,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glaisher import partitions
+from glaisher.genfun import gf_C, gf_D, gf_regular
 from glaisher.partitions import (
     BRUTE_FORCE_LIMIT,
     FamilySpec,
@@ -334,110 +334,43 @@ def test_concurrent_reads_are_consistent():
 
 
 # ---------------------------------------------------------------------------
-# packed tables vs the list loops they replaced
+# packed tables vs the generating functions
 # ---------------------------------------------------------------------------
 
 
-def _ref_mult_choice_update(dp, k, m):
-    """ndp[t] = dp[t] + ... + dp[t-(m-1)k] as a sliding window."""
-    n_max = len(dp) - 1
-    mk = m * k
-    ndp = list(dp)
-    for t in range(k, min(mk, n_max + 1)):
-        ndp[t] += ndp[t - k]
-    for t in range(mk, n_max + 1):
-        ndp[t] += ndp[t - k] - dp[t - mk]
-    return ndp
-
-
-def _ref_bounded_mult(m, n_max):
-    dp = [0] * (n_max + 1)
-    dp[0] = 1
-    for k in range(1, n_max + 1):
-        dp = _ref_mult_choice_update(dp, k, m)
-    return dp
-
-
-def _ref_B(m, n_max):
-    dp = [0] * (n_max + 1)
-    dp[0] = 1
-    for k in range(1, n_max + 1):
-        if k % m == 0:
-            continue
-        for t in range(k, n_max + 1):
-            dp[t] += dp[t - k]
-    return dp
-
-
-def _ref_Bj(m, n_max):
-    dp = [0] * (n_max + 1)
-    dp[0] = 1
-    tabs = [[0] * (n_max + 1) for _ in range(m - 1)]
-    for largest in range(1, n_max + 1):
-        if largest % m == 0:
-            continue
-        for t in range(largest, n_max + 1):
-            dp[t] += dp[t - largest]
-        tab = tabs[largest % m - 1]
-        for t in range(n_max - largest + 1):
-            tab[largest + t] += dp[t]
-    return tabs
-
-
-def _ref_C(m, n_max):
-    dp = [0] * (n_max + 1)
-    dp[0] = 1
-    out = [0] * (n_max + 1)
-    out[0] = 1
-    for j in range(1, n_max // m + 1):
-        for k in range(m * (j - 1) + 1, m * j + 1):
-            for t in range(k, n_max + 1):
-                dp[t] += dp[t - k]
-        cap = m * j
-        for t in range(n_max, cap - 1, -1):
-            dp[t] -= dp[t - cap]
-        for t in range(n_max - m * j + 1):
-            out[m * j + t] += dp[t]
-    return out
-
-
-def _ref_D(m, n_max):
-    dp = [0] * (n_max + 1)
-    dp[0] = 1
-    out = [0] * (n_max + 1)
-    for p in range(n_max, 0, -1):
-        dp = _ref_mult_choice_update(dp, p, m)
-        s = p - 1
-        if m * s <= n_max:
-            base = m * s
-            for t in range(n_max - base + 1):
-                out[base + t] += dp[t]
-    if not out[0]:
-        out[0] = 1
-    return out
-
-
 _BUILDERS = {
-    "A": (partitions._build_bounded_mult, _ref_bounded_mult),
-    "B": (partitions._build_B, _ref_B),
-    "Bj": (partitions._build_Bj, _ref_Bj),
-    "C": (partitions._build_C, _ref_C),
-    "D": (partitions._build_D, _ref_D),
+    "A": partitions._build_bounded_mult,
+    "B": partitions._build_B,
+    "Bj": partitions._build_Bj,
+    "C": partitions._build_C,
+    "D": partitions._build_D,
 }
 
 
-def _assert_builders_match(m, n, families=tuple(_BUILDERS)):
+def _series(m, n):
+    """A, B, C and D to q^n by their generating functions, which share no
+    code with the DP."""
+    return {"A": gf_regular(m, "A_product", n).coeffs,
+            "B": gf_regular(m, "B_product", n).coeffs,
+            "C": gf_C(m, n).coeffs, "D": gf_D(m, n).coeffs}
+
+
+def _assert_builders_match(m, n, series, families=tuple(_BUILDERS)):
+    """Each packed table 0..n equals its series, given to q^(n + 1) or
+    beyond; Bj has no series of its own, so its residues must sum to B and
+    its top residue m - 1 must be C shifted by one."""
     for family in families:
-        packed, reference = _BUILDERS[family]
-        built, expected = packed(m, n), reference(m, n)
-        if family == "Bj":
-            # Bj builds residues 1..min(m - 1, n) only (at least residue 1):
-            # the list loop's tables past those are all zero
-            kept = max(1, min(m - 1, n))
-            assert len(built) == kept, (m, n)
-            assert not any(map(any, expected[kept:])), (m, n)
-            expected = expected[:kept]
-        assert built == expected, (family, m, n)
+        built = _BUILDERS[family](m, n)
+        if family != "Bj":
+            assert built == list(series[family][:n + 1]), (family, m, n)
+            continue
+        # Bj builds residues 1..min(m - 1, n) only (at least residue 1): a
+        # larger residue is the residue of no part up to n
+        assert len(built) == max(1, min(m - 1, n)), (m, n)
+        assert [sum(cells) for cells in zip(*built)][1:] == \
+            list(series["B"][1:n + 1]), (m, n)
+        if m - 1 <= n:
+            assert built[-1] == list(series["C"][1:n + 2]), (m, n)
 
 
 # n_max // 3 and n_max // 2 take every residue here, so the last part a
@@ -465,25 +398,30 @@ _CUT_MS = (2, 3, 4, 5, 11)
 
 
 @pytest.mark.parametrize("m", range(2, 10))
-def test_packed_builders_match_list_loops(m):
-    for n in sorted({*range(81), *_NEAR_THIRDS_AND_HALVES, 150, 513, 1000}):
-        _assert_builders_match(m, n)
+def test_packed_builders_match_series(m):
+    sizes = sorted({*range(81), *_NEAR_THIRDS_AND_HALVES, 150, 513, 1000})
+    series = _series(m, sizes[-1] + 1)
+    for n in sizes:
+        _assert_builders_match(m, n, series)
 
 
 @pytest.mark.parametrize("m", [20, 60, 200])
-def test_packed_builders_match_list_loops_at_large_m(m):
-    for n in (*_NEAR_THIRDS_AND_HALVES, 600):
-        _assert_builders_match(m, n)
+def test_packed_builders_match_series_at_large_m(m):
+    sizes = (*_NEAR_THIRDS_AND_HALVES, 600)
+    series = _series(m, max(sizes) + 1)
+    for n in sizes:
+        _assert_builders_match(m, n, series)
 
 
 @pytest.mark.parametrize("r", [r for r in _RULE_RS if r <= 6])
 @pytest.mark.parametrize("m", _CUT_MS)
-def test_packed_builders_match_list_loops_around_n_over_r(m, r):
-    # the sizes where the rule picks r stay below 1100 up to r = 6, where the
-    # list loops are still cheap
-    for n in _near_cuts(r):
+def test_packed_builders_match_series_around_n_over_r(m, r):
+    # the sizes where the rule picks r stay below 1100 up to r = 6
+    sizes = _near_cuts(r)
+    series = _series(m, sizes[-1])
+    for n in sizes:
         assert partitions._ratio(n) == r
-        _assert_builders_match(m, n, ("A", "B", "D"))
+        _assert_builders_match(m, n, series, ("A", "B", "D"))
 
 
 def _power_sum_cases():
@@ -497,12 +435,12 @@ def _power_sum_cases():
 @pytest.mark.parametrize("r,n,m", _power_sum_cases())
 def test_power_sum_step_matches_stepping_every_part(r, n, m, monkeypatch):
     # with r = 1 a builder steps every part one at a time (each step is
-    # pinned against a list loop below) and its power-sum step is empty
+    # pinned against the series above) and its power-sum step is empty
     assert partitions._ratio(n) == r
-    built = {f: _BUILDERS[f][0](m, n) for f in ("A", "B", "D")}
+    built = {f: _BUILDERS[f](m, n) for f in ("A", "B", "D")}
     monkeypatch.setattr(partitions, "_ratio", lambda n_max: 1)
     for family, table in built.items():
-        assert table == _BUILDERS[family][0](m, n), (family, m, n)
+        assert table == _BUILDERS[family](m, n), (family, m, n)
 
 
 @pytest.mark.parametrize("m", [2, 3, 7, 20, 200])
@@ -521,7 +459,7 @@ def test_builders_step_no_part_above_a_third_or_a_half(m, monkeypatch):
     for n in (600, 1800):
         r = partitions._ratio(n)
         tops = {"A": n // r, "B": n // r, "D": max(n // (m + 1) + 1, n // r)}
-        for family, (packed, _) in _BUILDERS.items():
+        for family, packed in _BUILDERS.items():
             stepped.append(set())
             packed(m, n)
             top = tops.get(family, n // 2)
@@ -536,9 +474,9 @@ _D_WINDOW_SIZES = (*range(260), 599, 600, 601)
 @pytest.mark.parametrize("m", [*range(2, 31), 60, 200])
 def test_D_adds_the_blocks_above_n_over_m_plus_one_as_one_window(m):
     # from s = n // (m + 1) + 1 on, block s reads only F_s's cell 0
-    reference = _ref_D(m, _D_WINDOW_SIZES[-1])
+    reference = gf_D(m, _D_WINDOW_SIZES[-1]).coeffs
     for n in _D_WINDOW_SIZES:
-        assert partitions._build_D(m, n) == reference[:n + 1], (m, n)
+        assert partitions._build_D(m, n) == list(reference[:n + 1]), (m, n)
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -605,8 +543,8 @@ def test_Bj_and_C_step_on_a_live_window_that_never_grows(m, monkeypatch):
 @settings(deadline=None, database=None)
 @given(st.sampled_from(sorted(_BUILDERS)), st.integers(2, 70),
        st.integers(0, 400))
-def test_packed_builder_matches_list_loop(family, m, n):
-    _assert_builders_match(m, n, (family,))
+def test_packed_builder_matches_series(family, m, n):
+    _assert_builders_match(m, n, _series(m, n + 1), (family,))
 
 
 def _mult_choice_update_direct(dp, k, m):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glaisher import kernels
-from glaisher.genfun import _epsilon_triangular, _tri
 from glaisher.ring import (
     CycInt,
     chi,
@@ -131,14 +130,16 @@ def test_inv_pochhammer_two_spread_factors():
 
 
 def test_pochhammer_times_inverse_is_one():
+    # the truncated product at every precision of the kernel grid below
     rng = random.Random(7)
-    for _ in range(20):
-        e = rng.randint(1, 6)
-        s = rng.randint(1, 6)
-        count = rng.choice([None, 0, 1, 2, 3, 5, 8])
-        p = pochhammer(PochSpec(1, e, s, count), 64)
-        inv = inv_pochhammer(e, s, count, 64)
-        assert p * inv == Series.one(64), (e, s, count)
+    for precision in _KERNEL_SIZES:
+        for _ in range(20):
+            e = rng.randint(1, 6)
+            s = rng.randint(1, 6)
+            count = rng.choice([None, 0, 1, 2, 3, 5, 8])
+            p = pochhammer(PochSpec(1, e, s, count), precision)
+            inv = inv_pochhammer(e, s, count, precision)
+            assert p * inv == Series.one(precision), (e, s, count, precision)
 
 
 def test_bad_poch_spec_rejected():
@@ -299,48 +300,10 @@ def test_factor_kernels_mul_then_div_restores_int(base, u, k):
     assert c == base
 
 
-def test_factor_kernels_mul_then_div_restores_cyclotomic():
-    rng = random.Random(13)
-    for m in (3, 4, 5):
-        phi = euler_phi(m)
-        base = [CycInt(m, [rng.randint(-5, 5) for _ in range(phi)])
-                for _ in range(30)]
-        for u in (1, cyc_root_power(m, 1), cyc_root_power(m, m - 1)):
-            for k in (1, 2, 7):
-                c = list(base)
-                kernels.mul_one_minus_uqk(c, u, k)
-                assert c != base
-                kernels.div_one_minus_uqk(c, u, k)
-                assert c == base
+_KERNEL_SIZES = (0, 1, 2, 3, 8, 9, 15, 16, 24, 35, 63, 79)
 
 
-def _mul_one_minus_uqk_loop(c, u, k):
-    """The multiply as an element loop, descending so each c[t] reads the
-    old c[t - k]."""
-    for t in range(len(c) - 1, k - 1, -1):
-        s = c[t - k]
-        if s:
-            c[t] = c[t] - u * s
-
-
-def _div_one_minus_uqk_loop(c, u, k):
-    """The divide as an element loop, ascending so each c[t] reads the new
-    c[t - k]."""
-    for t in range(k, len(c)):
-        s = c[t - k]
-        if s:
-            c[t] = c[t] + u * s
-
-
-def _add_scaled_shifted_loop(acc, src, shift, scale):
-    for i in range(min(len(acc) - shift, len(src))):
-        s = src[i]
-        if s:
-            acc[shift + i] = acc[shift + i] + scale * s
-
-
-def _kernel_lists(rng, cell, zero, sizes=(0, 1, 2, 3, 8, 9, 15, 16, 24, 35,
-                                            63, 79)):
+def _kernel_lists(rng, cell, zero, sizes=_KERNEL_SIZES):
     """Lists of n + 1 cells for each n in sizes: dense, in runs broken by
     runs of zeros, and zero but for a tail, so that the divide's block form
     meets blocks whose source is all zero."""
@@ -369,122 +332,69 @@ _CYC_SIZES = (0, 3, 9, 35, 79)  # CycInt arithmetic is slow: fewer lists
 
 
 def _unit_cases():
-    """(unit, lists): the int units 1, -1 and 3 on int lists, and 1 and a
-    primitive root on CycInt lists at m = 3, 4 and 5."""
+    """(unit, lists): the int units 1, -1 and 3 on int lists, and 1 and the
+    primitive roots zeta_m and zeta_m^(m-1) on CycInt lists at m = 3, 4
+    and 5."""
     rng = random.Random(5)
     ints = _kernel_lists(rng, _int_cell(rng), 0)
     cases = [pytest.param(u, ints, id=f"int-{u}") for u in (1, -1, 3)]
     for m in (3, 4, 5):
         cyc = _kernel_lists(rng, _cyc_cell(rng, m), CycInt.zero(m), _CYC_SIZES)
         cases += [pytest.param(1, cyc, id=f"cyc{m}-1"),
-                  pytest.param(cyc_root_power(m, 1), cyc, id=f"cyc{m}-root")]
+                  pytest.param(cyc_root_power(m, 1), cyc, id=f"cyc{m}-root"),
+                  pytest.param(cyc_root_power(m, m - 1), cyc,
+                               id=f"cyc{m}-root-inverse")]
     return cases
 
 
 @pytest.mark.parametrize("u,lists", _unit_cases())
-def test_factor_kernels_match_element_loops(u, lists):
+def test_factor_kernels_mul_then_div_restores_every_list(u, lists):
     # every k from 1 to past the end: both divide forms (k^2 <= n and
-    # k^2 > n) and the all-zero blocks the second one skips
+    # k^2 > n) and the all-zero blocks the second one skips; the multiply
+    # reads each c[t - k] before it changes, and the divide undoes it
     for base in lists:
         for k in range(1, len(base) + 1):
-            for kern, loop in ((kernels.mul_one_minus_uqk,
-                                _mul_one_minus_uqk_loop),
-                               (kernels.div_one_minus_uqk,
-                                _div_one_minus_uqk_loop)):
-                got, want = list(base), list(base)
-                kern(got, u, k)
-                loop(want, u, k)
-                assert got == want, (kern.__name__, len(base), k)
+            c = list(base)
+            kernels.mul_one_minus_uqk(c, u, k)
+            assert c == [b - u * base[t - k] if t >= k else b
+                         for t, b in enumerate(base)], (len(base), k)
+            kernels.div_one_minus_uqk(c, u, k)
+            assert c == base, (len(base), k)
 
 
 def _scale_cases():
-    """(scale, acc lists, src lists): int scales on int lists, and a CycInt
-    scale on int and on CycInt sources into CycInt accumulators."""
+    """(scale, zero, acc lists, src lists): int scales on int lists, and a
+    CycInt scale on int and on CycInt sources into CycInt accumulators."""
     rng = random.Random(9)
     ints = _kernel_lists(rng, _int_cell(rng), 0)
-    cases = [pytest.param(s, ints, ints, id=f"int{s}") for s in (0, 1, -1, 2)]
+    cases = [pytest.param(s, 0, ints, ints, id=f"int{s}")
+             for s in (0, 1, -1, 2)]
     for m in (3, 5):
-        cyc = _kernel_lists(rng, _cyc_cell(rng, m), CycInt.zero(m), _CYC_SIZES)
+        zero = CycInt.zero(m)
+        cyc = _kernel_lists(rng, _cyc_cell(rng, m), zero, _CYC_SIZES)
         int_srcs = _kernel_lists(rng, _int_cell(rng), 0, _CYC_SIZES)
         root = cyc_root_power(m, 2)
-        cases += [pytest.param(root, cyc, int_srcs, id=f"cyc{m}-int-src"),
-                  pytest.param(root, cyc, cyc, id=f"cyc{m}-cyc-src"),
-                  pytest.param(1, cyc, cyc, id=f"cyc{m}-1")]
+        cases += [
+            pytest.param(root, zero, cyc, int_srcs, id=f"cyc{m}-int-src"),
+            pytest.param(root, zero, cyc, cyc, id=f"cyc{m}-cyc-src"),
+            pytest.param(1, zero, cyc, cyc, id=f"cyc{m}-1")]
     return cases
 
 
-@pytest.mark.parametrize("scale,accs,srcs", _scale_cases())
-def test_add_scaled_shifted_matches_element_loop(scale, accs, srcs):
-    # sources shorter and longer than the accumulator, and shifts up to two
+@pytest.mark.parametrize("scale,zero,accs,srcs", _scale_cases())
+def test_add_scaled_shifted_adds_a_truncated_product(scale, zero, accs, srcs):
+    # acc + scale q^shift src, the product taken by conv_truncated, for
+    # sources shorter and longer than the accumulator and shifts up to two
     # cells past its end
     for acc in accs[::2]:
         for src in srcs[1::3]:
             for shift in range(len(acc) + 3):
-                got, want = list(acc), list(acc)
+                got = list(acc)
                 kernels.add_scaled_shifted(got, src, shift, scale)
-                _add_scaled_shifted_loop(want, src, shift, scale)
-                assert got == want, (len(acc), len(src), shift)
-
-
-def _conv_truncated_loop(a, b, nmax, zero):
-    """The truncated product as a double element loop."""
-    out = [zero] * (nmax + 1)
-    for i, ai in enumerate(a[:nmax + 1]):
-        for j, bj in enumerate(b[:nmax + 1 - i]):
-            if ai and bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _conv_cases():
-    """(zero, lists): int lists, and CycInt lists at m = 3 and 5."""
-    rng = random.Random(11)
-    cases = [pytest.param(0, _kernel_lists(rng, _int_cell(rng), 0), id="int")]
-    for m in (3, 5):
-        cyc = _kernel_lists(rng, _cyc_cell(rng, m), CycInt.zero(m), _CYC_SIZES)
-        cases.append(pytest.param(CycInt.zero(m), cyc, id=f"cyc{m}"))
-    return cases
-
-
-@pytest.mark.parametrize("zero,lists", _conv_cases())
-def test_conv_truncated_matches_element_loop(zero, lists):
-    # truncations below, at and past the end of either factor
-    for a in lists[::2]:
-        for b in lists[1::3]:
-            for nmax in {0, len(a) // 2, len(a) - 1, len(b) - 1, len(a) + 2}:
-                assert kernels.conv_truncated(a, b, nmax, zero) == \
-                    _conv_truncated_loop(a, b, nmax, zero), (len(a), len(b), nmax)
-
-
-# -- reference loops for the fast paths -----------------------------------------
-
-
-def _epsilon_triangular_dense(m, precision):
-    """The triangular route with every term expanded to the full precision."""
-    acc = [0] * (precision + 1)
-    k = 0
-    while _tri(k) <= precision:
-        poly = [1] + [0] * (precision - _tri(k))
-        for i in range(m - 1):
-            kernels.mul_one_minus_uqk(poly, 1, k + 1 + i)
-        kernels.add_scaled_shifted(acc, poly, _tri(k),
-                                   (-1 if k & 1 else 1) * chi(m, k))
-        k += 1
-    return acc
-
-
-@pytest.mark.parametrize("m", range(2, 10))
-def test_triangular_degree_capped_terms_match_dense(m):
-    for precision in (0, 1, 2, 3, 5, 17, 100, 3000):
-        assert list(_epsilon_triangular(m, precision).coeffs) == \
-            _epsilon_triangular_dense(m, precision), precision
-
-
-@pytest.mark.parametrize("precision", [0, 1, 5, 40, 58, 59, 60, 61])
-def test_triangular_large_m_matches_dense(precision):
-    # at m = 60 most of each term's m - 1 factors lie past its width
-    assert list(_epsilon_triangular(60, precision).coeffs) == \
-        _epsilon_triangular_dense(60, precision)
+                term = kernels.conv_truncated([zero] * shift + [scale], src,
+                                              len(acc) - 1, zero)
+                assert got == [a + t for a, t in zip(acc, term)], \
+                    (len(acc), len(src), shift)
 
 
 def _cyc_mul_reference(a, b):

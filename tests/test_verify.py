@@ -1,6 +1,7 @@
 """The identity checkers: pass verdicts where the identities hold, honest
 fail verdicts with witnesses where they do not, and the density census."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -208,10 +209,25 @@ def test_T19_documented_case():
     assert verify("T1.9", 2, n_sum=1, precision=50).passed
 
 
-@pytest.mark.parametrize("m", range(2, 5))
-@pytest.mark.parametrize("n_sum", [1, 2, 5])
-def test_T19_grid(m, n_sum):
-    assert verify("T1.9", m, n_sum=n_sum, precision=60).passed
+def _T19_grid(m):
+    """The precisions N of T1.9's grid at m: around m, and past the
+    blocks m*n_sum - 1 of every n_sum (at m = 60, around N = 60)."""
+    if m == 60:
+        return [0, 1, 5, 40, 58, 59, 60, 61]
+    rng = random.Random(40 + m)
+    return sorted({0, 1, m - 1, m, m + 1, 60, rng.randint(0, 400),
+                   rng.randint(0, 400)})
+
+
+@pytest.mark.parametrize("m", [*range(2, 10), 12, 30, 60])
+def test_T19_grid(m):
+    # the Horner sum stops at q^(m n_sum - 1) and the product divides by
+    # (1 - q^k) only up to min(m n_sum, N), so neither loop grows with m
+    rng = random.Random(60 + m)
+    for precision in _T19_grid(m):
+        for n_sum in (1, 2, 3, 4, 5, 6, 7, rng.randint(1, 60)):
+            report = verify("T1.9", m, n_sum=n_sum, precision=precision)
+            assert report.passed, (precision, n_sum, report.first_failure)
 
 
 def test_T19_requires_n_sum():
@@ -326,6 +342,28 @@ def test_census_counts_zeros_of_E_not_where_the_count_identity_holds(
     assert density_report(m, x).N_x == len(vanish) == zeros
     assert {n for n in range(x) if m * C[n] == D[n]} == (
         vanish if holds is None else holds)
+
+
+@pytest.mark.parametrize("m,count_holds,e_zeros,gap_zeros", [
+    (4, {9, 21}, 1875, {0, 9, 21, 23}), (5, set(), 1754, {0, 9}),
+    (6, set(), 1696, {0, 12}), (7, set(), 1469, {0}), (8, set(), 1326, {0})])
+def test_gap_at_m_at_least_4_lies_in_m_C_minus_D_not_in_E(
+        m, count_holds, e_zeros, gap_zeros):
+    # up to n = 2000, E vanishes at most n, as an almost partition identity
+    # needs, but m*C(n) = D(n) almost nowhere, so no choice of E closes the
+    # gap G = m*C - D - E; G is zero at no n from 24 on, and smaller than
+    # C(n) from n = 19 on
+    n_max = 2000
+    C, D = (partitions.count_table(partitions.FamilySpec(f, m),
+                                   n_max).counts for f in "CD")
+    E = [0] * (n_max + 1)
+    for n, c in genfun.triangular_stream(m, n_max + 1):
+        E[n] = c
+    gap = [m * C[n] - D[n] - E[n] for n in range(n_max + 1)]
+    assert {n for n in range(n_max + 1) if m * C[n] == D[n]} == count_holds
+    assert E.count(0) == e_zeros
+    assert {n for n, g in enumerate(gap) if g == 0} == gap_zeros
+    assert all(abs(gap[n]) < C[n] for n in range(19, n_max + 1))
 
 
 def _assert_record(record, cls, fields):
