@@ -34,13 +34,14 @@ from glaisher.partitions import (
     count_D,
     count_table,
 )
-from glaisher.ring import CycInt
+from glaisher.ring import CycInt, chi
 from glaisher.series import (
     PochSpec,
     Series,
     inv_pochhammer,
     pochhammer,
     qbinomial,
+    qbinomial_poly,
 )
 from glaisher._checkers import _rhs_T19
 
@@ -89,12 +90,43 @@ def test_gf_regular_rejects_unknown_form():
         gf_regular(3, "C_product", 5)
 
 
+# Kept as factor-by-factor references for gf_regular, though no fault of
+# tests/test_faults.py is killed by their test alone.
+def _gf_regular_A_interleaved(m, precision):
+    """The bounded-multiplicity product factor by factor: divide by
+    (1 - q^i) and multiply back (1 - q^(m i)) for each i in turn."""
+    c = [1] + [0] * precision
+    for i in range(1, precision + 1):
+        kernels.div_one_minus_uqk(c, 1, i)
+        if m * i <= precision:
+            kernels.mul_one_minus_uqk(c, 1, m * i)
+    return c
+
+
+def _gf_regular_B_ascending(m, precision):
+    """The no-multiple product, dividing by its factors smallest first."""
+    c = [1] + [0] * precision
+    for k in range(1, precision + 1):
+        if k % m:
+            kernels.div_one_minus_uqk(c, 1, k)
+    return c
+
+
 _M_GRID = [*range(2, 10), 12, 30]
 
 
 def _precision_grid(m, rng):
     return sorted({0, 1, m - 1, m, m + 1, rng.randint(0, 400),
                    rng.randint(0, 400)})
+
+
+@pytest.mark.parametrize("m", _M_GRID)
+def test_gf_regular_matches_factor_loops(m):
+    for precision in _precision_grid(m, random.Random(90 + m)):
+        assert list(gf_regular(m, "A_product", precision).coeffs) == \
+            _gf_regular_A_interleaved(m, precision), precision
+        assert list(gf_regular(m, "B_product", precision).coeffs) == \
+            _gf_regular_B_ascending(m, precision), precision
 
 
 def test_gf_C_examples():
@@ -235,6 +267,30 @@ def test_p_polynomial_is_consistent_across_routes(m):
         epsilon(m, precision, "triangular")
 
 
+# Kept as P_m's reference from its definition through ring.chi, which shares
+# no code with genfun's row sweep, though no fault of tests/test_faults.py
+# is killed by its tests alone.
+def _p_polynomial_double_loop(m):
+    """P_m straight from its definition: each [m-1, j]_q times its inner
+    character sum, convolved term by term."""
+    out = [0] * (m * (m - 1) + 1)
+    for j in range(m):
+        qb = qbinomial_poly(m - 1 - j, j)
+        inner = [0] * (genfun._tri(j - 1) + 1 if j else 1)
+        for k in range(j):
+            inner[genfun._tri(k)] += (-1 if k & 1 else 1) * chi(m, k - j)
+        for a, ca in enumerate(qb):
+            for b, cb in enumerate(inner):
+                out[a + b] -= ca * cb
+    deg = max((i for i, c in enumerate(out) if c), default=0)
+    return tuple(out[: deg + 1])
+
+
+@pytest.mark.parametrize("m", [*range(2, 31), 40])
+def test_p_polynomial_matches_double_loop(m):
+    assert p_polynomial(m).coeffs == _p_polynomial_double_loop(m)
+
+
 @pytest.mark.parametrize("m", [3, 8, 20, 60])
 def test_qbinomial_row_is_built_once_by_one_ratio_sweep(monkeypatch, m):
     # one multiply and one exact divide per j = 1..m-1 of the row
@@ -278,7 +334,7 @@ def test_qbinomial_route_and_p_polynomial_call_no_chi(monkeypatch, m):
     # genfun writes chi_m(n) = m [m | n] - 1 inline and loads nothing from
     # ring, so a ring.chi that raises changes no route
     expected = epsilon(m, 200, "triangular")
-    p_expected = p_polynomial(m).coeffs
+    p_expected = _p_polynomial_double_loop(m)
 
     def no_chi(*args):
         raise AssertionError("chi called")
@@ -601,6 +657,40 @@ def test_gf_Bj_lhs_zero_blocks_is_one():
     assert gf_Bj_lhs(3, 0, 8) == Series.one(8)
 
 
+# Kept as the full-width block-by-residue reference for gf_Bj_lhs at every
+# n_sum, though no fault of tests/test_faults.py is killed by its tests alone.
+def _gf_Bj_lhs_full_width(m, n_sum, precision):
+    """The residue sum with the working series kept to the full precision
+    in every block."""
+    acc = [0] * (precision + 1)
+    acc[0] = 1
+    for j in range(1, m):
+        v = [1] + [0] * precision
+        for r in range(1, m - j + 1):
+            kernels.div_one_minus_uqk(v, 1, r)
+        n = 1
+        while (n_sum is None or n <= n_sum) and m * n - j <= precision:
+            kernels.add_scaled_shifted(acc, v, m * n - j, 1)
+            n += 1
+            if (n_sum is not None and n > n_sum) or m * n - j > precision:
+                break
+            for r in range(1, m - j + 1):
+                kernels.div_one_minus_uqk(v, 1, r + m * (n - 1))
+            for r in range(m - j + 1, m):
+                kernels.div_one_minus_uqk(v, 1, r + m * (n - 2))
+    return acc
+
+
+@pytest.mark.parametrize("m", _M_GRID)
+def test_gf_Bj_lhs_truncated_blocks_match_full_width(m):
+    # the Horner evaluation against the sum over blocks and residues
+    rng = random.Random(40 + m)
+    for precision in _precision_grid(m, rng):
+        for n_sum in (None, 0, 1, 2, 3, 4, 5, 6, 7, rng.randint(0, 60)):
+            assert list(gf_Bj_lhs(m, n_sum, precision).coeffs) == \
+                _gf_Bj_lhs_full_width(m, n_sum, precision), (n_sum, precision)
+
+
 def _count_kernel_calls(monkeypatch):
     calls = {}
     for name in ("mul_one_minus_uqk", "div_one_minus_uqk", "add_scaled_shifted"):
@@ -637,6 +727,15 @@ def test_gf_regular_A_product_neither_divides_nor_multiplies(monkeypatch, m):
 # -- loops bounded by the precision, not by m ---------------------------------
 
 
+# Kept with _gf_Bj_lhs_full_width as the uncapped reference at m = 60.
+def _rhs_T19_uncapped(m, n_sum, precision):
+    """(q^m; q^m)_(n_sum) / (q; q)_(m n_sum) with every divisor applied."""
+    c = list(pochhammer(PochSpec(1, m, m, n_sum), precision).coeffs)
+    for k in range(1, m * n_sum + 1):
+        kernels.div_one_minus_uqk(c, 1, k)
+    return c
+
+
 _M_BOUNDED = {
     "gf_Bj_lhs-inf": lambda m, p: gf_Bj_lhs(m, None, p),
     "gf_Bj_lhs-2": lambda m, p: gf_Bj_lhs(m, 2, p),
@@ -662,6 +761,17 @@ def test_kernel_calls_stop_growing_with_m(monkeypatch, route, precision):
         _M_BOUNDED[route](m, precision)
         counts.append(len(calls))
     assert len(set(counts)) == 1, counts
+
+
+@pytest.mark.parametrize("precision", [0, 1, 5, 40, 58, 59, 60, 61])
+def test_m_bounded_loops_match_uncapped_loops(precision):
+    m = 60
+    for n_sum in (None, 0, 1, 2, 3, 7):
+        assert list(gf_Bj_lhs(m, n_sum, precision).coeffs) == \
+            _gf_Bj_lhs_full_width(m, n_sum, precision)
+    for n_sum in (1, 2):
+        assert list(_rhs_T19(m, n_sum, precision).coeffs) == \
+            _rhs_T19_uncapped(m, n_sum, precision)
 
 
 def test_epsilon3_intermediate_sum_form():
