@@ -21,9 +21,10 @@ submodules included, is loaded on first use (PEP 562).  In the CLI,
 `--help` and `--version` load none of `ring`, `series`, `kernels`,
 `partitions` or `genfun`; `count` loads `partitions` alone; `expand` and
 `density` load `genfun` with the `series` and `kernels` it is built on,
-and no `partitions` or `ring`; `verify` loads `_checkers` and what its
-theorem checks.  No command loads `ring`: only `map_ring` and the
-Z[zeta_m] names themselves import it.
+and no `partitions` or `ring` (the `definition` route adds
+`_definition`, its packed arithmetic); `verify` loads `_checkers` and
+what its theorem checks.  No command loads `ring`: only `map_ring` and
+the Z[zeta_m] names themselves import it.  No command loads `json`.
 """
 
 __version__ = "0.1.0"

@@ -35,13 +35,20 @@ def verify_T12(m: int, n_max: int) -> tuple:
     from .genfun import gf_regular
 
     ns = range(n_max + 1)
-    # the products are expanded only when the counts agree
-    first = (_first_mismatch(ns, _counts("A", m, n_max), _counts("B", m, n_max),
-                             "A({})".format, "B({})".format)
-             or _first_mismatch(ns, gf_regular(m, "A_product", n_max).coeffs,
-                                gf_regular(m, "B_product", n_max).coeffs,
-                                "[q^{}] A_product".format,
-                                "[q^{}] B_product".format))
+    A = _counts("A", m, n_max)
+    first = _first_mismatch(ns, A, _counts("B", m, n_max),
+                            "A({})".format, "B({})".format)
+    # the products are expanded only when the counts agree; count A is
+    # then compared with A_product too, so a fault that moves both DP
+    # tables alike (a shared decode or power-sum step) still shows
+    if first is None:
+        a_product = gf_regular(m, "A_product", n_max).coeffs
+        first = (_first_mismatch(ns, a_product,
+                                 gf_regular(m, "B_product", n_max).coeffs,
+                                 "[q^{}] A_product".format,
+                                 "[q^{}] B_product".format)
+                 or _first_mismatch(ns, A, a_product, "A({})".format,
+                                    "[q^{}] A_product".format))
     return 0, ["counts", "products"], {}, first
 
 

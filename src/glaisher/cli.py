@@ -6,8 +6,10 @@ so an option parses only under its full name.  Every call is a fresh
 process, so the module loads at start-up only the stdlib modules the
 grammar needs, the package constants and the `verify` layer (which the
 package loads anyway).  Each command imports the layer it runs when it
-runs: `count` loads `partitions` and `expand` loads `genfun`; `json` and
-`csv` load only for their `--format`.
+runs: `count` loads `partitions` and `expand` loads `genfun` (and
+`_definition` for `--route definition`); `csv` loads only for
+`--format csv`.  No command loads `json`: `_json` writes the same text by
+joins.
 
 Every command prints through one output path, `_emit`: `main` opens
 `--out`, then the command checks its arguments, does its work and hands
@@ -88,15 +90,54 @@ def _open_out(opts) -> None:
         ) from None
 
 
-def _emit(opts, payload, header, rows, text) -> None:
-    """Print a command's result in its --format, to the --out file or to
-    stdout, ending in one newline: `payload` as indented JSON, `header`
-    and `rows` as CSV, or the string `text()` returns.  `json` and `csv`
-    load only for their own format, and `text` is called only for text."""
-    if opts.fmt == "json":
+def _plain(s: str) -> bool:
+    """Whether `json.dumps` writes `s` as it is between two quotes: it
+    escapes a quote, a backslash and every character outside printable
+    ASCII."""
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+
+
+def _json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, built by joins, for the values a
+    payload holds: dicts with string keys, lists, strings, ints, bools and
+    None.  `indent` is the newline and indentation of the line `value`
+    starts on.  `json` loads only for a string that needs escaping.  A
+    list of strings none of which needs escaping is two joins, so the
+    count and coefficient lists print at C speed."""
+    if isinstance(value, str):
+        if _plain(value):
+            return f'"{value}"'
         import json
 
-        body = json.dumps(payload, indent=2)
+        return json.dumps(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{_json(key, inner)}: {_json(v, inner)}"
+                 for key, v in value.items()]
+    else:  # a list
+        brackets = "[]"
+        if set(map(type, value)) == {str} and _plain("".join(value)):
+            items = ['"' + ('",' + inner + '"').join(value) + '"']
+        else:
+            items = [_json(v, inner) for v in value]
+    if not items:
+        return brackets
+    return (brackets[0] + inner + ("," + inner).join(items) + indent
+            + brackets[1])
+
+
+def _emit(opts, payload, header, rows, text) -> None:
+    """Print a command's result in its --format, to the --out file or to
+    stdout, ending in one newline: `payload` as indented JSON (`_json`),
+    `header` and `rows` as CSV, or the string `text()` returns.  `csv`
+    loads only for its own format, and `text` is called only for text."""
+    if opts.fmt == "json":
+        body = _json(payload)
     elif opts.fmt == "csv":
         import csv
         import io

@@ -20,7 +20,8 @@ reads only the old c[t - k].  The divide's recurrence g[t] = f[t] +
 u g[t - k] reads cells it has just written, so it takes one of two forms.
 For k^2 <= n each residue class mod k is one running sum; otherwise the
 list is worked in blocks of k cells, each reading only the previous block,
-which is already final, and a block whose source is all zero is skipped.
+which is already final, sliced to the cells that land below n + 1, and a
+block whose source is all zero is skipped.
 Either way a divide makes at most about sqrt(n) slice calls.
 """
 
@@ -68,7 +69,7 @@ def div_one_minus_uqk(c, u, k):
             c[r::k] = accumulate(c[r::k], step)
         return
     for lo in range(k, n + 1, k):
-        src = c[lo - k:lo]
+        src = c[lo - k:min(lo, n + 1 - k)]  # the cells that land
         if any(src):
             c[lo:lo + k] = map(add, c[lo:lo + k], _times(u, src))
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glaisher
-from glaisher.cli import main
+from glaisher.cli import _json, main
 from glaisher.verify import THEOREMS
 
 
@@ -228,6 +228,33 @@ def test_json_round_trips_byte_identically(runner, args, keys):
     body = result.output.rstrip("\n")
     assert json.dumps(json.loads(body), indent=2) == body
     assert list(json.loads(body)) == keys
+
+
+_AWKWARD = ['say "hi"', "back\\slash", "nul\x00 tab\t newline\n unit\x1f",
+            "del\x7f", "café", "∑ \U0001d11e", "", "plain"]
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(_AWKWARD, id="strings"),
+    pytest.param({text: text for text in _AWKWARD}, id="keys"),
+    pytest.param(["plain", "", "0", "-12"], id="plain-strings"),
+    pytest.param([], id="empty-list"),
+    pytest.param({}, id="empty-dict"),
+    pytest.param([[], [1, [2, []]], [[[]]], ["a", 3, None]], id="nested"),
+    pytest.param([None, True, False, 0, -7, 10 ** 40], id="scalars"),
+    pytest.param({"first_failure": {"n": 5, "lhs": "A(5)=7",
+                                    "rhs": 'B(5)="8"', "ok": False,
+                                    "nested": {"deep": [], "none": None}},
+                  "range": [0, 40], "routes": ["counts"]}, id="dict"),
+    pytest.param({"first_failure": None, "range": [0, 40], "routes": []},
+                 id="none-in-place-of-dict"),
+    pytest.param("say \"é\"", id="bare-string"),
+    pytest.param(None, id="bare-none"),
+])
+def test_json_writer_matches_json_dumps(payload):
+    # `_json` builds the --format json text without the json module, except
+    # for a string it must escape
+    assert _json(payload) == json.dumps(payload, indent=2)
 
 
 def test_verify_mismatch_exit_one(runner):
@@ -526,18 +553,20 @@ _ENGINE = {"glaisher.genfun", "glaisher.series", "glaisher.kernels"}
                  id="count-csv"),
     pytest.param(["expand", "--series", "epsilon", "--m", "3", "--precision",
                   "20", "--route", "definition", "--format", "json"],
-                 _ENGINE | {"json"}, id="expand"),
+                 _ENGINE | {"glaisher._definition"}, id="expand"),
     pytest.param(["expand", "--series", "D", "--m", "3", "--precision", "20"],
                  _ENGINE, id="expand-D"),
     pytest.param(["density", "--m", "3", "--x", "200", "--format", "json"],
-                 _ENGINE | {"json"}, id="density"),
+                 _ENGINE, id="density"),
     pytest.param(["verify", "--theorem", "T1.3", "--m", "3", "--n-max", "20"],
                  {"glaisher._checkers", "glaisher.partitions"}, id="verify"),
 ])
 def test_each_command_loads_only_the_layers_it_runs(args, loads):
     # `import glaisher.cli` loads no layer but `verify`, and neither json
     # nor csv; the command then adds exactly the modules in `loads`, so no
-    # command loads fractions or decimal (`density` prints N_x/x itself)
+    # command loads fractions or decimal (`density` prints N_x/x itself),
+    # no --format json loads json, and only the definition route loads
+    # `_definition`
     src = str(Path(glaisher.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import glaisher.cli\n"
             "def ours(names):\n"

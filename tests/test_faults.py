@@ -22,7 +22,7 @@ from functools import cache
 
 import pytest
 
-from glaisher import genfun, kernels, partitions
+from glaisher import _definition, genfun, kernels, partitions
 from glaisher.verify import THEOREMS, verify
 
 _SIZE = 200
@@ -73,11 +73,11 @@ _FAULTS = {
     "kernels.div_one_minus_uqk": _bump_in_place,
     "kernels.add_scaled_shifted": _bump_in_place,
     "partitions._unpack": _bump_result,
-    "genfun._unpack_signed": _bump_result,
-    "genfun._mul_packed_pair": _bump_in_place,
-    "genfun._top_product": _bump_result,
+    "_definition._unpack_signed": _bump_result,
+    "_definition._mul_packed_pair": _bump_in_place,
+    "_definition._top_product": _bump_result,
     "partitions._window": _plus_one,
-    "genfun._window": _plus_one,
+    "_definition._window": _plus_one,
     "partitions._over": _plus_one,
     "partitions._allow_part": _plus_one,
     "partitions._allow_large_parts": _plus_one,
@@ -86,7 +86,8 @@ _FAULTS = {
     "genfun._qbinomial_row": _bump_result,
 }
 
-_MODULES = {"kernels": kernels, "partitions": partitions, "genfun": genfun}
+_MODULES = {"kernels": kernels, "partitions": partitions, "genfun": genfun,
+            "_definition": _definition}
 
 # one group per selector, in THEOREMS order, one cell per m (3, then 5)
 #                                 T1.2 E1.4 T1.3 T1.4 T1.5 T1.6 T1.8 T1.9 C1.10
@@ -95,29 +96,25 @@ _MATRIX = {
     "kernels.mul_one_minus_uqk":     ".. .. .. RR . . FP FF ..",
     "kernels.div_one_minus_uqk":     "FF .. .. RR . . .. FF FF",
     "kernels.add_scaled_shifted":    "FF .. .. FP . . .. .. FF",
-    "partitions._unpack":            "PP FF PP FP . F FP .. ..",
-    "genfun._unpack_signed":         ".. .. .. FF F . .. .. ..",
-    "genfun._mul_packed_pair":       ".. .. .. F. F . .. .. ..",
-    "genfun._top_product":           ".. .. .. FF F . .. .. ..",
+    "partitions._unpack":            "FF FF PP FP . F FP .. ..",
+    "_definition._unpack_signed":    ".. .. .. FF F . .. .. ..",
+    "_definition._mul_packed_pair":  ".. .. .. F. F . .. .. ..",
+    "_definition._top_product":      ".. .. .. FF F . .. .. ..",
     "partitions._window":            "FF FF FF FP . F FP .. ..",
-    "genfun._window":                ".. .. .. FF F . .. .. ..",
+    "_definition._window":           ".. .. .. FF F . .. .. ..",
     "partitions._over":              "FF FF PP PP . P FP .. ..",
     "partitions._allow_part":        "FF FF FF FP . F FP .. ..",
-    "partitions._allow_large_parts": "PP FF .. FP . F FP .. ..",
+    "partitions._allow_large_parts": "FF FF .. FP . F FP .. ..",
     "genfun._euler_inverse":         "FF .. .. FP . . .. .. FF",
     "genfun.triangular_stream":      ".. .. .. FP . . FP .. ..",
     "genfun._qbinomial_row":         ".. .. .. FP . . .. .. ..",
 }
 
 # the pass cells where the selector calls the faulted primitive on both
-# sides of its comparison and still passes; none is closed yet
+# sides of its comparison and still passes (T1.2's two, under `_unpack`
+# and `_allow_large_parts`, closed when it also compared count A with
+# A_product, which reads no table)
 _BLIND = {
-    ("partitions._unpack", "T1.2"):
-        "A and B both decode through it, so cell 200 gains 1 on both "
-        "sides, and the product half reads no table",
-    ("partitions._allow_large_parts", "T1.2"):
-        "A and B each take one power-sum step, so cell 200 gains 1 on both "
-        "sides",
     ("partitions._unpack", "T1.3"):
         "Bj and C both decode through it, and the last cells, Bj(200) and "
         "C(201), are the pair T1.3 compares",

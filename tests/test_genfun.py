@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glaisher import genfun, kernels, ring, series
+from glaisher import _definition, genfun, kernels, ring, series
 from glaisher.genfun import (
     EPSILON_ROUTES,
     epsilon,
@@ -406,14 +406,14 @@ def test_definition_expands_one_product_per_proper_divisor(
     # index i = 1..c
     calls = []
 
-    def counted(*args, _real=genfun._mul_packed_pair):
+    def counted(*args, _real=_definition._mul_packed_pair):
         calls.append(args)
         return _real(*args)
-    monkeypatch.setattr(genfun, "_mul_packed_pair", counted)
+    monkeypatch.setattr(_definition, "_mul_packed_pair", counted)
     epsilon(m, precision, "definition")
-    c = genfun._definition_cut(m, precision)
+    c = _definition._definition_cut(m, precision)
     assert len(calls) == c
-    w = genfun._definition_slot_bits(m, precision)
+    w = _definition._definition_slot_bits(m, precision)
     assert sorted(s // w for _, s, *_ in calls) == list(range(1, c + 1))
 
 
@@ -425,13 +425,13 @@ def test_definition_holds_only_the_live_residues(monkeypatch):
     live = max(a for a in range(m) if a * (a + 1) // 2 <= precision) + 1
     lengths = []
 
-    def counted(p, *args, _real=genfun._mul_packed_pair):
+    def counted(p, *args, _real=_definition._mul_packed_pair):
         lengths.append(len(p))
         return _real(p, *args)
-    monkeypatch.setattr(genfun, "_mul_packed_pair", counted)
+    monkeypatch.setattr(_definition, "_mul_packed_pair", counted)
     assert epsilon(m, precision, "definition") == \
         epsilon(m, precision, "triangular")
-    assert len(lengths) == genfun._definition_cut(m, precision)
+    assert len(lengths) == _definition._definition_cut(m, precision)
     assert live == 35
     assert max(lengths) <= live + 1
 
@@ -449,12 +449,13 @@ def test_definition_cut_rule():
     for precision in range(0, 6000, 7):
         r = _cut_ratio(precision)
         for m in (2, 3, 12, 200, 2000):
-            assert genfun._definition_cut(m, precision) == \
+            assert _definition._definition_cut(m, precision) == \
                 max(precision // m, precision // r), (m, precision)
-    assert [genfun._definition_cut(2, n) for n in (0, 1, 6, 7)] == [0, 0, 3, 3]
-    assert [genfun._definition_cut(3, n) for n in (7, 22, 23)] == [2, 7, 7]
-    assert genfun._definition_cut(3, 5000) == 1666
-    assert genfun._definition_cut(12, 3000) == 333
+    cut = _definition._definition_cut
+    assert [cut(2, n) for n in (0, 1, 6, 7)] == [0, 0, 3, 3]
+    assert [cut(3, n) for n in (7, 22, 23)] == [2, 7, 7]
+    assert _definition._definition_cut(3, 5000) == 1666
+    assert _definition._definition_cut(12, 3000) == 333
 
 
 @pytest.mark.parametrize("m,precision", [(200, 500), (385, 300), (2000, 40)])
@@ -464,16 +465,17 @@ def test_top_product_runs_at_most_r_minus_1_newton_levels(
     # most k + 1 residues each, however large m is
     strides = []
 
-    def counted(z, lo, d, count, mask, _real=genfun._window):
+    def counted(z, lo, d, count, mask, _real=_definition._window):
         strides.append(d)
         return _real(z, lo, d, count, mask)
-    monkeypatch.setattr(genfun, "_window", counted)
+    monkeypatch.setattr(_definition, "_window", counted)
     assert epsilon(m, precision, "definition") == \
         epsilon(m, precision, "triangular")
-    w = genfun._definition_slot_bits(m, precision)
+    w = _definition._definition_slot_bits(m, precision)
     r = _cut_ratio(precision)
     levels = max(d // w for d in strides)
-    assert levels == precision // (genfun._definition_cut(m, precision) + 1)
+    c = _definition._definition_cut(m, precision)
+    assert levels == precision // (c + 1)
     assert levels <= r - 1
     assert len(strides) <= sum(k * (k + 1) for k in range(1, r))
 
@@ -508,10 +510,10 @@ def test_definition_slot_width_holds(m, precision):
     acc = _definition_residues(m, precision, (1,), peaks)
     expected = [m * a - sum(cell) for a, cell in zip(acc[0], zip(*acc))]
     peaks.append(max(map(abs, expected)))
-    c = genfun._definition_cut(m, precision)
+    c = _definition._definition_cut(m, precision)
     e = _top_elementary(m, precision, c)
     peaks.extend(k * max(map(max, ek)) for k, ek in enumerate(e))
-    w = genfun._definition_slot_bits(m, precision)
+    w = _definition._definition_slot_bits(m, precision)
     assert max(peaks) < 1 << (w - 1)
     assert list(epsilon(m, precision, "definition").coeffs) == expected
     # the step's product is sum_k (-1)^k e_k
@@ -520,9 +522,9 @@ def test_definition_slot_width_holds(m, precision):
     for k, ek in enumerate(e):
         for total, cells in zip(product, ek):
             kernels.add_scaled_shifted(total, cells, 0, -1 if k & 1 else 1)
-    top = genfun._top_product(m, c, w, precision, mask)
+    top = _definition._top_product(m, c, w, precision, mask)
     assert len(top) == precision // (c + 1) + 1
-    assert [genfun._unpack_signed(x, w, precision) for x in
+    assert [_definition._unpack_signed(x, w, precision) for x in
             top + [0] * (m - len(top))] == product
 
 
@@ -581,7 +583,7 @@ def _definition_grid():
     for m in range(2, 10):
         grid[m].add(3 * m + 2)
     for m in (*range(2, 13), 20, 30, 60, 105, 200, 385, 2000):
-        c = genfun._definition_cut(m, 600)
+        c = _definition._definition_cut(m, 600)
         grid.setdefault(m, set()).update(
             {0, 1, 2, m - 1, m, m + 1, c, c + 1, 150, 600})
     for m, precision in ((3, 1000), (3, 2000), (5, 600), (7, 400), (20, 300),

@@ -472,6 +472,11 @@ def _bump_series(monkeypatch, name, n, only=None):
                  ("T1.2", 3), {"n_max": 40},
                  (11, "[q^11] A_product=27", "[q^11] B_product=28"),
                  id="T1.2-products"),
+    pytest.param(lambda mp: (_bump_table(mp, "_build_bounded_mult", 7),
+                             _bump_table(mp, "_build_B", 7)),
+                 ("T1.2", 3), {"n_max": 40},
+                 (7, "A(7)=10", "[q^7] A_product=9"),
+                 id="T1.2-counts-alike"),
     pytest.param(lambda mp: _bump_table(mp, "_build_B", 5), ("E1.4", 4),
                  {"n_max": 40}, (5, "sum_j Bj(5)=6", "B(5)=7"), id="E1.4-B"),
     pytest.param(lambda mp: _bump_table(mp, "_build_Bj", 6, j=2), ("E1.4", 4),
