@@ -16,6 +16,8 @@ under the name at the time.
 
 from __future__ import annotations
 
+from math import isqrt
+
 
 def _counts(family: str, m: int, n_max: int, j: int | None = None) -> tuple:
     from .partitions import FamilySpec, count_table
@@ -139,12 +141,9 @@ def verify_T15(m: int, n_max: int) -> tuple:
 
 
 def _excluded_T16(n_max: int) -> set[int]:
-    out = set()
-    k = 0
-    while k * (k + 1) // 2 + 1 <= n_max:
-        out.add(k * (k + 1) // 2 + 1)
-        k += 1
-    return out
+    # k(k + 1)/2 < n_max needs k < sqrt(2 n_max)
+    return {k * (k + 1) // 2 + 1 for k in range(isqrt(2 * n_max) + 1)
+            if k * (k + 1) // 2 < n_max}
 
 
 def verify_T16(m: int, n_max: int) -> tuple:

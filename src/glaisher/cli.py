@@ -342,11 +342,12 @@ def _command(subparsers, name: str, run):
     return parser
 
 
-def _add_output(parser, out_help=None) -> None:
+def _add_output(parser) -> None:
     """The options every command ends with: --format, --out and --help."""
     parser.add_argument("--format", dest="fmt", choices=FORMATS,
                         default="text", help="(default: %(default)s)")
-    parser.add_argument("--out", default=None, help=out_help)
+    parser.add_argument("--out", default=None,
+                        help="Write to a file instead of stdout.")
     _add_help(parser)
 
 
@@ -369,7 +370,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
                    help="Residue branch for family Bj (1 <= j <= m-1).")
     p.add_argument("--n-max", dest="n_max", type=int, default=DEFAULT_RANGE,
                    help="Largest n to count.  (default: %(default)s)")
-    _add_output(p, "Write to a file instead of stdout.")
+    _add_output(p)
 
     p = _command(subs, "expand", expand)
     p.add_argument("--series", dest="series_name", choices=SERIES_CHOICES,

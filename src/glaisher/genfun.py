@@ -99,14 +99,12 @@ def gf_C(m: int, precision: int) -> Series:
     _check_precision(precision)
     acc = [1] + [0] * precision  # n = 0 term
     term = [1] + [0] * precision
-    n = 1
-    while m * n <= precision:
+    for n in range(1, precision // m + 1):
         # term_n = term_{n-1} / ((1-q^(mn-m+1))...(1-q^(mn-1)))
         del term[precision - m * n + 1:]
         for r in range(m * (n - 1) + 1, m * n):
             kernels.div_one_minus_uqk(term, 1, r)
         kernels.add_scaled_shifted(acc, term, m * n, 1)
-        n += 1
     return Series._wrap(acc)
 
 
@@ -163,14 +161,12 @@ def gf_D(m: int, precision: int) -> Series:
     _check_precision(precision)
     inner = _bounded_product(m, precision)
     acc = list(inner)  # j = 0
-    j = 1
-    while m * j <= precision:
+    for j in range(1, precision // m + 1):
         # drop the i = j factor: multiply back (1 - q^j) / (1 - q^(m j))
         del inner[precision - m * j + 1:]
         kernels.mul_one_minus_uqk(inner, 1, j)
         kernels.div_one_minus_uqk(inner, 1, m * j)
         kernels.add_scaled_shifted(acc, inner, m * j, 1)
-        j += 1
     return Series._wrap(acc)
 
 

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+# An installed glaisher is tested in place of src/, added only without one.
 try:
     import glaisher  # noqa: F401
 except ImportError:

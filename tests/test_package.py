@@ -39,7 +39,7 @@ _PUBLIC = sorted([*_SUBMODULES, *(n for ns in _DEFINED_IN.values()
 
 def _fresh(code: str) -> str:
     """Run `code` in a new interpreter without site-packages that imports
-    glaisher from this source tree; return its stdout."""
+    glaisher from where the tests imported it; return its stdout."""
     src = str(Path(glaisher.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
