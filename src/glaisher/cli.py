@@ -73,6 +73,12 @@ def _check_bound(value: int, name: str):
         )
 
 
+def _check_p_cells(m: int):
+    """Bound --m where the work is P_m's size: its row [m - 1, j]_q holds
+    at most m(m - 1)/2 cells (none for m < 2, which the command rejects)."""
+    _check_bound(max(m, 0) * (m - 1) // 2, f"--m {m}: P_m's m(m - 1)/2 cells")
+
+
 def _open_out(opts) -> None:
     """Open the --out file before the command checks its arguments, so a
     path that cannot be written (a missing directory, a directory itself)
@@ -204,6 +210,8 @@ def expand(opts) -> int:
     series_name, m, precision, route = (
         opts.series_name, opts.m, opts.precision, opts.route)
     _check_bound(precision, "--precision")
+    if series_name == "P":
+        _check_p_cells(m)
     if series_name in ("A", "B"):
         s = gf_regular(m, f"{series_name}_product", precision)
     elif series_name == "Bj-lhs":
@@ -287,6 +295,7 @@ def density(opts) -> int:
     Exits 0 when the census is within the bound, 1 when it breaks it.
     """
     _check_bound(opts.x, "--x")
+    _check_p_cells(opts.m)
     stats = density_report(opts.m, opts.x)
     payload = {
         "command": "density",

@@ -6,8 +6,9 @@ different routes:
 * ``gf_regular`` expands the two classical product forms whose equality is
   Glaisher's theorem: the bounded-multiplicity form as
   (q^m; q^m)_inf / (q; q)_inf, the partition numbers of Euler's pentagonal
-  recurrence times one shifted add per pentagonal exponent (O(N^1.5)), and
-  the no-multiple form as one division per factor, largest factor first.
+  recurrence times (q^m; q^m)_inf through the truncated-product kernel,
+  one shifted add per pentagonal exponent (O(N^1.5)), and the no-multiple
+  form as one division per factor, largest factor first.
 * ``gf_C`` / ``gf_D`` expand the largest-part-multiple and
   smallest-part-exactly-m families directly from their product/sum forms,
   each block kept only to the coefficients it can still land; gf_D starts
@@ -140,14 +141,15 @@ def _euler_inverse(precision: int) -> list[int]:
 
 def _bounded_product(m: int, precision: int) -> list[int]:
     """The coefficients of prod_i (1 - q^(m i))/(1 - q^i) =
-    (q^m; q^m)_inf / (q; q)_inf: the partition numbers from Euler's
-    pentagonal recurrence, times the sparse (q^m; q^m)_inf, one shifted add
-    per pentagonal exponent."""
-    partitions = _euler_inverse(precision)
-    out = list(partitions)
+    (q^m; q^m)_inf / (q; q)_inf: the sparse (q^m; q^m)_inf (1 at 0, each
+    pentagonal sign at m g) times the partition numbers from Euler's
+    pentagonal recurrence, through `kernels.conv_truncated`, which makes
+    one shifted add per nonzero cell."""
+    euler = [1] + [0] * precision
     for g, sign in _pentagonal(precision // m):
-        kernels.add_scaled_shifted(out, partitions, m * g, sign)
-    return out
+        euler[m * g] = sign
+    return kernels.conv_truncated(euler, _euler_inverse(precision),
+                                  precision, 0)
 
 
 def gf_D(m: int, precision: int) -> Series:

@@ -1,9 +1,10 @@
-"""Series kernels: the four loops over coefficient lists.
+"""Series kernels: the four operations on coefficient lists.
 
 These loops are the hot spots of every truncated-series computation in the
 package.  `series`, `genfun` and `_checkers` call them as `kernels.<name>`,
 never imported by name, so wrapping the module attribute (as the
-benchmark's spans do) sees every call.
+benchmark's spans do) sees every call.  `Series.__mul__` and Glaisher's
+bounded-multiplicity product in `genfun` take the truncated product.
 
 Coefficients are opaque ring elements: only `+`, `-`, `*`, `bool` and
 `== 1` are used, so int and CycInt lists go through the same code paths.
@@ -14,9 +15,11 @@ lists), its conjugate-product sum for `map_ring`, and
 
 Every kernel works in slices, one form for every unit: `_times` scales a
 slice by u, leaving zeros as they are and the slice itself when u is 1.
-The truncated product adds one scaled slice of b for each nonzero cell
-of a.  The multiply by (1 - u q^k) is one slice pass, since every new c[t]
-reads only the old c[t - k].  The divide's recurrence g[t] = f[t] +
+The truncated product walks the nonzero cells of a and adds a scaled
+shift of b for each through `add_scaled_shifted`, looked up as a module
+global, so wrapping that attribute sees these calls too.  The
+multiply by (1 - u q^k) is one slice pass, since every new c[t] reads
+only the old c[t - k].  The divide's recurrence g[t] = f[t] +
 u g[t - k] reads cells it has just written, so it takes one of two forms.
 For k^2 <= n each residue class mod k is one running sum; otherwise the
 list is worked in blocks of k cells, each reading only the previous block,
@@ -34,8 +37,7 @@ def conv_truncated(a, b, nmax, zero):
     out = [zero] * (nmax + 1)
     for i, ai in enumerate(a[:nmax + 1]):
         if ai:
-            hi = min(nmax + 1 - i, len(b))
-            out[i:i + hi] = map(add, out[i:i + hi], _times(ai, b[:hi]))
+            add_scaled_shifted(out, b, i, ai)
     return out
 
 

@@ -6,6 +6,11 @@ package targets).  Elements of Z[zeta_m] are kept in the power basis
 1, z, ..., z^(phi(m)-1) and reduced modulo the m-th cyclotomic polynomial,
 so representations are unique and "is this a rational integer?" is a
 constant-time check on the coordinates.
+
+Every reduction is one long division by a monic polynomial,
+`_poly_divmod`: it divides x^m - 1 by each Phi_d to build Phi_m (checked
+exact), builds the cached table of z^e as remainders, and reduces the
+schoolbook product of two elements to its remainder.
 """
 
 from __future__ import annotations
@@ -25,57 +30,51 @@ class CycPoly(namedtuple("CycPoly", "m coefficients")):
         return len(self.coefficients) - 1
 
 
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials; raises if a remainder is left."""
-    num = list(num)
-    dd = len(den) - 1
+def _poly_divmod(num: list[int], den: tuple) -> tuple[list[int], list[int]]:
+    """Long division of an integer polynomial, with at least deg(den)
+    coefficients, by a monic one, coefficients in ascending degree: the
+    quotient and the remainder, deg(den) coefficients."""
     if den[-1] != 1:
         raise ValueError("divisor must be monic")
-    quot = [0] * (len(num) - dd)
+    dd = len(den) - 1
+    rem = list(num)
+    quot = [0] * (len(rem) - dd)
     for i in range(len(quot) - 1, -1, -1):
-        c = num[i + dd]
-        quot[i] = c
+        c = quot[i] = rem[i + dd]
         if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return quot
+            for j, d in enumerate(den, i):
+                rem[j] -= c * d
+    return quot, rem[:dd]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> CycPoly:
     """Phi_m: x^m - 1 divided exactly by Phi_d for each proper divisor d
     of m in turn, each Phi_d itself computed the same way (recursively).
-    At m = 1 there is no proper divisor, and x - 1 is Phi_1."""
+    At m = 1 there is no proper divisor, and x - 1 is Phi_1.  Each quotient
+    of a monic polynomial by a monic one is monic, so Phi_m is too."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     quot = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            quot = _poly_divexact(quot, cyclotomic_polynomial(d).coefficients)
-    if quot[-1] != 1:
-        raise ArithmeticError(f"Phi_{m} came out non-monic")
+            phi_d = cyclotomic_polynomial(d).coefficients
+            quot, rem = _poly_divmod(quot, phi_d)
+            if any(rem):
+                raise ArithmeticError("polynomial division left a remainder")
     return CycPoly(m, tuple(quot))
 
 
 @lru_cache(maxsize=None)
 def _root_powers(m: int) -> tuple[tuple[int, ...], ...]:
-    """Power-basis coordinates of z^e for e in [0, m); z^e for any e >= 0
-    is row e % m."""
-    phi_poly = cyclotomic_polynomial(m)
-    phi = phi_poly.degree
-    # z^phi = -(c_0 + c_1 z + ... + c_{phi-1} z^{phi-1})
-    z_phi = [-c for c in phi_poly.coefficients[:phi]]
-    row = [1] + [0] * (phi - 1)
-    powers = []
-    for _ in range(m):
-        powers.append(tuple(row))
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            row = [r + top * b for r, b in zip(row, z_phi)]
-    return tuple(powers)
+    """Power-basis coordinates of z^e for e in [0, m), each the remainder of
+    x^e modulo Phi_m, taken as that of x times the row before; z^e for any
+    e >= 0 is row e % m."""
+    phi_poly = cyclotomic_polynomial(m).coefficients
+    powers = [[1] + [0] * (len(phi_poly) - 2)]
+    while len(powers) < m:
+        powers.append(_poly_divmod([0] + powers[-1], phi_poly)[1])
+    return tuple(map(tuple, powers))
 
 
 def euler_phi(m: int) -> int:
@@ -96,12 +95,10 @@ class CycInt:
     def __init__(self, m: int, coords):
         if m < 2:
             raise ValueError("CycInt requires m >= 2")
-        phi = len(_root_powers(m)[0])
         coords = tuple(coords)
-        if len(coords) != phi:
-            raise ValueError(
-                f"need exactly phi({m}) = {phi} coordinates, got {len(coords)}"
-            )
+        if len(coords) != euler_phi(m):
+            raise ValueError(f"need exactly phi({m}) = {euler_phi(m)} "
+                             f"coordinates, got {len(coords)}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coords", coords)
 
@@ -118,8 +115,7 @@ class CycInt:
 
     @classmethod
     def from_int(cls, m: int, c: int) -> "CycInt":
-        phi = len(_root_powers(m)[0])
-        return cls(m, (c,) + (0,) * (phi - 1))
+        return cls(m, (c,) + (0,) * (euler_phi(m) - 1))
 
     @classmethod
     def zero(cls, m: int) -> "CycInt":
@@ -167,23 +163,13 @@ class CycInt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m = self.m
-        powers = _root_powers(m)
         a, b = self.coords, o.coords
-        phi = len(a)
-        prod = [0] * (2 * phi - 1)
+        prod = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        for t in range(len(prod) - 1, phi - 1, -1):
-            c = prod[t]
-            if c:
-                row = powers[t % m]
-                for i in range(phi):
-                    prod[i] += c * row[i]
-        return CycInt._wrap(m, tuple(prod[:phi]))
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
+        phi_poly = cyclotomic_polynomial(self.m).coefficients
+        return CycInt._wrap(self.m, tuple(_poly_divmod(prod, phi_poly)[1]))
 
     __rmul__ = __mul__
 

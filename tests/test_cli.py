@@ -143,6 +143,58 @@ def test_expand_p_polynomial(runner):
     assert result.output.splitlines()[1:] == ["0,1"]
 
 
+# the commands whose work is P_m's size, m(m - 1)/2 cells at most, each
+# with the function it does that work in
+_P_COMMANDS = {
+    "density": ("glaisher.cli.density_report", ["density", "--x", "10"]),
+    "expand": ("glaisher.genfun.p_polynomial", ["expand", "--series", "P"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_P_COMMANDS))
+def test_m_over_the_P_m_bound_is_a_usage_error_before_any_work(
+        monkeypatch, runner, tmp_path, command):
+    # 101 * 100 / 2 = 5050 cells exceed the default ceiling of 5000
+    target, args = _P_COMMANDS[command]
+    calls = []
+    monkeypatch.setattr(target, lambda *args: calls.append(args))
+    out = tmp_path / "out.txt"
+    result = runner.invoke(main, args + ["--m", "101", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == (
+        f"glaisher {command}: error: --m 101: P_m's m(m - 1)/2 cells = 5050 "
+        "exceeds the ceiling 5000 (override with GLAISHER_CEILING)")
+    assert calls == []
+    assert out.read_bytes() == b""
+
+
+def test_m_100_is_within_the_P_m_bound(runner):
+    from glaisher.genfun import p_polynomial
+    from glaisher.verify import density_report
+
+    result = runner.invoke(main, ["expand", "--series", "P", "--m", "100",
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["coefficients"] == \
+        [str(c) for c in p_polynomial(100).coeffs]
+    result = runner.invoke(main, ["density", "--m", "100", "--x", "60",
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    stats = density_report(100, 60)
+    payload = json.loads(result.output)
+    assert (payload["nonzero_count"], payload["window_bound"]) == \
+        (stats.nonzero_count, stats.window_bound)
+
+
+@pytest.mark.parametrize("command", sorted(_P_COMMANDS))
+def test_ceiling_override_lets_m_101_through(command):
+    result = CliRunner(env={"GLAISHER_CEILING": "5050"}).invoke(
+        main, _P_COMMANDS[command][1] + ["--m", "101", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["m"] == 101
+
+
 def test_expand_closed3_requires_m3(runner):
     result = runner.invoke(main, ["expand", "--series", "epsilon", "--m", "4",
                                   "--route", "closed3"])

@@ -92,7 +92,7 @@ _MODULES = {"kernels": kernels, "partitions": partitions, "genfun": genfun,
 # one group per selector, in THEOREMS order, one cell per m (3, then 5)
 #                                 T1.2 E1.4 T1.3 T1.4 T1.5 T1.6 T1.8 T1.9 C1.10
 _MATRIX = {
-    "kernels.conv_truncated":        ".. .. .. .. . . .. .. ..",
+    "kernels.conv_truncated":        "FF .. .. FP . . .. .. FF",
     "kernels.mul_one_minus_uqk":     ".. .. .. RR . . FP FF ..",
     "kernels.div_one_minus_uqk":     "FF .. .. RR . . .. FF FF",
     "kernels.add_scaled_shifted":    "FF .. .. FP . . .. .. FF",
@@ -135,12 +135,6 @@ _CLEAN_FAIL = {
                  "cells this fault changes",
     ("T1.8", 5): "the walk stops at the clean mismatch at n = 1, below the "
                  "cells this fault changes",
-}
-
-# the listed primitives that no selector calls
-_UNCALLED = {
-    "kernels.conv_truncated": "only Series.__mul__ calls it, and no checker "
-                              "multiplies two series",
 }
 
 
@@ -199,12 +193,10 @@ def test_fault_matrix_row(monkeypatch, primitive):
 
 
 def test_fault_matrix_is_complete_and_live():
-    # every listed primitive is faulted, and every one but _UNCALLED is
-    # called by some selector, so a primitive the checkers stop calling
-    # (or start calling) fails here instead of going stale
+    # every listed primitive is faulted and called by some selector, so a
+    # primitive the checkers stop calling fails here instead of going stale
     assert sorted(_MATRIX) == sorted(_FAULTS)
-    assert {p for p, row in _MATRIX.items() if set(row) <= {".", " "}} == \
-        set(_UNCALLED)
+    assert not [p for p, row in _MATRIX.items() if set(row) <= {".", " "}]
     # every committed reason still explains some pass cell
     for primitive, theorem in _BLIND:
         cells = [c for c in _MATRIX[primitive] if c != " "]
