@@ -22,12 +22,15 @@ reports it under the command's usage (exit 2).
 Exit codes: 0 all checks pass, 1 a mathematical mismatch was found (a
 failed identity, or a density census above its window bound), 2 usage or
 configuration error, 3 internal error (any other exception, reported in
-one line on stderr).
+one line on stderr).  `main` exits through SystemExit; `run`, the process
+entry of `python -m glaisher` and the `glaisher` script, then ends the
+process without the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 
@@ -448,5 +451,46 @@ def main(args=None, prog_name=None):
     sys.exit(code)
 
 
-if __name__ == "__main__":
-    main()
+def _watched() -> bool:
+    """Whether a profiler, tracer or debugger watches this process, through
+    `sys.setprofile`, `sys.settrace` or (Python 3.12+, where cProfile uses
+    it) any of the six `sys.monitoring` tool ids."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.getprofile() is not None or sys.gettrace() is not None
+            or (monitoring is not None
+                and any(monitoring.get_tool(tool) is not None
+                        for tool in range(6))))
+
+
+def run() -> None:
+    """The process entry of `python -m glaisher` and the `glaisher` script:
+    run `main`, and end the process with the code of its SystemExit (None
+    is 0; any other non-int is printed to stderr and is 1, as CPython
+    does).  As at a normal exit, the exit handlers run and then stdout and
+    stderr are flushed; `os._exit` then skips the interpreter's teardown
+    (clearing modules, the final collections, freeing every object), which
+    would only free what the process is about to give back.
+
+    Under a profiler, tracer or debugger, main's SystemExit propagates, so
+    that cProfile, coverage and pdb still report.  Any other exception
+    propagates too, and a flush that fails exits normally, so that the
+    interpreter reports it as it always has."""
+    try:
+        main()
+    except SystemExit as exc:
+        if _watched():
+            raise
+        code = exc.code
+    if code is None:
+        code = 0
+    elif not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None: the process started without it
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)

@@ -47,7 +47,7 @@ class CliRunner:
     def __init__(self, env=None):
         self.env = env or {}
 
-    def invoke(self, cli, args):
+    def invoke(self, cli, args, prog_name="glaisher"):
         mixed = io.StringIO()
         out, err = _Stream(mixed), _Stream(mixed)
         saved = {key: os.environ.get(key) for key in self.env}
@@ -55,7 +55,7 @@ class CliRunner:
         os.environ.update(self.env)
         sys.stdout, sys.stderr = out, err
         try:
-            cli(args=args, prog_name="glaisher")
+            cli(args=args, prog_name=prog_name)
             code = 0
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else \
@@ -713,3 +713,170 @@ def test_unexpected_exception_is_a_one_line_internal_error(monkeypatch, runner):
     assert result.stderr.splitlines() == [
         "Error: internal error: RuntimeError: table store unavailable"
     ]
+
+
+# ---------------------------------------------------------------------------
+# the process entry: `python -m glaisher` and the `glaisher` script end the
+# process through `cli.run`, without the interpreter's teardown
+# ---------------------------------------------------------------------------
+
+_SRC = str(Path(glaisher.__file__).resolve().parents[1])
+
+
+def _python(argv, env=None, **kwargs):
+    """Run `python argv` with glaisher importable from where the tests import
+    it and `env` added to the environment.  Unless `env` sets
+    PYTHONUNBUFFERED, stdout is block-buffered, so that printed output
+    reaches the pipe only if the process flushes it before it ends."""
+    full = dict(os.environ, PYTHONPATH=_SRC)
+    full.pop("PYTHONUNBUFFERED", None)
+    full.update(env or {})
+    kwargs.setdefault("capture_output", True)
+    return subprocess.run([sys.executable, *argv], env=full, timeout=120,
+                          **kwargs)
+
+
+@pytest.mark.parametrize("args, env, code", [
+    pytest.param(["--help"], {}, 0, id="help"),
+    pytest.param(["--version"], {}, 0, id="version"),
+    pytest.param(["count", "--family", "C", "--m", "3", "--n-max", "300",
+                  "--format", "json"], {}, 0, id="count-json"),
+    pytest.param(["verify", "--theorem", "T1.4", "--m", "4", "--n-max", "20"],
+                 {}, 1, id="mismatch"),
+    pytest.param(["expand", "--series", "Q", "--m", "3"], {}, 2,
+                 id="grammar-error"),
+    pytest.param(["count", "--family", "A", "--m", "3"],
+                 {"GLAISHER_CEILING": "abc"}, 2, id="bad-ceiling"),
+    pytest.param(["density", "--m", "3", "--x", "100", "--out", "{missing}"],
+                 {}, 2, id="out-in-a-missing-directory"),
+])
+def test_python_m_glaisher_prints_what_main_prints(tmp_path, args, env, code):
+    # the same stdout (but for a verify report's elapsed time), stderr and
+    # exit code as an in-process `main()` under the same name and columns
+    args = [arg.format(missing=tmp_path / "missing" / "x.txt") for arg in args]
+    env = {"COLUMNS": "80", **env}
+    proc = _python(["-m", "glaisher", *args], env, text=True)
+    result = CliRunner(env=env).invoke(main, args,
+                                       prog_name="python -m glaisher")
+    assert (proc.returncode, result.exit_code) == (code, code)
+    assert _golden._normalised(proc.stdout) == \
+        _golden._normalised(result.stdout)
+    assert proc.stderr == result.stderr
+    if env.get("GLAISHER_CEILING") or "--out" in args:
+        assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["count", "--family", "Bj", "--j", "2", "--m", "4", "--n-max", "300",
+     "--format", "csv"],
+    ["verify", "--theorem", "T1.4", "--m", "4", "--n-max", "40",
+     "--format", "json"],
+])
+def test_python_m_glaisher_writes_the_out_file_main_writes(
+        runner, tmp_path, args):
+    proc = _python(["-m", "glaisher", *args, "--out",
+                    str(tmp_path / "process.out")])
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "main.out")])
+    assert proc.returncode == result.exit_code
+    assert proc.stdout == b"" and result.output == ""
+    assert _golden._normalised((tmp_path / "process.out").read_text()) == \
+        _golden._normalised((tmp_path / "main.out").read_text())
+
+
+# the same command through the process entry and through the interpreter's
+# own exit, which it skips
+_NORMAL_EXIT = ("import sys; from glaisher.cli import main; "
+                "main(sys.argv[1:], 'python -m glaisher')")
+
+
+def _into_a_closed_pipe(argv, env):
+    """Run `python argv` with stdout a pipe whose reader is gone; return the
+    exit code and stderr."""
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = _python(argv, env, stdout=writer, stderr=subprocess.PIPE,
+                       capture_output=False, text=True)
+    finally:
+        os.close(writer)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("n_max", [10, 5000])
+def test_a_closed_stdout_pipe_ends_as_at_a_normal_exit(unbuffered, n_max):
+    # the command's own write fails and is reported as an internal error;
+    # a buffered small output then also fails the exit's flush, which the
+    # interpreter reports (exit 120) at a normal exit, as here
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    args = ["count", "--family", "A", "--m", "3", "--n-max", str(n_max)]
+    entry = _into_a_closed_pipe(["-m", "glaisher", *args], env)
+    normal = _into_a_closed_pipe(["-c", _NORMAL_EXIT, *args], env)
+    assert entry == normal
+    if unbuffered or n_max == 5000:
+        assert entry == (
+            3, "Error: internal error: BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_no_stdout_at_all_ends_as_at_a_normal_exit():
+    # started with file descriptor 1 closed, sys.stdout is None: argparse
+    # prints the version to stderr, and a command's print writes nothing
+    close_stdout = ("import os, sys; os.close(1); "
+                    "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])")
+    for args in (["--version"], ["count", "--family", "A", "--m", "3"]):
+        entry = _python(["-c", close_stdout, "-m", "glaisher", *args],
+                        stdout=None, stderr=subprocess.PIPE,
+                        capture_output=False, text=True)
+        normal = _python(["-c", close_stdout, "-c", _NORMAL_EXIT, *args],
+                         stdout=None, stderr=subprocess.PIPE,
+                         capture_output=False, text=True)
+        assert (entry.returncode, entry.stderr) == \
+            (normal.returncode, normal.stderr) == \
+            (0, "python -m glaisher, version 0.1.0\n" if args == ["--version"]
+             else "")
+
+
+def test_exit_handlers_run_before_the_output_is_flushed():
+    # a handler registered before `python -m glaisher`'s module runs still
+    # runs, and what it prints still reaches stdout
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(print, 'exit handler ran')\n"
+            "runpy.run_module('glaisher', run_name='__main__', alter_sys=True)\n"
+            "print('not reached')\n")
+    proc = _python(["-c", code, "--version"], text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "python -m glaisher, version 0.1.0\nexit handler ran\n"
+
+
+@pytest.mark.parametrize("watch", ["", "sys.settrace(lambda *args: None)",
+                                   "sys.setprofile(lambda *args: None)"],
+                         ids=["unwatched", "traced", "profiled"])
+def test_under_a_tracer_or_profiler_the_process_exits_normally(watch):
+    # unwatched, the entry ends the process with main's code; under a
+    # tracer or a profiler main's SystemExit reaches the caller
+    code = ("import runpy, sys\n" + watch + "\n"
+            "try:\n"
+            "    runpy.run_module('glaisher', run_name='__main__', "
+            "alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print('SystemExit', exc.code)\n")
+    proc = _python(["-c", code, "verify", "--theorem", "T1.4", "--m", "4",
+                    "--n-max", "20", "--format", "json"], text=True)
+    report = json.loads(proc.stdout.split("SystemExit")[0])
+    assert report["status"] == "fail"
+    if watch:
+        assert proc.returncode == 0
+        assert proc.stdout.endswith("}\nSystemExit 1\n")
+    else:
+        assert proc.returncode == 1
+        assert "SystemExit" not in proc.stdout
+
+
+def test_cprofile_prints_its_report_after_the_output():
+    proc = _python(["-m", "cProfile", "-m", "glaisher", "count", "--family",
+                    "C", "--m", "3", "--n-max", "20", "--format", "csv"],
+                   text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n,value\n0,1\n")
+    assert proc.stdout.index("function calls") > proc.stdout.index("\n20,")

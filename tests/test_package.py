@@ -5,6 +5,7 @@ layers define, now that all but `verify` load on first use."""
 import importlib
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 import typing
@@ -98,6 +99,25 @@ assert verify is function
 """)
 
 
+def test_importing_glaisher_main_runs_no_command():
+    # `python -m glaisher` runs the CLI under the `__main__` check only, so
+    # pydoc and pkgutil walkers can import the module
+    assert _fresh("""
+sys.argv[1:] = ["--version"]
+import glaisher.__main__
+print("imported")
+""") == "imported\n"
+
+
+def test_the_script_and_python_m_glaisher_call_one_entry():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    script = re.search(r'^glaisher = "(.+)"$', pyproject.read_text(),
+                       flags=re.M).group(1)
+    module, _, name = script.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert importlib.import_module("glaisher.__main__").run is entry
+
+
 @pytest.mark.parametrize("name", ["no_such_name", "_check_precision",
                                   "backend_name"])
 def test_unknown_attribute_raises_attribute_error(name):
@@ -129,8 +149,6 @@ def test_every_annotation_names_a_type_its_module_binds():
     # name the module never binds shows only when a tool resolves it
     unresolved = []
     for info in pkgutil.iter_modules(glaisher.__path__):
-        if info.name == "__main__":  # runs the CLI on import
-            continue
         module = importlib.import_module("glaisher." + info.name)
         for function in _functions(module):
             try:
