@@ -15,6 +15,8 @@ Every command prints through one output path, `_emit`: `main` opens
 `--out`, then the command checks its arguments, does its work and hands
 `_emit` a JSON payload, CSV rows and a text builder; `_emit` alone reads
 `--format` and writes the one it names to the `--out` file or to stdout.
+A stdout whose reader is gone ends the output, not the command: the
+command still exits with its own code, with nothing on stderr.
 `count` and `expand`, one (n, value) row per cell, go through
 `_emit_values`.  A `ValueError` from a command is a bad argument: `main`
 reports it under the command's usage (exit 2).
@@ -158,7 +160,15 @@ def _emit(opts, payload, header, rows, text) -> None:
         body = buf.getvalue().rstrip("\n")
     else:
         body = text()
-    print(body, file=opts.fh or sys.stdout, flush=True)
+    try:
+        print(body, file=opts.fh or sys.stdout, flush=True)
+    except BrokenPipeError:
+        if opts.fh is not None:
+            raise
+        # stdout's reader is gone: fd 1 goes to devnull, so the text left
+        # in the buffer and the exit's flush cannot fail again, and the
+        # command ends with its own code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit_values(opts, payload, title, values) -> None:

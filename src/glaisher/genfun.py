@@ -24,10 +24,12 @@ different routes:
   character sum sum_(j=1..m-1) zeta_m^(j r) = m [r = 0] - 1, one integer
   combination of those ints),
   a triangular-number sum (a dense list filled from
-  ``triangular_stream``), a Gaussian-binomial rearrangement of that sum
-  (one row [m-1, j]_q built by a ratio sweep to cells 0..N, summed over
-  j by the same character sum), the raw difference m*gf_C - gf_D, and
-  (for m = 3 only) a closed form supported on shifted triangular numbers.
+  ``triangular_stream``), a Gaussian-binomial expansion of that sum
+  (Cauchy's binomial theorem turns it into one sum over the triangular
+  numbers T_s <= N, which reads only the entries j < sqrt(2N) or so of
+  the row [m-1, j]_q, built by a ratio sweep to cells 0..N, whatever m
+  is), the raw difference m*gf_C - gf_D, and (for m = 3 only) a closed
+  form supported on shifted triangular numbers.
 * ``triangular_stream``, the one expansion of the triangular sum, yields
   its nonzero coefficients below x one at a time, each term held as a
   sparse dict (or, while it is narrow, a dense list) and flushed from a
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
+from math import isqrt
 from operator import add, sub
 
 from . import EPSILON_ROUTES, kernels
@@ -202,9 +205,9 @@ def gf_Bj_lhs(m: int, n_sum: int | None, precision: int) -> Series:
     return Series._wrap(h)
 
 
-def _qbinomial_row(n: int, cells: int | None = None) -> list[list[int]]:
-    """The Gaussian binomials [n, j]_q, j = 0..n, each held to its first
-    `cells` cells (None: whole), by the ratio sweep
+def _qbinomial_row(n: int, cells: int | None, entries: int) -> list[list[int]]:
+    """The Gaussian binomials [n, j]_q for j <= n and j < `entries`, each
+    held to its first `cells` cells (None: whole), by the ratio sweep
     [n, j]_q = [n, j-1]_q (1 - q^(n-j+1)) / (1 - q^j).  A step pads entry
     j - 1 by n - j + 1 cells, up to the cap, then multiplies and divides
     as power series (neither moves a coefficient down, so every cell
@@ -212,7 +215,7 @@ def _qbinomial_row(n: int, cells: int | None = None) -> list[list[int]]:
     which must vanish: all j cells of the remainder when the cap leaves
     the entry whole."""
     row = [[1]]
-    for j in range(1, n + 1):
+    for j in range(1, min(n + 1, entries)):
         size = j * (n - j + 1) + 1
         keep = j * (n - j) + 1
         if cells is not None:
@@ -227,29 +230,21 @@ def _qbinomial_row(n: int, cells: int | None = None) -> list[list[int]]:
     return row
 
 
-def _p_coeffs(row: list[list[int]], cells: int) -> list[int]:
-    """Cells 0..cells-1 of P_m, from the row [m-1, j]_q, j = 0..m-1, each
-    entry whole or held to at least `cells` cells (a shift T_k >= cells
-    adds nothing)."""
-    m = len(row)
-    out = [0] * cells
+def p_polynomial(m: int) -> Series:
+    """P_m, the finite polynomial left when the triangular sum is
+    rearranged as sum_k (-1)^k q^(T_k) sum_j chi_m(k - j) ([m-1, j]_q - 1):
+    - sum_j [m-1, j]_q * sum_{k<j} (-1)^k chi_m(k - j) q^(T_k), at its
+    exact degree (< m(m-1)/2).  Since 0 < j - k < m, chi_m(k - j) = -1,
+    so this is sum_{k <= m-2} (-1)^k q^(T_k) S_k with the suffix sums
+    S_k = sum_{j > k} [m-1, j]_q of one whole `_qbinomial_row`."""
+    _check_m(m)
+    row = _qbinomial_row(m - 1, None, m)
+    out = [0] * (_tri(m - 2) + len(row[(m - 1) // 2]))
     suffix = [0] * len(row[(m - 1) // 2])  # S_k, from k = m - 2 down
     for k in range(m - 2, -1, -1):
         suffix[:len(row[k + 1])] = map(add, suffix, row[k + 1])
         out[_tri(k):_tri(k) + len(suffix)] = map(sub if k & 1 else add,
                                                  out[_tri(k):], suffix)
-    return out
-
-
-def p_polynomial(m: int) -> Series:
-    """The finite polynomial prefix of the Gaussian-binomial route,
-    - sum_j [m-1, j]_q * sum_{k<j} (-1)^k chi_m(k - j) q^(T_k), at its
-    exact degree (< m(m-1)/2).  Since 0 < j - k < m, chi_m(k - j) = -1,
-    so this is sum_{k <= m-2} (-1)^k q^(T_k) S_k with the suffix sums
-    S_k = sum_{j > k} [m-1, j]_q of one `_qbinomial_row`."""
-    _check_m(m)
-    row = _qbinomial_row(m - 1)
-    out = _p_coeffs(row, _tri(m - 2) + len(row[(m - 1) // 2]))
     while len(out) > 1 and not out[-1]:
         out.pop()
     assert len(out) <= max(m * (m - 1) // 2, 1)
@@ -332,23 +327,23 @@ def triangular_stream(m: int, x: int) -> Iterator[tuple[int, int]]:
 
 
 def _epsilon_qbinomial(m: int, precision: int) -> Series:
-    """Gaussian-binomial route: P_m(q) plus, for each k, (-1)^k q^(T_k)
-    times sum_j chi_m(k - j) delta_j, delta_j = [m-1, j]_q - 1.  Since
-    chi_m(n) = m [m | n] - 1, that is m delta_(k mod m) - sum_j delta_j:
-    two shifted adds per k, off the one row, held to cells 0..N, that
-    also gives P_m's cells 0..N."""
-    row = _qbinomial_row(m - 1, precision + 1)
-    acc = _p_coeffs(row, precision + 1)
-    total = [0] * len(row[(m - 1) // 2])  # sum_j delta_j
-    for delta in row:  # the row becomes delta_0..delta_(m-1)
-        delta[0] -= 1
-        total[:len(delta)] = map(add, total, delta)
-    k = 0
-    while _tri(k) <= precision:
-        sign = -1 if k & 1 else 1
-        kernels.add_scaled_shifted(acc, row[k % m], _tri(k), sign * m)
-        kernels.add_scaled_shifted(acc, total, _tri(k), -sign)
-        k += 1
+    """Gaussian-binomial route.  By Cauchy's binomial theorem
+    (q^(k+1); q)_(m-1) = sum_j (-1)^j [m-1, j]_q q^(jk + T_j), and
+    T_k + jk + T_j = T_(k+j), so the triangular sum is, with s = k + j,
+    sum_s (-1)^s q^(T_s) sum_(j <= min(s, m-1)) chi_m(s - j) [m-1, j]_q.
+    Since chi_m(n) = m [m | n] - 1, the inner sum is m [m-1, s mod m]_q
+    less a prefix sum of the row: two shifted adds per s with T_s <= N,
+    which read only the row entries j < terms, held to cells 0..N."""
+    terms = (isqrt(8 * precision + 1) + 1) // 2  # the s with T_s <= N
+    row = _qbinomial_row(m - 1, precision + 1, terms)
+    acc = [0] * (precision + 1)
+    prefix = [0] * max(map(len, row))  # sum_(j <= min(s, m-1)) [m-1, j]_q
+    for s in range(terms):
+        if s < m:
+            prefix[:len(row[s])] = map(add, prefix, row[s])
+        sign = -1 if s & 1 else 1
+        kernels.add_scaled_shifted(acc, row[s % m], _tri(s), sign * m)
+        kernels.add_scaled_shifted(acc, prefix, _tri(s), -sign)
     return Series._wrap(acc)
 
 

@@ -44,6 +44,7 @@ from glaisher.series import (
     qbinomial_poly,
 )
 from glaisher._checkers import _rhs_T19
+from glaisher.verify import verify
 
 
 _SERIES_BUILDERS = [
@@ -259,12 +260,27 @@ def test_p_polynomial_degree_bound(m):
 
 @pytest.mark.parametrize("m", [*range(2, 31), 40, 100])
 def test_p_polynomial_is_consistent_across_routes(m):
-    # the qbinomial route embeds P_m; its agreement with the triangular
-    # route over a long window is the only independent anchor for P_m, and
-    # up to m = 40 the window holds all of P_m (degree below m(m - 1)/2)
+    # P_m is what is left of the triangular sum once it is rearranged over
+    # the Gaussian binomials of `series.qbinomial`:
+    # eps = P_m + sum_k (-1)^k q^(T_k) (m delta_(k mod m) - sum_j delta_j),
+    # delta_j = [m-1, j]_q - 1.  Its agreement with the triangular route
+    # over a long window is the only independent anchor for P_m past
+    # m = 40, and up to m = 40 the window holds all of P_m (degree below
+    # m(m - 1)/2)
     precision = max(60, 5 * m if m > 40 else m * (m - 1) // 2)
-    assert epsilon(m, precision, "qbinomial") == \
-        epsilon(m, precision, "triangular")
+    delta = [list(qbinomial(m - 1 - j, j, precision).coeffs)
+             for j in range(m)]
+    for d in delta:
+        d[0] -= 1
+    total = [sum(cells) for cells in zip(*delta)]
+    out = (list(p_polynomial(m).coeffs) + [0] * precision)[:precision + 1]
+    k = 0
+    while genfun._tri(k) <= precision:
+        sign = -1 if k & 1 else 1
+        for i in range(precision + 1 - genfun._tri(k)):
+            out[genfun._tri(k) + i] += sign * (m * delta[k % m][i] - total[i])
+        k += 1
+    assert tuple(out) == epsilon(m, precision, "triangular").coeffs
 
 
 # Kept as P_m's reference from its definition through ring.chi, which shares
@@ -293,15 +309,31 @@ def test_p_polynomial_matches_double_loop(m):
 
 @pytest.mark.parametrize("m", [3, 8, 20, 60])
 def test_qbinomial_row_is_built_once_by_one_ratio_sweep(monkeypatch, m):
-    # one multiply and one exact divide per j = 1..m-1 of the row
-    # [m-1, j]_q, which P_m and the route share
+    # one multiply and one exact divide per entry j >= 1 of the row
+    # [m-1, j]_q: P_m reads the whole row, and the route at N = 300 only
+    # the entries j < 25, one per triangular number T_s <= 300
     calls = _count_kernel_calls(monkeypatch)
-    for build in (lambda: p_polynomial(m),
-                  lambda: epsilon(m, 300, "qbinomial")):
+    for build, steps in ((lambda: p_polynomial(m), m - 1),
+                         (lambda: epsilon(m, 300, "qbinomial"),
+                          min(m - 1, 24))):
         calls.clear()
         build()
-        assert calls.get("mul_one_minus_uqk") == m - 1
-        assert calls.get("div_one_minus_uqk") == m - 1
+        assert calls.get("mul_one_minus_uqk") == steps
+        assert calls.get("div_one_minus_uqk") == steps
+
+
+def test_qbinomial_route_work_does_not_grow_with_m(monkeypatch):
+    # the route reads the row entries j < 9 at N = 40, since T_9 = 45, so
+    # m = 10^5 makes 8 row steps, and m = 10^9 expands as fast; the m = 10^9
+    # checks run only once the count shows the row is no longer O(m)
+    calls = _count_kernel_calls(monkeypatch)
+    epsilon(10 ** 5, 40, "qbinomial")
+    assert calls.get("mul_one_minus_uqk", 0) <= 8
+    assert calls.get("div_one_minus_uqk", 0) <= 8
+    assert epsilon(10 ** 9, 300, "qbinomial") == \
+        epsilon(10 ** 9, 300, "definition")
+    assert verify("T1.4", 10 ** 9, n_max=5000).first_failure == (
+        2, "triangular E(2)=-999999999", "identity m*C(2)-D(2)=-2")
 
 
 @pytest.mark.parametrize("m,precision", [(200, 40), (200, 500), (100, 2000),
@@ -310,7 +342,7 @@ def test_qbinomial_row_is_built_once_by_one_ratio_sweep(monkeypatch, m):
 def test_qbinomial_route_builds_its_row_only_to_the_precision(m, precision):
     # entry j of the route's row holds min(N + 1, j(m - 1 - j) + 1) cells,
     # and the route still equals the triangular sum
-    row = genfun._qbinomial_row(m - 1, precision + 1)
+    row = genfun._qbinomial_row(m - 1, precision + 1, m)
     assert [len(e) for e in row] == [min(precision + 1, j * (m - 1 - j) + 1)
                                      for j in range(m)]
     assert epsilon(m, precision, "qbinomial") == \
@@ -603,13 +635,10 @@ def test_definition_matches_the_other_routes_on_the_grid(m):
     # character sum over the one root-1 product must count them all the
     # same; at large m the product and the accumulator hold only the
     # residues that can be nonzero, about sqrt(2N) of them, so N = 3 takes
-    # a few ms even at m = 10^7.  The reference is the qbinomial route
-    # where N >= m (at m = 2000, N = 2001 it took about 1 s against 4 s for
-    # the triangular route on 2 vCPUs, Python 3.11), and the triangular
-    # route elsewhere, since the qbinomial row grows with m.
+    # a few ms even at m = 10^7.  The reference is the qbinomial route,
+    # whose work is set by N alone.
     precisions = sorted(_DEFINITION_GRID[m])
-    route = "qbinomial" if m <= precisions[-1] else "triangular"
-    expected = epsilon(m, precisions[-1], route).coeffs
+    expected = epsilon(m, precisions[-1], "qbinomial").coeffs
     for precision in precisions:
         assert epsilon(m, precision, "definition").coeffs == \
             expected[:precision + 1], precision
