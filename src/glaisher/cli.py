@@ -154,9 +154,7 @@ def _emit(opts, payload, header, rows, text) -> None:
         import io
 
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
         body = buf.getvalue().rstrip("\n")
     else:
         body = text()
@@ -168,7 +166,8 @@ def _emit(opts, payload, header, rows, text) -> None:
         # stdout's reader is gone: fd 1 goes to devnull, so the text left
         # in the buffer and the exit's flush cannot fail again, and the
         # command ends with its own code
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as sink:
+            os.dup2(sink.fileno(), sys.stdout.fileno())
 
 
 def _emit_values(opts, payload, title, values) -> None:

@@ -266,7 +266,8 @@ def test_p_polynomial_is_consistent_across_routes(m):
     # delta_j = [m-1, j]_q - 1.  Its agreement with the triangular route
     # over a long window is the only independent anchor for P_m past
     # m = 40, and up to m = 40 the window holds all of P_m (degree below
-    # m(m - 1)/2)
+    # m(m - 1)/2).  The qbinomial route, which sums the same row over the
+    # triangular numbers without P_m, must agree over the same window.
     precision = max(60, 5 * m if m > 40 else m * (m - 1) // 2)
     delta = [list(qbinomial(m - 1 - j, j, precision).coeffs)
              for j in range(m)]
@@ -281,6 +282,8 @@ def test_p_polynomial_is_consistent_across_routes(m):
             out[genfun._tri(k) + i] += sign * (m * delta[k % m][i] - total[i])
         k += 1
     assert tuple(out) == epsilon(m, precision, "triangular").coeffs
+    assert epsilon(m, precision, "qbinomial") == epsilon(m, precision,
+                                                          "triangular")
 
 
 # Kept as P_m's reference from its definition through ring.chi, which shares
