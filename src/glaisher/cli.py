@@ -16,7 +16,8 @@ Every command prints through one output path, `_emit`: `main` opens
 `_emit` a JSON payload, CSV rows and a text builder; `_emit` alone reads
 `--format` and writes the one it names to the `--out` file or to stdout.
 A stdout whose reader is gone ends the output, not the command: the
-command still exits with its own code, with nothing on stderr.
+command, or `--help` and `--version`, still exits with its own code, with
+nothing on stderr.
 `count` and `expand`, one (n, value) row per cell, go through
 `_emit_values`.  A `ValueError` from a command is a bad argument: `main`
 reports it under the command's usage (exit 2).
@@ -24,9 +25,10 @@ reports it under the command's usage (exit 2).
 Exit codes: 0 all checks pass, 1 a mathematical mismatch was found (a
 failed identity, or a density census above its window bound), 2 usage or
 configuration error, 3 internal error (any other exception, reported in
-one line on stderr).  `main` exits through SystemExit; `run`, the process
-entry of `python -m glaisher` and the `glaisher` script, then ends the
-process without the interpreter's teardown.
+one line on stderr).  `main` exits through SystemExit with an int code;
+`run`, the process entry of `python -m glaisher` and the `glaisher`
+script, then ends every process it does not hand to a profiler, tracer or
+debugger through `os._exit`, without the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -473,33 +475,30 @@ def _watched() -> bool:
 
 def run() -> None:
     """The process entry of `python -m glaisher` and the `glaisher` script:
-    run `main`, and end the process with the code of its SystemExit (None
-    is 0; any other non-int is printed to stderr and is 1, as CPython
-    does).  As at a normal exit, the exit handlers run and then stdout and
-    stderr are flushed; `os._exit` then skips the interpreter's teardown
-    (clearing modules, the final collections, freeing every object), which
-    would only free what the process is about to give back.
+    run `main`, and end the process with the int code of its SystemExit
+    (`main` and argparse raise no other).  As at a normal exit, the exit
+    handlers run and then stdout and stderr are flushed; `os._exit` then
+    skips the interpreter's teardown (clearing modules, the final
+    collections, freeing every object), which would only free what the
+    process is about to give back.  A flush that fails (a stdout whose
+    reader is gone or whose device is full, after argparse's own output or
+    a failed `_emit`) changes neither the code nor stderr: any error the
+    command met is already there.
 
     Under a profiler, tracer or debugger, main's SystemExit propagates, so
     that cProfile, coverage and pdb still report.  Any other exception
-    propagates too, and a flush that fails exits normally, so that the
-    interpreter reports it as it always has."""
+    propagates too, so that the interpreter reports it as it always has."""
     try:
         main()
     except SystemExit as exc:
         if _watched():
             raise
         code = exc.code
-    if code is None:
-        code = 0
-    elif not isinstance(code, int):
-        print(code, file=sys.stderr)
-        code = 1
     atexit._run_exitfuncs()
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None: the process started without it
                 stream.flush()
     except OSError:
-        sys.exit(code)
+        pass  # os._exit writes nothing more; any error is on stderr
     os._exit(code)

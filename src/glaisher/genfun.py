@@ -205,9 +205,9 @@ def gf_Bj_lhs(m: int, n_sum: int | None, precision: int) -> Series:
     return Series._wrap(h)
 
 
-def _qbinomial_row(n: int, cells: int | None, entries: int) -> list[list[int]]:
+def _qbinomial_row(n: int, cells: int, entries: int) -> list[list[int]]:
     """The Gaussian binomials [n, j]_q for j <= n and j < `entries`, each
-    held to its first `cells` cells (None: whole), by the ratio sweep
+    held to its first `cells` cells, by the ratio sweep
     [n, j]_q = [n, j-1]_q (1 - q^(n-j+1)) / (1 - q^j).  A step pads entry
     j - 1 by n - j + 1 cells, up to the cap, then multiplies and divides
     as power series (neither moves a coefficient down, so every cell
@@ -216,10 +216,8 @@ def _qbinomial_row(n: int, cells: int | None, entries: int) -> list[list[int]]:
     the entry whole."""
     row = [[1]]
     for j in range(1, min(n + 1, entries)):
-        size = j * (n - j + 1) + 1
-        keep = j * (n - j) + 1
-        if cells is not None:
-            size, keep = min(size, cells), min(keep, cells)
+        size = min(j * (n - j + 1) + 1, cells)
+        keep = min(j * (n - j) + 1, cells)
         poly = row[-1] + [0] * (size - len(row[-1]))
         kernels.mul_one_minus_uqk(poly, 1, n - j + 1)
         kernels.div_one_minus_uqk(poly, 1, j)
@@ -238,7 +236,8 @@ def p_polynomial(m: int) -> Series:
     so this is sum_{k <= m-2} (-1)^k q^(T_k) S_k with the suffix sums
     S_k = sum_{j > k} [m-1, j]_q of one whole `_qbinomial_row`."""
     _check_m(m)
-    row = _qbinomial_row(m - 1, None, m)
+    # entry j pads to j(m - j) + 1 <= T_(m-1) + 1 cells: the cap cuts none
+    row = _qbinomial_row(m - 1, _tri(m - 1) + 1, m)
     out = [0] * (_tri(m - 2) + len(row[(m - 1) // 2]))
     suffix = [0] * len(row[(m - 1) // 2])  # S_k, from k = m - 2 down
     for k in range(m - 2, -1, -1):

@@ -195,6 +195,21 @@ def test_ceiling_override_lets_m_101_through(command):
     assert json.loads(result.output)["m"] == 101
 
 
+@pytest.mark.parametrize("args", [
+    *(["count", "--family", family, "--n-max", "40"] for family in "ABCD"),
+    *(["expand", "--series", series, "--precision", "40"]
+      for series in ("A", "B", "Bj-lhs", "C", "D")),
+], ids=lambda args: f"{args[0]}-{args[2]}")
+def test_m_of_a_billion_prints_what_m_41_prints(runner, args):
+    # to n = 40 no row of these families and series moves once m > 40, so
+    # m = 10^9 must print m = 41's bytes (work that grew with m would not
+    # end)
+    huge, small = (runner.invoke(main, args + ["--m", m, "--format", "csv"])
+                   for m in ("1000000000", "41"))
+    assert huge.exit_code == small.exit_code == 0
+    assert huge.output == small.output
+
+
 def test_expand_closed3_requires_m3(runner):
     result = runner.invoke(main, ["expand", "--series", "epsilon", "--m", "4",
                                   "--route", "closed3"])
@@ -822,6 +837,45 @@ def test_a_closed_stdout_pipe_ends_as_at_a_normal_exit(unbuffered, args,
     entry = _into_a_closed_pipe(["-m", "glaisher", *args], env)
     normal = _into_a_closed_pipe(["-c", _NORMAL_EXIT, *args], env)
     assert entry == normal == (code, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["--help"], ["--version"],
+                                  ["count", "--help"]],
+                         ids=["help", "version", "count-help"])
+def test_argparse_output_into_a_closed_stdout_pipe_ends_with_code_zero(
+        unbuffered, args):
+    # argparse swallows the failed write of its own output, and the entry's
+    # flush, which fails in its turn, ends only the output; the
+    # interpreter's own exit ends these with 120 and CPython's "Exception
+    # ignored" lines, so only the entry is asserted
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    assert _into_a_closed_pipe(["-m", "glaisher", *args], env) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args, code, stderr", [
+    pytest.param(["count", "--family", "A", "--m", "3", "--n-max", "10"], 3,
+                 ["Error: internal error: OSError: [Errno 28]"], id="count"),
+    pytest.param(["--help"], 0, [], id="help"),
+])
+def test_a_full_stdout_ends_with_the_error_the_command_reported(
+        unbuffered, args, code, stderr):
+    # a write that fails for want of space is an internal error, reported
+    # once by `main`: the entry's flush, which fails again, hides nothing
+    # and adds nothing
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    with open("/dev/full", "w") as full:
+        proc = _python(["-m", "glaisher", *args], env, stdout=full,
+                       stderr=subprocess.PIPE, capture_output=False,
+                       text=True)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == code
+    assert len(lines) == len(stderr)
+    assert all(line.startswith(start) for line, start in zip(lines, stderr))
 
 
 def test_no_stdout_at_all_ends_as_at_a_normal_exit():
