@@ -13,12 +13,12 @@ combination m W_0 - sum_r W_r of the residue ints.
 
 Every CLI call is a fresh process, and a process that runs one layer
 should not compile the others.  So importing the package loads only
-`__version__`, the CLI grammar's constants (`EPSILON_ROUTES` here,
-`THEOREMS` in `verify`) and the `verify` front: its checkers, in
-`_checkers`, load only when a check runs, with the layers they read.
-Every other public name, the
-submodules included, is loaded on first use (PEP 562).  In the CLI,
-`--help` and `--version` load none of `ring`, `series`, `kernels`,
+`__version__`, the CLI grammar's constants (`EPSILON_ROUTES` and
+`FAMILIES` here, `THEOREMS` in `verify`) and the `verify` front: its
+checkers, in `_checkers`, load only when a check runs, with the layers
+they read.  Every other public name, the submodules included, is
+loaded on first use (PEP 562).  In the CLI, `--help` and `--version`
+load none of `ring`, `series`, `kernels`,
 `partitions` or `genfun`; `count` loads `partitions` alone; `expand` and
 `density` load `genfun` with the `series` and `kernels` it is built on,
 and no `partitions` or `ring` (the `definition` route adds
@@ -29,9 +29,11 @@ the Z[zeta_m] names themselves import it.  No command loads `json`.
 
 __version__ = "0.1.0"
 
-# The choices of `expand --route`; `genfun` reads them from here, so that
-# building the CLI grammar loads no series code.
+# The choices of `expand --route` and `count --family`; `genfun` and
+# `partitions` read them from here, so that building the CLI grammar loads
+# no series or counting code.
 EPSILON_ROUTES = ("definition", "triangular", "qbinomial", "identity", "closed3")
+FAMILIES = ("A", "B", "Bj", "C", "D")
 
 from .verify import (
     DensityStats,

@@ -38,7 +38,7 @@ import atexit
 import os
 import sys
 
-from . import EPSILON_ROUTES, __version__
+from . import EPSILON_ROUTES, FAMILIES, __version__
 from .verify import THEOREMS, density_report, verify
 
 DEFAULT_RANGE = 200
@@ -189,10 +189,11 @@ def _styled(text: str, ok: bool, fh) -> str:
     return f"\x1b[{32 if ok else 31}m{text}\x1b[0m"
 
 
-def _ratio_decimal(num: int, den: int, places: int = 6) -> str:
+def _ratio_decimal(num: int, den: int) -> str:
+    """num/den rounded down to six decimal places."""
     whole, rem = divmod(num, den)
-    frac = rem * 10 ** places // den
-    return f"{whole}.{frac:0{places}d}"
+    frac = rem * 10 ** 6 // den
+    return f"{whole}.{frac:06d}"
 
 
 def count(opts) -> int:
@@ -386,7 +387,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
                                dest="command", required=True)
 
     p = _command(subs, "count", count)
-    p.add_argument("--family", choices=("A", "B", "Bj", "C", "D"),
+    p.add_argument("--family", choices=FAMILIES,
                    required=True, help="Counting family.")
     p.add_argument("--m", type=int, required=True, help="Modulus m >= 2.")
     p.add_argument("--j", type=int, default=None,

@@ -32,9 +32,11 @@ different routes:
   form supported on shifted triangular numbers.
 * ``triangular_stream``, the one expansion of the triangular sum, yields
   its nonzero coefficients below x one at a time, each term held as a
-  sparse dict (or, while it is narrow, a dense list) and flushed from a
-  window of about m*sqrt(x) exponents: the density census runs in
-  O(sqrt(x)) terms and never holds a dense series.
+  sparse dict, or, while it is narrow, as a dense list stepped from the
+  term before by one ratio (1 - q^(k+m-1)) / (1 - q^k), and flushed from
+  a window of about m*sqrt(x) exponents: the density census runs in
+  O(sqrt(x)) terms and never holds a dense series, and no route's work
+  grows with m past the precision.
 
 Route cross-agreement is the package's strongest internal check: the routes
 share no intermediate algebra, only the kernel primitives.
@@ -52,7 +54,7 @@ from math import isqrt
 from operator import add, sub
 
 from . import EPSILON_ROUTES, kernels
-from .series import Series, _check_precision
+from .series import PochSpec, Series, _check_precision, pochhammer
 
 GF_REGULAR_FORMS = ("A_product", "B_product")
 
@@ -275,30 +277,38 @@ def triangular_stream(m: int, x: int) -> Iterator[tuple[int, int]]:
     sum_k (-1)^k chi_m(k) q^(T_k) (q^(k+1); q)_(m-1), without expanding
     the dense series.
 
-    Term k is grown one factor (1 - q^(k+1+i)) at a time, exponents >= x
-    dropped, and added into a window keyed by exponent.  Term k+1 starts
-    at T_(k+1), so once term k is in, every exponent below T_(k+1) is
-    final: it is yielded and leaves the window.  The window spans about
-    m*k exponents, never x.
+    Each term, exponents >= x dropped, is added into a window keyed by
+    exponent.  Term k+1 starts at T_(k+1), so once term k is in, every
+    exponent below T_(k+1) is final: it is yielded and leaves the window.
+    The window spans about m*k exponents, never x.
 
     A product of j of the factors lands on j(k+1) plus a sum of j distinct
     numbers from 0..m-2, which takes j(m-1-j) + 1 values, so a term has at
-    most C(m, 3) + m monomials (never more than 2^(m-1)).  A term at least
-    twice that wide is grown as a dict of its monomials; a narrower one
-    (large m, small k) as a dense list, which is cheaper per entry."""
+    most C(m, 3) + m monomials (never more than 2^(m-1)), over a span of
+    (m-1)(k+1) + T_(m-2) + 1 exponents.  A term whose span is at least
+    twice that is grown as a dict of its monomials, one factor
+    (1 - q^(k+1+i)) at a time.  The narrower terms (large m, small k), a
+    prefix of k, are dense lists, which are cheaper per entry: term 0 is
+    (q; q)_(m-1) from `pochhammer`, and term k is term k-1 times
+    (1 - q^(k+m-1)) / (1 - q^k), one multiply and one divide on a list
+    held to the term's degree (m-1)k + T_(m-1), or cut to the x - T_k
+    cells it can still land.  The cut is exact, since neither kernel
+    moves a coefficient down.  So term 0 takes at most min(m - 1, x)
+    multiplies, and no later term's work grows with m."""
     _check_m(m)
     if x < 1:
         raise ValueError("x must be >= 1")
     most = m * (m - 1) * (m - 2) // 6 + m
+    # term 0, (q; q)_(m-1), to its degree or below x
+    poly = list(pochhammer(PochSpec(count=m - 1), min(x - 1, _tri(m - 1))).coeffs)
     window: dict[int, int] = {}
     k = 0
     start = 0  # T_k
     while start < x:
         limit = x - start  # term exponents, relative to T_k, stay below this
-        factors = range(k + 1, min(k + m, limit))  # later factors are 1
-        if 2 * most <= min(limit, (m - 1) * (k + 1) + _tri(m - 2) + 1):
+        if 2 * most <= (m - 1) * (k + 1) + _tri(m - 2) + 1:
             term = {0: 1}
-            for a in factors:
+            for a in range(k + 1, min(k + m, limit)):  # later factors are 1
                 grown = term.copy()
                 for e, c in term.items():
                     e += a
@@ -307,10 +317,11 @@ def triangular_stream(m: int, x: int) -> Iterator[tuple[int, int]]:
                 term = grown
             monomials = term.items()
         else:
-            poly = [1]
-            for a in factors:
-                poly += [0] * (min(len(poly) + a, limit) - len(poly))
-                kernels.mul_one_minus_uqk(poly, 1, a)
+            if k:  # term k = term k-1 times (1 - q^(k+m-1)) / (1 - q^k)
+                del poly[limit:]
+                poly += [0] * (min(len(poly) + m - 1, limit) - len(poly))
+                kernels.mul_one_minus_uqk(poly, 1, k + m - 1)
+                kernels.div_one_minus_uqk(poly, 1, k)
             monomials = enumerate(poly)
         chi = (0 if k % m else m) - 1  # chi_m(k) = m [m | k] - 1
         scale = -chi if k & 1 else chi

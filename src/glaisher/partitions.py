@@ -73,7 +73,7 @@ import threading
 from collections import namedtuple
 from itertools import repeat
 
-FAMILIES = ("A", "B", "Bj", "C", "D")
+from . import FAMILIES
 
 BRUTE_FORCE_LIMIT = 40
 

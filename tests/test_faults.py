@@ -94,7 +94,7 @@ _MODULES = {"kernels": kernels, "partitions": partitions, "genfun": genfun,
 _MATRIX = {
     "kernels.conv_truncated":        "FF .. .. FP . . .. .. FF",
     "kernels.mul_one_minus_uqk":     ".. .. .. RR . . FP FF ..",
-    "kernels.div_one_minus_uqk":     "FF .. .. RR . . .. FF FF",
+    "kernels.div_one_minus_uqk":     "FF .. .. RR . . FP FF FF",
     "kernels.add_scaled_shifted":    "FF .. .. FP . . .. .. FF",
     "partitions._unpack":            "FF FF PP FP . F FP .. ..",
     "_definition._unpack_signed":    ".. .. .. FF F . .. .. ..",

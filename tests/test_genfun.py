@@ -339,6 +339,19 @@ def test_qbinomial_route_work_does_not_grow_with_m(monkeypatch):
         2, "triangular E(2)=-999999999", "identity m*C(2)-D(2)=-2")
 
 
+def test_triangular_route_work_does_not_grow_with_m(monkeypatch):
+    # term 0, (q; q)_(m-1) below q^2001, takes at most N multiplies, and
+    # each later term k <= 62 (T_62 = 1953 <= 2000 < T_63) one multiply and
+    # one divide, from the term before
+    calls = _count_kernel_calls(monkeypatch)
+    for m in (200, 2000, 10 ** 9):
+        calls.clear()
+        got = epsilon(m, 2000, "triangular")
+        assert calls.get("mul_one_minus_uqk", 0) <= 2000 + 62, m
+        assert calls.get("div_one_minus_uqk", 0) <= 62, m
+    assert got == epsilon(10 ** 9, 2000, "qbinomial")
+
+
 @pytest.mark.parametrize("m,precision", [(200, 40), (200, 500), (100, 2000),
                                          (60, 2000), (7, 300), (3, 5000),
                                          (2000, 40), (1000, 300)])
